@@ -6,7 +6,6 @@ assumptions, synthesize a delay-compensating gain, compute an explicit
 stability certificate, and simulate the interconnected closed loop.
 """
 
-from .buffers import DelayBuffer
 from .config import (
     RunConfig,
     case_study_run_config,
@@ -31,8 +30,6 @@ from .errors import (
     AssumptionViolatedError,
     CertificateParameterError,
     ConfigError,
-    ConvergenceFailureError,
-    HistoryUnderflowError,
     InfeasibleCertificateError,
     InsufficientDataError,
     InvalidParameterError,
@@ -76,7 +73,6 @@ from .spectral import (
     check_kalman,
     check_truncation,
     pbh_controllable,
-    project_disturbance,
     project_profile,
     reconstruct,
 )

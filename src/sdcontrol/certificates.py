@@ -2,7 +2,7 @@
 
 Given a design (gain K, Lyapunov matrix P) and three scalar weights
 (beta, gamma1, gamma2), the functions here compute the explicit constant
-family C1..C8 and the decay rate kappa0 entering the closed-loop estimates
+family C1..C6 and the decay rate kappa0 entering the closed-loop estimates
 
     ||X(t)||   <= C4 sqrt(V(t)),
     ||u(t)||   <= ||K|| / sqrt(C2g1) * sqrt(V(t)),
@@ -22,13 +22,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .buffers import DelayBuffer
 from .errors import (
     CertificateParameterError,
     InfeasibleCertificateError,
     InvalidParameterError,
 )
-from .predictor import PredictorDesign
+from .predictor import PredictorDesign, _lagged, _window_weights
 from .spectral import SpectralSystem, check_truncation
 
 __all__ = [
@@ -60,8 +59,6 @@ class CertificateBundle:
     C4: float
     C5: float
     C6: float
-    C7: float
-    C8: float
     kappa0: float
     small_gain_constant: float
     alpha: float
@@ -109,8 +106,6 @@ class _BaseConstants:
     lam_max_p: float
     norm_p: float
     norm_a: float
-    norm_k: float
-    norm_edabk: float
     norm_bk_sq: float
     c1: float
     c5: float
@@ -130,8 +125,6 @@ def _base_constants(sys: SpectralSystem, design: PredictorDesign) -> _BaseConsta
 
     norm_a = float(np.abs(np.diag(design.a_n0)).max())
     norm_bk_trunc = _spectral_norm(design.b_n0 @ gain)
-    norm_k = _spectral_norm(gain)
-    norm_edabk = _spectral_norm(design.exp_da @ design.b_n0 @ gain)
 
     # operator norm of the composite input map v -> B K v via the lifting Gram
     kgk = gain.conj().T @ sys.lifting_gram.astype(complex) @ gain
@@ -151,7 +144,7 @@ def _base_constants(sys: SpectralSystem, design: PredictorDesign) -> _BaseConsta
     return _BaseConstants(
         alpha=alpha, lam_min_p=lam_min_p, lam_max_p=lam_max_p,
         norm_p=lam_max_p,  # P is Hermitian positive definite
-        norm_a=norm_a, norm_k=norm_k, norm_edabk=norm_edabk,
+        norm_a=norm_a,
         norm_bk_sq=norm_bk_sq, c1=c1, c5=c5,
     )
 
@@ -207,14 +200,11 @@ def compute_constants(sys: SpectralSystem, design: PredictorDesign,
     c6 = (1.0 / m_r) * (
         2.0 * (m_r + norm_bk_sq) / (alpha * m_r)
         + (gamma1 * (1.0 + delay) + gamma2) * norm_p ** 2 / beta)
-    c7 = base.norm_a + base.norm_edabk + 0.5
-    c8 = base.norm_k * (design.transition.max_slope
-                        + base.norm_a + base.norm_edabk)
     sgc = c4 * math.sqrt(c6 / (2.0 * kappa0))
 
     return CertificateBundle(
         beta=float(beta), gamma1=float(gamma1), gamma2=float(gamma2),
-        C1=c1, C2g1=c2g1, C3g2=c3g2, C4=c4, C5=c5, C6=c6, C7=c7, C8=c8,
+        C1=c1, C2g1=c2g1, C3g2=c3g2, C4=c4, C5=c5, C6=c6,
         kappa0=kappa0, small_gain_constant=sgc, alpha=alpha,
         lam_min_P=lam_min_p, lam_max_P=lam_max_p, norm_P=norm_p,
         norm_BK=norm_bk,
@@ -222,16 +212,17 @@ def compute_constants(sys: SpectralSystem, design: PredictorDesign,
 
 
 def evaluate_V(sys: SpectralSystem, design: PredictorDesign,
-               bundle: CertificateBundle, t: float, z_history: DelayBuffer,
+               bundle: CertificateBundle, z_history: np.ndarray, dt: float,
                x_coeffs: np.ndarray, u_delay: np.ndarray) -> float:
-    """Weighted Lyapunov functional at time t.
+    """Weighted Lyapunov functional at the time t of the newest history row.
 
     V = gamma1 [Z* P Z + int_{t-D}^t phi(s) Z(s)* P Z(s) ds]
         + gamma2 phi(t - D) Z(t-D)* P Z(t-D)
         + 1/2 sum_{k > n0} |c_k - <lifting u(t-D)>_k|^2.
 
     Args:
-        z_history: DelayBuffer of predictor states covering [t - D, t].
+        z_history: predictor states at 0, dt, ..., t (row i at time i dt).
+        dt: the history's step.
         x_coeffs: modal state (length >= n0).
         u_delay: the delayed input u(t - D).
     """
@@ -242,16 +233,20 @@ def evaluate_V(sys: SpectralSystem, design: PredictorDesign,
     if coeffs.size < design.n0 or coeffs.size > sys.n_max:
         raise InvalidParameterError(
             f"x_coeffs length must lie in [{design.n0}, {sys.n_max}]")
+    if dt <= 0:
+        raise InvalidParameterError(f"dt must be positive, got {dt}")
     u_delay = np.asarray(u_delay, dtype=complex)
+    z_hist = np.atleast_2d(np.asarray(z_history, dtype=complex))
+    i = len(z_hist) - 1
 
-    z_t = z_history.lookup(t)
-    term_now = float(np.vdot(z_t, p @ z_t).real)
-    s, zw = z_history.window(t - design.delay, t)
-    phis = design.transition.phi(s)
+    term_now = float(np.vdot(z_hist[i], p @ z_hist[i]).real)
+    w = _window_weights(0.0, design.delay, dt, i)[:, 0]
+    rows = np.arange(i, i - len(w), -1)
+    zw = z_hist[rows]
     quad = np.einsum("ij,jk,ik->i", zw.conj(), p, zw).real
-    integral = float(np.trapezoid(phis * quad, s))
-    z_del = z_history.lookup(t - design.delay)
-    phi_del = float(design.transition.phi(t - design.delay))
+    integral = float(w @ (design.transition.phi(rows * dt) * quad))
+    z_del = _lagged(z_hist, design.delay / dt)
+    phi_del = float(design.transition.phi(i * dt - design.delay))
     term_del = phi_del * float(np.vdot(z_del, p @ z_del).real)
 
     tail = coeffs[design.n0:] - sys.lifting_coeffs[design.n0:coeffs.size] @ u_delay

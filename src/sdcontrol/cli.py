@@ -131,7 +131,12 @@ def cmd_validate(cfg: RunConfig) -> int:
     return 0
 
 
-def _design_report(gain, a_cl, lyap, residual) -> str:
+def _write_design(out_dir: Path, gain, a_cl, lyap) -> None:
+    """gain.csv plus design.txt; lyap is None when a_cl is not Hurwitz."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with open(out_dir / "gain.csv", "w", newline="") as fh:
+        for row in np.atleast_2d(gain):
+            fh.write(",".join(repr(float(v.real)) for v in row) + "\n")
     lines = ["gain K (rows = input channels):"]
     for row in np.atleast_2d(gain):
         lines.append("  " + ", ".join(_fmt_complex(v) for v in row))
@@ -141,13 +146,15 @@ def _design_report(gain, a_cl, lyap, residual) -> str:
     hurwitz = bool(spec.real.max() < 0)
     lines.append(f"hurwitz: {str(hurwitz).lower()}")
     if lyap is not None:
+        residual = float(np.abs(a_cl.conj().T @ lyap + lyap @ a_cl
+                                + np.eye(a_cl.shape[0])).max())
         lines.append("lyapunov P:")
         for row in np.atleast_2d(lyap):
             lines.append("  " + ", ".join(_fmt_complex(v) for v in row))
         lines.append(f"lyapunov residual = {residual:.6g}")
     else:
         lines.append("lyapunov P: not computed (closed loop is not Hurwitz)")
-    return "\n".join(lines) + "\n"
+    (out_dir / "design.txt").write_text("\n".join(lines) + "\n")
 
 
 def cmd_design(cfg: RunConfig, out_dir: Path) -> int:
@@ -164,26 +171,11 @@ def cmd_design(cfg: RunConfig, out_dir: Path) -> int:
     exp_da = diagonal_exponential(a_n0, -cfg.control.delay)
     gain = place_poles(a_n0, exp_da @ b_n0, cfg.control.poles)
     a_cl = a_n0 + exp_da @ b_n0 @ gain
-    spec = np.linalg.eigvals(a_cl)
-    hurwitz = bool(spec.real.max() < 0)
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    gain_path = out_dir / "gain.csv"
-    with open(gain_path, "w", newline="") as fh:
-        for row in np.atleast_2d(gain):
-            fh.write(",".join(repr(float(v.real)) for v in row) + "\n")
-
-    if not hurwitz:
-        (out_dir / "design.txt").write_text(
-            _design_report(gain, a_cl, None, None))
+    if float(np.linalg.eigvals(a_cl).real.max()) >= 0:
+        _write_design(out_dir, gain, a_cl, None)
         log.error("closed-loop spectrum is not Hurwitz; design is unusable")
         return 3
-
-    lyap = solve_lyapunov(a_cl)
-    residual = float(np.abs(a_cl.conj().T @ lyap + lyap @ a_cl
-                            + np.eye(n0)).max())
-    (out_dir / "design.txt").write_text(
-        _design_report(gain, a_cl, lyap, residual))
+    _write_design(out_dir, gain, a_cl, solve_lyapunov(a_cl))
     log.info("design written to %s", out_dir / "design.txt")
     return 0
 
@@ -212,11 +204,7 @@ def _coupling_from_config(cfg: RunConfig):
                               cfg.plant.L)
 
 
-def cmd_certify(cfg: RunConfig, out_dir: Path) -> int:
-    sys_ = _build_system(cfg)
-    check_truncation(sys_, cfg.truncation.n0)
-    design = _make_design(cfg, sys_)
-    bundle = _make_bundle(cfg, sys_, design)
+def _write_certificate(cfg: RunConfig, out_dir: Path, bundle) -> int:
     margin = small_gain_margin(bundle, _coupling_from_config(cfg))
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "certificate.txt").write_text(render_certificate(bundle, margin))
@@ -227,6 +215,13 @@ def cmd_certify(cfg: RunConfig, out_dir: Path) -> int:
                     "still permitted)", margin)
         return 4
     return 0
+
+
+def cmd_certify(cfg: RunConfig, out_dir: Path) -> int:
+    sys_ = _build_system(cfg)
+    check_truncation(sys_, cfg.truncation.n0)
+    design = _make_design(cfg, sys_)
+    return _write_certificate(cfg, out_dir, _make_bundle(cfg, sys_, design))
 
 
 def _initial_state(cfg: RunConfig, sys_, n_modes: int):
@@ -246,15 +241,8 @@ def _initial_state(cfg: RunConfig, sys_, n_modes: int):
     return init.x0, np.zeros(n_modes)
 
 
-def _run_simulation(cfg: RunConfig, out_dir: Path, no_disturbance: bool,
-                    open_loop: bool):
-    sys_ = _build_system(cfg)
-    check_truncation(sys_, cfg.truncation.n0)
-    design = _make_design(cfg, sys_, open_loop=open_loop)
-    bundle = None
-    if not open_loop:
-        bundle = _make_bundle(cfg, sys_, design)
-
+def _run_simulation(cfg: RunConfig, sys_, design, bundle,
+                    no_disturbance: bool):
     coup = cfg.coupling
     n_modes = cfg.simulation.n_modes
     disturbance = "none" if no_disturbance else coup.disturbance
@@ -268,8 +256,7 @@ def _run_simulation(cfg: RunConfig, out_dir: Path, no_disturbance: bool,
                         record_stride=cfg.simulation.record_stride,
                         disturbance=disturbance)
     x0, coeffs0 = _initial_state(cfg, sys_, n_modes)
-    traj = simulate(sim_cfg, sys_, design, fields, x0, coeffs0, bundle)
-    return sys_, design, bundle, traj
+    return simulate(sim_cfg, sys_, design, fields, x0, coeffs0, bundle)
 
 
 def _summary_report(cfg: RunConfig, traj, bundle) -> str:
@@ -303,15 +290,22 @@ def _summary_report(cfg: RunConfig, traj, bundle) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_simulate(cfg: RunConfig, out_dir: Path, no_disturbance: bool = False,
-                 open_loop: bool = False) -> int:
-    _, _, bundle, traj = _run_simulation(cfg, out_dir, no_disturbance,
-                                         open_loop)
+def _write_simulation(cfg: RunConfig, out_dir: Path, traj, bundle) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / cfg.simulation.output
     write_csv(traj, csv_path)
     (out_dir / "summary.txt").write_text(_summary_report(cfg, traj, bundle))
     log.info("trajectory written to %s", csv_path)
+
+
+def cmd_simulate(cfg: RunConfig, out_dir: Path, no_disturbance: bool = False,
+                 open_loop: bool = False) -> int:
+    sys_ = _build_system(cfg)
+    check_truncation(sys_, cfg.truncation.n0)
+    design = _make_design(cfg, sys_, open_loop=open_loop)
+    bundle = None if open_loop else _make_bundle(cfg, sys_, design)
+    traj = _run_simulation(cfg, sys_, design, bundle, no_disturbance)
+    _write_simulation(cfg, out_dir, traj, bundle)
     return 0
 
 
@@ -323,6 +317,8 @@ def cmd_case_study(out_dir: Path, no_disturbance: bool = False,
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "case_study.ini").write_text(CASE_STUDY_INI)
 
+    # the plant, the design and the certificate are built once and shared
+    # by the design, certificate and simulation writers
     sys_ = _build_system(cfg)
     report, ok = _validation_report(cfg, sys_)
     (out_dir / "validate.txt").write_text(report)
@@ -330,23 +326,22 @@ def cmd_case_study(out_dir: Path, no_disturbance: bool = False,
     if not ok:
         return 2
 
+    design = _make_design(cfg, sys_, open_loop=open_loop)
+    bundle = None
     certify_code = 0
-    if not open_loop:
-        code = cmd_design(cfg, out_dir)
-        if code:
-            return code
-        # a nonpositive interconnection margin (exit 4) still permits the
-        # plant-side certificate and the simulation, so keep going
-        certify_code = cmd_certify(cfg, out_dir)
-        if certify_code not in (0, 4):
-            return certify_code
-    else:
+    if open_loop:
         (out_dir / "design.txt").write_text(
             "open-loop run: gain K = 0, no certificate\n")
+    else:
+        _write_design(out_dir, design.gain, design.a_cl, design.lyap)
+        bundle = _make_bundle(cfg, sys_, design)
+        # a nonpositive interconnection margin (exit 4) still permits the
+        # plant-side certificate and the simulation, so keep going
+        certify_code = _write_certificate(cfg, out_dir, bundle)
 
-    code = cmd_simulate(cfg, out_dir, no_disturbance=no_disturbance,
-                        open_loop=open_loop)
-    return code or certify_code
+    traj = _run_simulation(cfg, sys_, design, bundle, no_disturbance)
+    _write_simulation(cfg, out_dir, traj, bundle)
+    return certify_code
 
 
 def main(argv=None) -> int:

@@ -26,14 +26,6 @@ class SynthesisFailureError(ToolkitError):
     or no stabilizing solution)."""
 
 
-class HistoryUnderflowError(ToolkitError):
-    """A delayed lookup reached outside the stored history window."""
-
-
-class ConvergenceFailureError(ToolkitError):
-    """An iterative solver exhausted its iteration budget."""
-
-
 class CertificateParameterError(ToolkitError):
     """Certificate weights violate a feasibility inequality."""
 

@@ -19,12 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .buffers import DelayBuffer
-from .errors import (
-    ConvergenceFailureError,
-    InvalidParameterError,
-    SynthesisFailureError,
-)
+from .errors import InvalidParameterError, SynthesisFailureError
 from .spectral import SpectralSystem, pbh_controllable
 
 __all__ = [
@@ -339,28 +334,107 @@ def zero_gain_design(sys: SpectralSystem, n0: int, delay: float,
     )
 
 
-def _window_integral(design: PredictorDesign, history: DelayBuffer,
-                     t: float) -> np.ndarray:
-    """Trapezoid of exp((t - s - D) A) B u(s) over s in [t - D, t]."""
-    s, u = history.window(t - design.delay, t)
-    lam = np.diag(design.a_n0)
-    kern = np.exp(np.outer(t - design.delay - s, lam))
-    g = kern * (u @ design.b_n0.T)
-    return np.trapezoid(g, s, axis=0)
+def _split_steps(x: float) -> tuple[int, float]:
+    """Whole and fractional part of a step count, snapping roundoff to 0."""
+    j = math.floor(x + 1e-9)
+    f = x - j
+    return j, (f if f > 1e-9 else 0.0)
+
+
+def _window_weights(lam, delay: float, dt: float,
+                    row: int | None = None) -> np.ndarray:
+    """Fixed quadrature weights of the predictor window on a uniform grid.
+
+    Histories are plain arrays indexed by step: row i holds the signal at
+    time i dt, and the signal is zero before t = 0.  The weights w give the
+    trapezoid rule
+
+        int_{t_i - D}^{t_i} exp((t_i - s - D) lam) g(s) ds
+            ~ sum_j w[j] * g[i - j].
+
+    When D / dt is not whole, the partial panel at the old end of the
+    window takes g there by linear interpolation of the two oldest slots.
+    The weights depend on neither i nor g, so one table serves every row
+    whose window lies in t >= 0.  For an earlier row (pass its index) the
+    window is cut at t = 0, with half weight on node 0.  lam = 0 gives the
+    plain trapezoid weights.
+
+    Returns:
+        (len(w), lam.size) array; w[j] multiplies the sample j steps back.
+    """
+    lam = np.atleast_1d(lam)
+    q, r = _split_steps(delay / dt)
+    if row is not None and row < q + (r > 0):
+        q, r = row, 0.0
+    trap = np.full(q + 1, float(dt))
+    trap[[0, -1]] = dt / 2.0 if q else 0.0
+    w = np.exp(np.outer(np.arange(q + 1) * dt - delay, lam)) * trap[:, None]
+    if r:
+        # panel [t - D, t - q dt] of width r dt; the kernel is 1 at t - D,
+        # where g is (1 - r) g[i - q] + r g[i - q - 1]
+        half = r * dt / 2.0
+        w[q] += half * (np.exp((q * dt - delay) * lam) + (1.0 - r))
+        w = np.vstack([w, np.full((1, lam.size), half * r)])
+    return w
+
+
+def _lagged(hist: np.ndarray, steps: float) -> np.ndarray:
+    """A history's value `steps` rows before its newest row.
+
+    Linear interpolation between rows; zero before row 0.
+    """
+    j, f = _split_steps(len(hist) - 1 - steps)
+    if j < 0:
+        return np.zeros(hist.shape[1:], dtype=hist.dtype)
+    if not f:
+        return hist[j]
+    return (1.0 - f) * hist[j] + f * hist[j + 1]
+
+
+def _solve_row(design: PredictorDesign, steady: np.ndarray, dt: float,
+               g: np.ndarray, i: int, y: np.ndarray,
+               phi_i: float) -> tuple[np.ndarray, np.ndarray]:
+    """Predictor state and input at row i from the inputs before it.
+
+    With w the window weights of row i (the constant table `steady` once
+    the window lies in t >= 0), Z_i = Y_i + sum_{j >= 1} w[j] g[i - j]
+    + w[0] B u_i with u_i = phi_i K Z_i is linear in the unknown endpoint,
+    so each row is one small solve.  Stores g[i] = B u_i and returns
+    (Z_i, u_i).
+    """
+    w = steady if i >= len(steady) - 1 else \
+        _window_weights(np.diag(design.a_n0), design.delay, dt, i)
+    known = np.einsum("jn,jn->n", w[1:], g[i - len(w) + 1:i][::-1])
+    mat = np.eye(design.n0) \
+        - phi_i * (w[0][:, None] * design.b_n0) @ design.gain
+    z = np.linalg.solve(mat, y + known)
+    u = phi_i * (design.gain @ z)
+    g[i] = design.b_n0 @ u
+    return z, u
 
 
 def artstein_state(design: PredictorDesign, y: np.ndarray,
-                   history: DelayBuffer, t: float) -> np.ndarray:
+                   u_history: np.ndarray, dt: float) -> np.ndarray:
     """Predictor state Z(t) = Y(t) + window integral of the stored input.
 
-    The history must cover [t - D, t]; inputs before t = 0 count as zero.
+    Args:
+        y: retained modal state Y(t).
+        u_history: inputs at 0, dt, ..., t (row i at time i dt); a window
+            reaching back past t = 0 is cut there.
+        dt: the history's step.
     """
     y = np.asarray(y, dtype=complex)
     if y.shape != (design.n0,):
         raise InvalidParameterError(f"y must have shape ({design.n0},)")
-    if design.delay == 0.0:
-        return y.copy()
-    return y + _window_integral(design, history, t)
+    u = np.atleast_2d(np.asarray(u_history, dtype=complex))
+    if u.shape[1] != design.input_dim:
+        raise InvalidParameterError(
+            f"u_history must have {design.input_dim} columns")
+    if dt <= 0:
+        raise InvalidParameterError(f"dt must be positive, got {dt}")
+    w = _window_weights(np.diag(design.a_n0), design.delay, dt, len(u) - 1)
+    g = u[len(u) - len(w):][::-1] @ design.b_n0.T
+    return y + np.einsum("jn,jn->n", w, g)
 
 
 def control_input(design: PredictorDesign, phi_t: float,
@@ -372,14 +446,14 @@ def control_input(design: PredictorDesign, phi_t: float,
 
 
 def invert_artstein(design: PredictorDesign, times: np.ndarray, y_path,
-                    phi=None, tol: float | None = None,
-                    max_iter: int = 200) -> np.ndarray:
+                    phi=None) -> np.ndarray:
     """Recover the input consistent with a modal trajectory.
 
-    Solves the implicit equation v(t) = phi(t) K [Y(t) + int exp((t-s-D)A)
-    B v(s) ds] on the sample grid by Picard iteration; the underlying
-    operator is a Volterra contraction after finitely many compositions, so
-    the iteration always converges for continuous data.
+    Solves v(t) = phi(t) K [Y(t) + int exp((t-s-D)A) B v(s) ds] on the
+    sample grid.  With the window's fixed trapezoid weights the discrete
+    Volterra system is lower triangular, so one forward-substitution pass
+    solves it, row by row, with the endpoint solve the simulator makes.  A
+    window that starts before t = 0 is integrated from 0.
 
     Args:
         design: the predictor design (supplies A, B, K, D).
@@ -387,9 +461,6 @@ def invert_artstein(design: PredictorDesign, times: np.ndarray, y_path,
         y_path: (len(times), n0) samples or a callable t -> Y(t).
         phi: ramp override; a TransitionSignal or a plain callable t ->
             phi(t).  Defaults to the design's ramp.
-        tol: sup-norm increment threshold; defaults to
-            1e-10 * (1 + sup |phi K Y|).
-        max_iter: Picard iteration budget.
 
     Returns:
         (len(times), m) input samples.
@@ -417,68 +488,9 @@ def invert_artstein(design: PredictorDesign, times: np.ndarray, y_path,
     if phi_vals.shape == ():
         phi_vals = np.full(times.size, float(phi_vals))
 
-    if max_iter < 1:
-        raise InvalidParameterError("max_iter must be at least 1")
-    gain = design.gain
-    base = phi_vals[:, None] * (y @ gain.T)
-    if tol is None:
-        tol = 1e-10 * (1.0 + float(np.abs(base).max(initial=0.0)))
-
-    lam = np.diag(design.a_n0)
-    d = design.delay
-    m = design.input_dim
-    if d == 0.0:
-        return base
-
-    # precompute the trapezoid quadrature of each sample's window
-    # [max(t-D, 0), t] as gathered kernel weights; the structure is
-    # iteration independent, so the Picard loop reduces to one einsum
-    n = times.size
-    n0 = design.n0
-    width = int(math.ceil(d / dt - 1e-9)) + 1
-    idx = np.zeros((n, width), dtype=np.intp)
-    wt = np.zeros((n, width, n0), dtype=complex)
-    pidx = np.zeros((n, 2), dtype=np.intp)
-    pwt = np.zeros((n, 2, n0), dtype=complex)
-    for i, t in enumerate(times):
-        lo = max(t - d, 0.0)
-        if t - lo <= 1e-15:
-            continue
-        j_lo = int(math.ceil(lo / dt - 1e-9))
-        s_inner = times[j_lo:i + 1]
-        k = s_inner.size
-        # trapezoid weights on the grid nodes; a window edge strictly
-        # between grid points contributes a partial panel [lo, t_{j_lo}]
-        # whose edge value is interpolated from the two bracketing samples
-        w = np.full(k, dt)
-        w[-1] = dt / 2.0
-        if s_inner[0] - lo > 1e-9 * dt:
-            gap = s_inner[0] - lo
-            w[0] = (gap + (dt if k > 1 else 0.0)) / 2.0
-            frac = lo / dt - (j_lo - 1)
-            kern_lo = np.exp((t - d - lo) * lam) * (gap / 2.0)
-            ja = j_lo - 1
-            if ja >= 0:
-                pidx[i] = (ja, j_lo)
-                pwt[i] = np.stack([(1.0 - frac) * kern_lo, frac * kern_lo])
-            else:
-                pidx[i] = (0, j_lo)
-                pwt[i, 1] = frac * kern_lo
-        else:
-            w[0] = dt / 2.0 if k > 1 else 0.0
-        idx[i, :k] = np.arange(j_lo, i + 1)
-        wt[i, :k] = np.exp(np.outer(t - d - s_inner, lam)) * w[:, None]
-
-    v = base.copy()
-    for _ in range(max_iter):
-        g_all = v @ design.b_n0.T
-        acc = np.einsum("iwn,iwn->in", wt, g_all[idx])
-        acc += np.einsum("ipn,ipn->in", pwt, g_all[pidx])
-        v_next = base + phi_vals[:, None] * (acc @ gain.T)
-        delta = float(np.abs(v_next - v).max())
-        v = v_next
-        if delta < tol:
-            return v
-    raise ConvergenceFailureError(
-        f"input inversion did not converge within {max_iter} iterations "
-        f"(last increment {delta:.3e}, tol {tol:.3e})")
+    steady = _window_weights(np.diag(design.a_n0), design.delay, dt)
+    g = np.zeros((times.size, design.n0), dtype=complex)
+    v = np.zeros((times.size, design.input_dim), dtype=complex)
+    for i in range(times.size):
+        v[i] = _solve_row(design, steady, dt, g, i, y[i], phi_vals[i])[1]
+    return v

@@ -8,10 +8,12 @@ modal coefficients of the plant:
     d    = a2 x theta1 + b2 arctan((d2/L) <eta2, X>) theta2 + c2 v theta3,
 
 with u = phi(t) K Z(t) fed by the predictor state.  Time stepping is
-classical fixed-step RK4; delayed input values at stage times come from a
-linear-interpolating ring buffer, and the new input sample is obtained by
-solving the small implicit system produced by the trapezoid endpoint of
-the predictor integral.
+classical fixed-step RK4.  Inputs and predictor states are kept as plain
+arrays indexed by step (row i at time i dt, zero before t = 0); delayed
+inputs at the stage times are fixed 2-point interpolations of that history,
+and each new input sample comes from the small implicit system produced by
+the trapezoid endpoint of the predictor integral, whose other weights are
+constant on the grid.
 """
 
 from __future__ import annotations
@@ -22,14 +24,13 @@ from typing import Callable
 
 import numpy as np
 
-from .buffers import DelayBuffer
 from .certificates import CertificateBundle, evaluate_V
 from .errors import (
     InsufficientDataError,
     InvalidParameterError,
     SimulationDivergedError,
 )
-from .predictor import PredictorDesign
+from .predictor import PredictorDesign, _lagged, _solve_row, _window_weights
 from .spectral import SpectralSystem, project_profile
 
 __all__ = [
@@ -210,25 +211,33 @@ def coupling_f2(fields: CouplingFields, x: float, coeffs, v: float) -> np.ndarra
 
 
 def step(sys: SpectralSystem, design: PredictorDesign,
-         fields: CouplingFields | None, history: DelayBuffer, t: float,
-         dt: float, x: complex, coeffs: np.ndarray,
+         fields: CouplingFields | None, u_history: np.ndarray, dt: float,
+         x: complex, coeffs: np.ndarray,
          v_fn: Callable[[float], float]) -> tuple[complex, np.ndarray]:
     """One classical RK4 step of the coupled (x, modal) state.
 
-    Delayed inputs at the half and full stage times are linearly
-    interpolated from the history buffer; the exogenous input v is
-    evaluated exactly at the stage times.
+    The step starts at the time t = (len(u_history) - 1) dt of the newest
+    input row (row i at time i dt).  The delayed inputs at the stage times
+    t - D, t - D + dt/2 and t - D + dt are linear interpolations of that
+    history, which needs dt <= D; the exogenous input v is evaluated exactly
+    at the stage times.
     """
+    if dt > design.delay:
+        raise InvalidParameterError(
+            f"dt = {dt} must not exceed the delay {design.delay}")
     coeffs = np.asarray(coeffs, dtype=complex)
     n = coeffs.size
     lam = sys.eigenvalues[:n]
     bmat = sys.input_coeffs[:n]
-    delay = design.delay
+    u_history = np.asarray(u_history, dtype=complex)
+    t = (len(u_history) - 1) * dt
+    steps = design.delay / dt
+    bu0, bu_half, bu1 = (bmat @ _lagged(u_history, steps - lead)
+                         for lead in (0.0, 0.5, 1.0))
 
-    def deriv(tau, x_, c_):
-        u_d = history.lookup(tau - delay)
+    def deriv(tau, bu, x_, c_):
         v = v_fn(tau)
-        dc = lam * c_ + bmat @ u_d
+        dc = lam * c_ + bu
         if fields is not None:
             dc = dc + _f2(fields, x_, c_, v)
             dx = _f1(fields, x_, c_, v)
@@ -236,10 +245,12 @@ def step(sys: SpectralSystem, design: PredictorDesign,
             dx = 0.0 + 0.0j
         return dx, dc
 
-    kx1, kc1 = deriv(t, x, coeffs)
-    kx2, kc2 = deriv(t + dt / 2, x + dt / 2 * kx1, coeffs + dt / 2 * kc1)
-    kx3, kc3 = deriv(t + dt / 2, x + dt / 2 * kx2, coeffs + dt / 2 * kc2)
-    kx4, kc4 = deriv(t + dt, x + dt * kx3, coeffs + dt * kc3)
+    kx1, kc1 = deriv(t, bu0, x, coeffs)
+    kx2, kc2 = deriv(t + dt / 2, bu_half, x + dt / 2 * kx1,
+                     coeffs + dt / 2 * kc1)
+    kx3, kc3 = deriv(t + dt / 2, bu_half, x + dt / 2 * kx2,
+                     coeffs + dt / 2 * kc2)
+    kx4, kc4 = deriv(t + dt, bu1, x + dt * kx3, coeffs + dt * kc3)
     x_new = x + dt / 6 * (kx1 + 2 * kx2 + 2 * kx3 + kx4)
     c_new = coeffs + dt / 6 * (kc1 + 2 * kc2 + 2 * kc3 + kc4)
     return x_new, c_new
@@ -289,7 +300,10 @@ def simulate(config: SimConfig, sys: SpectralSystem, design: PredictorDesign,
             recorded per row, otherwise the V column is zero.
 
     Raises:
-        SimulationDivergedError: the state left the finite range.
+        InvalidParameterError: an argument is out of range, including a dt
+            outside the RK4 stability region of a decaying simulated mode.
+        SimulationDivergedError: the state or a recorded norm left the
+            finite range.
     """
     n = config.n_modes
     if not design.n0 <= n <= sys.n_max:
@@ -308,6 +322,18 @@ def simulate(config: SimConfig, sys: SpectralSystem, design: PredictorDesign,
             "certificate recording needs a design with a Lyapunov matrix")
 
     dt = config.dt
+    # RK4 amplification 1 + z + z^2/2 + z^3/6 + z^4/24 at z = dt lam; a
+    # decaying mode must not be amplified (on the real axis dt |lam| < 2.785)
+    z_rk = dt * sys.eigenvalues[:n]
+    z_rk = z_rk[z_rk.real < 0]
+    amp = np.abs(1 + z_rk * (1 + z_rk / 2 * (1 + z_rk / 3 * (1 + z_rk / 4))))
+    if amp.size and float(amp.max()) >= 1.0:
+        worst = complex(z_rk[int(np.argmax(amp))])
+        raise InvalidParameterError(
+            f"dt = {dt} is outside the RK4 stability region: the mode with "
+            f"dt lambda = {worst:.6g} is amplified by {float(amp.max()):.6g} "
+            f"per step")
+
     delay = design.delay
     n0 = design.n0
     m = sys.input_dim
@@ -317,88 +343,59 @@ def simulate(config: SimConfig, sys: SpectralSystem, design: PredictorDesign,
         raise InvalidParameterError(f"x0_coeffs must have shape ({n},)")
     x = complex(x0)
 
-    lam_n0 = np.diag(design.a_n0)
-    edab = design.exp_da @ design.b_n0  # exp(-DA) B
-    gain = design.gain
-
     n_steps = int(math.floor(config.t_end / dt + 1e-9))
-    rows: list[tuple] = []
+    rows = np.unique(np.append(
+        np.arange(0, n_steps + 1, config.record_stride), n_steps)) \
+        if n_steps > 0 else np.zeros(0, dtype=int)
+    x_rec = np.zeros(rows.size, dtype=complex)
+    c_rec = np.zeros((rows.size, n), dtype=complex)
+    nx_rec, nd_rec, v_rec = (np.zeros(rows.size) for _ in range(3))
 
-    ubuf = DelayBuffer(dt, delay, m)
-    zbuf = DelayBuffer(dt, delay, n0)
+    # histories indexed by step; g = B u feeds the predictor window
+    u_hist = np.zeros((n_steps + 1, m), dtype=complex)
+    z_hist = np.zeros((n_steps + 1, n0), dtype=complex)
+    g_hist = np.zeros((n_steps + 1, n0), dtype=complex)
+    steady = _window_weights(np.diag(design.a_n0), delay, dt)
 
-    def disturbance_at(t, x_, c_):
-        if fields is None:
-            return np.zeros(n)
-        return coupling_f2(fields, x_, c_, v_fn(t))
-
-    def record(t, x_, c_, u_, z_):
-        d_vec = disturbance_at(t, x_, c_)
+    def record(k, i, x_, c_):
+        t = i * dt
+        norm_x = float(np.linalg.norm(c_))
+        norm_d = 0.0 if fields is None else float(
+            np.linalg.norm(coupling_f2(fields, x_, c_, v_fn(t))))
+        vval = 0.0
         if bundle is not None:
-            vval = evaluate_V(sys, design, bundle, t, zbuf, c_,
-                              ubuf.lookup(t - delay))
-        else:
-            vval = 0.0
-        rows.append((t, x_, c_.copy(), float(np.linalg.norm(c_)), u_.copy(),
-                     float(np.linalg.norm(d_vec)), vval, z_.copy()))
+            vval = evaluate_V(sys, design, bundle, z_hist[:i + 1], dt, c_,
+                              _lagged(u_hist[:i + 1], delay / dt))
+        if not (math.isfinite(norm_x) and math.isfinite(norm_d)
+                and math.isfinite(vval)):
+            raise SimulationDivergedError(
+                f"recorded norms became non-finite at t = {t:.6g}")
+        x_rec[k], c_rec[k] = x_, c_
+        nx_rec[k], nd_rec[k], v_rec[k] = norm_x, norm_d, vval
 
+    k = 0
     if n_steps > 0:
-        z = coeffs[:n0].copy()
-        u = np.zeros(m, dtype=complex)
-        ubuf.append(0.0, u)
-        zbuf.append(0.0, z)
-        record(0.0, x, coeffs, u, z)
-
-        for i in range(1, n_steps + 1):
-            t_prev = (i - 1) * dt
-            t = i * dt
-            x, coeffs = step(sys, design, fields, ubuf, t_prev, dt, x,
-                             coeffs, v_fn)
-            if not (np.isfinite(x.real) and np.isfinite(x.imag)
-                    and np.all(np.isfinite(coeffs.view(float)))):
-                raise SimulationDivergedError(
-                    f"state became non-finite at t = {t:.6g}")
-
-            # predictor integral over [t-D, t] with the not-yet-known
-            # endpoint sample split off; solving the small linear system
-            # makes the stored u(t) and Z(t) mutually consistent
-            s, uw = ubuf.window(t - delay, t - dt)
-            kern = np.exp(np.outer(t - delay - s, lam_n0))
-            known = np.trapezoid(kern * (uw @ design.b_n0.T), s, axis=0)
-            g_last = np.exp((dt - delay) * lam_n0) * (design.b_n0 @ uw[-1])
-            known = known + (dt / 2.0) * g_last
-            phi_t = float(design.transition.phi(t))
-            mat = np.eye(n0, dtype=complex) - (dt / 2.0) * phi_t * (edab @ gain)
-            z = np.linalg.solve(mat, coeffs[:n0] + known)
-            u = phi_t * (gain @ z)
-            ubuf.append(t, u)
-            zbuf.append(t, z)
-            if i % config.record_stride == 0 or i == n_steps:
-                record(t, x, coeffs, u, z)
-
-    if rows:
-        t_arr = np.array([r[0] for r in rows])
-        x_arr = _assert_real(np.array([r[1] for r in rows]), "scalar state")
-        c_arr = np.stack([r[2] for r in rows])
-        nx_arr = np.array([r[3] for r in rows])
-        u_arr = np.stack([r[4] for r in rows])
-        nd_arr = np.array([r[5] for r in rows])
-        v_arr = np.array([r[6] for r in rows])
-        z_arr = np.stack([r[7] for r in rows])
-    else:
-        t_arr = np.zeros(0)
-        x_arr = np.zeros(0)
-        c_arr = np.zeros((0, n), dtype=complex)
-        nx_arr = np.zeros(0)
-        u_arr = np.zeros((0, m), dtype=complex)
-        nd_arr = np.zeros(0)
-        v_arr = np.zeros(0)
-        z_arr = np.zeros((0, n0), dtype=complex)
+        z_hist[0] = coeffs[:n0]
+        record(0, 0, x, coeffs)
+        k = 1
+    for i in range(1, n_steps + 1):
+        x, coeffs = step(sys, design, fields, u_hist[:i], dt, x, coeffs,
+                         v_fn)
+        if not (np.isfinite(x.real) and np.isfinite(x.imag)
+                and np.all(np.isfinite(coeffs.view(float)))):
+            raise SimulationDivergedError(
+                f"state became non-finite at t = {i * dt:.6g}")
+        z_hist[i], u_hist[i] = _solve_row(
+            design, steady, dt, g_hist, i, coeffs[:n0],
+            float(design.transition.phi(i * dt)))
+        if k < rows.size and rows[k] == i:
+            record(k, i, x, coeffs)
+            k += 1
 
     return Trajectory(
-        t=t_arr, x=x_arr, coeffs=c_arr, norm_x=nx_arr, u=u_arr,
-        norm_d=nd_arr, V=v_arr, z=z_arr,
-        dt=dt, delay=delay, t0=design.transition.t0, n0=n0,
+        t=rows * dt, x=_assert_real(x_rec, "scalar state"), coeffs=c_rec,
+        norm_x=nx_rec, u=u_hist[rows], norm_d=nd_rec, V=v_rec,
+        z=z_hist[rows], dt=dt, delay=delay, t0=design.transition.t0, n0=n0,
         has_certificate=bundle is not None,
     )
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import AssumptionViolatedError, InvalidParameterError
 
@@ -24,7 +23,6 @@ __all__ = [
     "check_truncation",
     "check_kalman",
     "pbh_controllable",
-    "project_disturbance",
     "project_profile",
     "reconstruct",
 ]
@@ -265,43 +263,36 @@ def check_kalman(sys: SpectralSystem, n0: int) -> bool:
     return pbh_controllable(sys.eigenvalues[:n0], sys.input_coeffs[:n0])
 
 
-def _quad_grid(L: float, n_quad: int) -> np.ndarray:
+def _simpson_grid(L: float, n_quad: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite Simpson 1/3 rule on [0, L]."""
     if n_quad < 2 or n_quad % 2:
         raise InvalidParameterError(
             f"n_quad must be a positive even integer, got {n_quad}")
-    return np.linspace(0.0, L, n_quad + 1)
-
-
-def project_disturbance(sys: SpectralSystem, profile: Callable[[np.ndarray], np.ndarray],
-                        n: int, n_quad: int = 2048) -> complex:
-    """Modal coefficient <profile, psi_n> by composite Simpson quadrature.
-
-    Args:
-        sys: plant with an attached basis evaluator.
-        profile: callable evaluating the spatial profile on an array.
-        n: mode index, 1 <= n <= n_max.
-        n_quad: even number of Simpson panels over (0, L).
-    """
-    if sys.basis is None:
-        raise InvalidParameterError("system has no basis evaluator attached")
-    if not 1 <= n <= sys.n_max:
-        raise InvalidParameterError(f"mode index n must be in [1, {sys.n_max}]")
-    xi = _quad_grid(sys.domain_length, n_quad)
-    vals = np.asarray(profile(xi), dtype=complex) * np.conj(sys.basis(n, xi))
-    return complex(simpson(vals, x=xi))
+    xi = np.linspace(0.0, L, n_quad + 1)
+    w = np.full(n_quad + 1, 2.0)
+    w[1::2] = 4.0
+    w[[0, -1]] = 1.0
+    return xi, w * (L / n_quad / 3.0)
 
 
 def project_profile(sys: SpectralSystem, profile: Callable[[np.ndarray], np.ndarray],
                     n_modes: int, n_quad: int = 2048) -> np.ndarray:
-    """Vector of the first n_modes modal coefficients of a spatial profile."""
+    """First n_modes modal coefficients <profile, psi_n> of a spatial profile.
+
+    Args:
+        sys: plant with an attached basis evaluator.
+        profile: callable evaluating the spatial profile on an array.
+        n_modes: number of coefficients, 1 <= n_modes <= n_max.
+        n_quad: even number of composite Simpson panels over (0, L).
+    """
     if sys.basis is None:
         raise InvalidParameterError("system has no basis evaluator attached")
     if not 1 <= n_modes <= sys.n_max:
         raise InvalidParameterError(f"n_modes must be in [1, {sys.n_max}]")
-    xi = _quad_grid(sys.domain_length, n_quad)
+    xi, w = _simpson_grid(sys.domain_length, n_quad)
     pvals = np.asarray(profile(xi), dtype=complex)
     rows = np.stack([np.conj(sys.basis(k, xi)) for k in range(1, n_modes + 1)])
-    return np.asarray(simpson(rows * pvals[None, :], x=xi))
+    return (rows * pvals[None, :]) @ w
 
 
 def reconstruct(sys: SpectralSystem, coeffs: np.ndarray, xi: np.ndarray) -> np.ndarray:

@@ -4,11 +4,12 @@ The heavy simulations are session-scoped so the module tests and the
 acceptance gate share a single run of each variant.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 import sdcontrol as sd
-from sdcontrol.buffers import DelayBuffer
 
 CASE = dict(a=5.0, c=2.5, L=2 * np.pi, n_max=10)
 COUPLINGS = dict(a1=1.5, b1=0.5, c1=0.2, a2=0.7, b2=0.55, c2=10.0, d2=0.45)
@@ -99,7 +100,10 @@ def closed_loop_ode(design, y0, t_end, dt):
     The input is the ramped predictor feedback u = phi K Z computed with the
     same trapezoid-endpoint implicit update the simulator uses, so the
     recorded (Y, u) pair is consistent with the inversion operator's
-    quadrature. Returns (times, Y samples, u samples).
+    quadrature.  The input history is a plain array read by its own index
+    arithmetic and integrated with np.trapezoid over explicit nodes, apart
+    from the library's window weights.  Returns (times, Y samples,
+    u samples).
     """
     lam = np.diag(design.a_n0)
     b = design.b_n0
@@ -111,18 +115,24 @@ def closed_loop_ode(design, y0, t_end, dt):
     phi = design.transition.phi
 
     nsteps = int(round(t_end / dt))
-    buf = DelayBuffer(dt, delay, m)
     y = np.asarray(y0, dtype=complex).copy()
-    times = np.zeros(nsteps + 1)
+    times = np.arange(nsteps + 1) * dt
     ys = np.zeros((nsteps + 1, n0), dtype=complex)
     us = np.zeros((nsteps + 1, m), dtype=complex)
     ys[0] = y
-    u0 = float(phi(0.0)) * (gain @ y)
-    buf.append(0.0, u0)
-    us[0] = u0
+    us[0] = float(phi(0.0)) * (gain @ y)
+
+    def u_at(t):
+        # linear between samples, zero before t = 0
+        x = t / dt
+        if x < -1e-9:
+            return np.zeros(m, dtype=complex)
+        j = math.floor(x + 1e-9)
+        f = x - j
+        return us[j] if f <= 1e-9 else (1.0 - f) * us[j] + f * us[j + 1]
 
     def rhs(t, yv):
-        return lam * yv + b @ buf.lookup(t - delay)
+        return lam * yv + b @ u_at(t - delay)
 
     for i in range(nsteps):
         t = i * dt
@@ -133,18 +143,21 @@ def closed_loop_ode(design, y0, t_end, dt):
         y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         t1 = t + dt
 
-        s, uw = buf.window(t1 - delay, t1 - dt)
+        # window [t1 - D, t1 - dt]: its ends plus the grid nodes inside
+        lo, hi = t1 - delay, t1 - dt
+        k0 = math.floor(lo / dt + 1e-9) + 1
+        k1 = math.ceil(hi / dt - 1e-9)
+        s = np.concatenate([[lo], np.arange(k0, k1) * dt, [hi]])
+        uw = np.vstack([u_at(lo), np.zeros((max(0, -k0), m)),
+                        us[max(k0, 0):k1], u_at(hi)])
         kern = np.exp(np.outer(t1 - delay - s, lam))
         known = np.trapezoid(kern * (uw @ b.T), s, axis=0)
         known = known + (dt / 2.0) * np.exp((dt - delay) * lam) * (b @ uw[-1])
         phi1 = float(phi(t1))
         mat = np.eye(n0, dtype=complex) - (dt / 2.0) * phi1 * (edab @ gain)
         z = np.linalg.solve(mat, y + known)
-        u1 = phi1 * (gain @ z)
-        buf.append(t1, u1)
-        times[i + 1] = t1
         ys[i + 1] = y
-        us[i + 1] = u1
+        us[i + 1] = phi1 * (gain @ z)
     return times, ys, us
 
 

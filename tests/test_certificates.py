@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sdcontrol as sd
-from sdcontrol.buffers import DelayBuffer
 from sdcontrol.errors import (CertificateParameterError,
                               InfeasibleCertificateError,
                               InvalidParameterError)
@@ -220,58 +219,56 @@ class TestEvaluateV:
         return sys_, des, bundle
 
     @staticmethod
-    def _buffer(values, dt=0.01):
-        buf = DelayBuffer(dt=dt, horizon=0.6, dim=1)
-        for i, v in enumerate(values):
-            buf.append(i * dt, [v])
-        return buf
+    def _history(values):
+        # predictor states at t = 0, 0.01, 0.02, ...
+        return np.asarray(values, dtype=float)[:, None]
 
     def test_zero_state_gives_zero(self):
         sys_, des, bundle = self._setup()
-        buf = self._buffer([0.0] * 31)
-        v = sd.evaluate_V(sys_, des, bundle, 0.3, buf,
+        hist = self._history([0.0] * 31)
+        v = sd.evaluate_V(sys_, des, bundle, hist, 0.01,
                           np.zeros(2), np.zeros(1))
         assert v == 0.0
 
     def test_single_tail_mode_is_half(self):
         sys_, des, bundle = self._setup()
-        buf = self._buffer([0.0] * 6)
+        hist = self._history([0.0] * 6)
         # t < D so the delayed ramp weight vanishes and only the tail counts
-        v = sd.evaluate_V(sys_, des, bundle, 0.05, buf,
+        v = sd.evaluate_V(sys_, des, bundle, hist, 0.01,
                           np.array([0.0, 1.0]), np.zeros(1))
         assert v == pytest.approx(0.5, rel=1e-12)
 
     def test_tail_cancels_against_lifted_input(self):
         sys_, des, bundle = self._setup()
-        buf = self._buffer([0.0] * 6)
-        v = sd.evaluate_V(sys_, des, bundle, 0.05, buf,
+        hist = self._history([0.0] * 6)
+        v = sd.evaluate_V(sys_, des, bundle, hist, 0.01,
                           np.array([0.0, 0.7]), np.array([0.7]))
         assert v == 0.0
 
     def test_constant_predictor_closed_form(self):
         # z = 2 on [0.4, 0.5] with phi = 1 there: V = g1 (1 + D) + g2
         sys_, des, bundle = self._setup()
-        buf = self._buffer([2.0] * 51)
-        v = sd.evaluate_V(sys_, des, bundle, 0.5, buf,
+        hist = self._history([2.0] * 51)
+        v = sd.evaluate_V(sys_, des, bundle, hist, 0.01,
                           np.zeros(1), np.zeros(1))
         assert v == pytest.approx(10.0 * 1.1 + 8.0, rel=1e-12)
 
     def test_coefficient_length_validated(self):
         sys_, des, bundle = self._setup()
-        buf = self._buffer([0.0] * 6)
+        hist = self._history([0.0] * 6)
         with pytest.raises(InvalidParameterError, match="x_coeffs"):
-            sd.evaluate_V(sys_, des, bundle, 0.05, buf,
+            sd.evaluate_V(sys_, des, bundle, hist, 0.01,
                           np.zeros(0), np.zeros(1))
         with pytest.raises(InvalidParameterError, match="x_coeffs"):
-            sd.evaluate_V(sys_, des, bundle, 0.05, buf,
+            sd.evaluate_V(sys_, des, bundle, hist, 0.01,
                           np.zeros(3), np.zeros(1))
 
     def test_open_loop_design_rejected(self):
         sys_, des, bundle = self._setup()
         open_loop = sd.zero_gain_design(sys_, n0=1, delay=0.1, t0=0.2)
-        buf = self._buffer([0.0] * 6)
+        hist = self._history([0.0] * 6)
         with pytest.raises(InvalidParameterError, match="Lyapunov"):
-            sd.evaluate_V(sys_, open_loop, bundle, 0.05, buf,
+            sd.evaluate_V(sys_, open_loop, bundle, hist, 0.01,
                           np.zeros(2), np.zeros(1))
 
     @settings(max_examples=60, deadline=None)
@@ -279,10 +276,8 @@ class TestEvaluateV:
            c2=st.floats(-5.0, 5.0), u=st.floats(-5.0, 5.0))
     def test_nonnegative(self, zs, c2, u):
         sys_, des, bundle = self._setup()
-        buf = DelayBuffer(dt=0.05, horizon=0.6, dim=1)
-        for i, z in enumerate(zs):
-            buf.append(i * 0.05, [z])
-        v = sd.evaluate_V(sys_, des, bundle, 0.35, buf,
+        hist = np.array(zs)[:, None]
+        v = sd.evaluate_V(sys_, des, bundle, hist, 0.05,
                           np.array([zs[-1], c2]), np.array([u]))
         assert v >= 0.0
 

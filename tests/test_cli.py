@@ -1,6 +1,7 @@
 """Command line workflows: exit codes, artifacts, determinism."""
 
 import logging
+import os
 import subprocess
 import sys
 
@@ -274,6 +275,18 @@ class TestTopLevel:
             code, _ = run_cli(tmp_path, "validate")
         assert code == 0
         assert "unknown SDC_LOG" in caplog.text
+
+    def test_import_does_not_load_scipy(self):
+        # scipy is a benchmark dependency only; `import sdcontrol` must not
+        # pay for it
+        src = os.path.dirname(os.path.dirname(sd.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, sdcontrol; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_console_script_smoke(self):
         proc = subprocess.run(["sdcontrol", "--version"],

@@ -6,9 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sdcontrol as sd
-from sdcontrol.buffers import DelayBuffer
-from sdcontrol.errors import (ConvergenceFailureError, HistoryUnderflowError,
-                              InvalidParameterError, SynthesisFailureError)
+from sdcontrol.errors import InvalidParameterError, SynthesisFailureError
 from conftest import closed_loop_ode, random_design
 
 
@@ -205,45 +203,54 @@ class TestDesign:
 
 class TestArtsteinState:
     def test_zero_history_returns_state(self, design):
-        buf = DelayBuffer(1e-3, 0.1, 2)
-        for i in range(201):
-            buf.append(i * 1e-3, np.zeros(2))
+        hist = np.zeros((201, 2))
         y = np.array([0.3, -0.7])
         np.testing.assert_allclose(
-            sd.artstein_state(design, y, buf, 0.2), y, atol=1e-15)
+            sd.artstein_state(design, y, hist, 1e-3), y, atol=1e-15)
 
     def test_constant_input_integrator(self):
         des = scalar_design(a=0.0, b=1.0, k=0.0, delay=0.1)
-        buf = DelayBuffer(1e-3, 0.1, 1)
-        for i in range(201):
-            buf.append(i * 1e-3, [2.5])
-        z = sd.artstein_state(des, np.array([1.0]), buf, 0.2)
+        hist = np.full((201, 1), 2.5)
+        z = sd.artstein_state(des, np.array([1.0]), hist, 1e-3)
         assert z[0].real == pytest.approx(1.0 + 2.5 * 0.1, rel=1e-10)
 
     def test_constant_input_closed_form(self):
         a, c, D = 1.5, 0.8, 0.1
         des = scalar_design(a=a, b=1.0, k=0.0, delay=D)
         dt = 2.5e-4
-        buf = DelayBuffer(dt, D, 1)
         n = int(round(0.2 / dt))
-        for i in range(n + 1):
-            buf.append(i * dt, [c])
-        z = sd.artstein_state(des, np.array([0.0]), buf, 0.2)
+        hist = np.full((n + 1, 1), c)
+        z = sd.artstein_state(des, np.array([0.0]), hist, dt)
         exact = c * np.exp(-a * D) * (np.exp(a * D) - 1.0) / a
         assert z[0].real == pytest.approx(exact, abs=1e-8)
 
-    def test_insufficient_history(self, design):
-        buf = DelayBuffer(1e-3, 0.1, 2)
-        buf.append(0.0, np.zeros(2))
-        with pytest.raises(HistoryUnderflowError):
-            sd.artstein_state(design, np.zeros(2), buf, 0.3)
+    def test_partial_panel_closed_form(self):
+        # D / dt = 40.4: the window ends in a partial panel whose value is
+        # interpolated; a linear input makes the trapezoid rule exact
+        des = scalar_design(a=0.0, b=1.0, k=0.0, delay=0.101)
+        dt = 2.5e-3
+        tt = np.arange(121) * dt
+        z = sd.artstein_state(des, np.array([0.0]), tt[:, None], dt)
+        t = tt[-1]
+        exact = (t ** 2 - (t - 0.101) ** 2) / 2.0
+        assert z[0].real == pytest.approx(exact, rel=1e-12)
+
+    def test_window_before_origin_starts_at_zero(self):
+        # a window reaching back past t = 0 integrates the input from 0 on
+        des = scalar_design(a=0.0, b=1.0, k=0.0, delay=0.1)
+        hist = np.full((41, 1), 2.0)
+        z = sd.artstein_state(des, np.array([0.0]), hist, 1e-3)
+        assert z[0].real == pytest.approx(2.0 * 0.04, rel=1e-12)
+
+    def test_input_width_checked(self, design):
+        with pytest.raises(InvalidParameterError, match="columns"):
+            sd.artstein_state(design, np.zeros(2), np.zeros((5, 3)), 1e-3)
 
     def test_zero_delay_identity(self):
         des = scalar_design(a=1.0, b=1.0, k=0.4, delay=0.0)
-        buf = DelayBuffer(1e-3, 1e-3, 1)
-        buf.append(0.0, [5.0])
         y = np.array([2.0])
-        np.testing.assert_array_equal(sd.artstein_state(des, y, buf, 0.0), y)
+        np.testing.assert_array_equal(
+            sd.artstein_state(des, y, np.array([[5.0]]), 1e-3), y)
 
 
 class TestControlInput:
@@ -321,14 +328,6 @@ class TestInversion:
         with pytest.raises(InvalidParameterError):
             sd.invert_artstein(design, np.array([0.0, 0.1]),
                                np.zeros((3, 2)))
-        with pytest.raises(InvalidParameterError):
-            sd.invert_artstein(design, np.array([0.0, 0.1]),
-                               np.zeros((2, 2)), max_iter=0)
-
-    def test_iteration_cap_signaled(self, design):
-        tt, ys, _ = closed_loop_ode(design, [1.0, -0.5], t_end=0.6, dt=1e-3)
-        with pytest.raises(ConvergenceFailureError):
-            sd.invert_artstein(design, tt, ys, max_iter=1)
 
 
 class TestPredictorDecoupling:

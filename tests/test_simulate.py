@@ -116,41 +116,26 @@ class TestCouplings:
 
 
 class TestStep:
-    @staticmethod
-    def _quiet_buffer(m=1, dt=1e-3, delay=0.1, until=0.3):
-        buf = sd.DelayBuffer(dt, delay, m) if hasattr(sd, "DelayBuffer") \
-            else None
-        return buf
-
     def test_single_mode_exponential(self):
-        from sdcontrol.buffers import DelayBuffer
         sys_ = synthetic_system([-1.0])
         des = sd.zero_gain_design(sys_, n0=1, delay=0.1, t0=0.2)
-        buf = DelayBuffer(1e-3, 0.1, 1)
-        buf.append(0.0, [0.0])
-        _, c = sd.step(sys_, des, None, buf, 0.0, 1e-3,
+        _, c = sd.step(sys_, des, None, np.zeros((1, 1)), 1e-3,
                        0.0, np.array([1.0 + 0.0j]), lambda t: 0.0)
         assert c[0].real == pytest.approx(math.exp(-1e-3), abs=1e-12)
 
     def test_integrator_mode_accumulates_delayed_input(self):
-        from sdcontrol.buffers import DelayBuffer
         sys_ = synthetic_system([0.0])
         des = sd.zero_gain_design(sys_, n0=1, delay=0.1, t0=0.2)
-        buf = DelayBuffer(1e-3, 0.2, 1)
-        for i in range(201):
-            buf.append(i * 1e-3, [1.0])
-        _, c = sd.step(sys_, des, None, buf, 0.15, 1e-3,
+        hist = np.ones((151, 1))  # the step starts at t = 0.15
+        _, c = sd.step(sys_, des, None, hist, 1e-3,
                        0.0, np.array([0.5 + 0.0j]), lambda t: 0.0)
         assert c[0].real == pytest.approx(0.5 + 1e-3, abs=1e-12)
 
     def test_scalar_subsystem_decay(self):
-        from sdcontrol.buffers import DelayBuffer
         sys_ = synthetic_system([-1.0])
         des = sd.zero_gain_design(sys_, n0=1, delay=0.1, t0=0.2)
         fz = sd.decoupled_fields(1, a1=1.5)
-        buf = DelayBuffer(1e-3, 0.1, 1)
-        buf.append(0.0, [0.0])
-        x, _ = sd.step(sys_, des, fz, buf, 0.0, 1e-3,
+        x, _ = sd.step(sys_, des, fz, np.zeros((1, 1)), 1e-3,
                        1.0, np.zeros(1, dtype=complex), lambda t: 0.0)
         assert x.real == pytest.approx(math.exp(-1.5e-3), abs=1e-12)
         assert x.imag == 0.0
@@ -260,14 +245,39 @@ class TestSimulate:
                         x0=0.0, x0_coeffs=np.zeros(10), bundle=bundle)
 
     def test_coarse_step_diverges(self, heat_sys, design, fields, x0_coeffs):
-        # dt = 0.09 puts the stiffest retained mode far outside the RK4
-        # stability region
+        # dt = 0.09 puts the stiffest simulated mode far outside the RK4
+        # stability region, which is rejected before the run starts
         cfg = sd.SimConfig(dt=0.09, t_end=40.0, n_modes=10,
                            disturbance="none")
+        with pytest.raises(InvalidParameterError, match="RK4"):
+            sd.simulate(cfg, heat_sys, design, fields, x0=-2.0,
+                        x0_coeffs=x0_coeffs)
+
+    def test_rk4_limit_of_the_fastest_mode(self):
+        # 48 modes at dt = 1e-3: dt |lam_48| = 2.8775 > 2.785; the run used
+        # to return norm_x = inf without raising
+        sys48 = sd.build_heat_system(5.0, 2.5, L, 48)
+        des = sd.design_predictor(sys48, 2, 0.1, [-3.0, -3.0], 0.2)
+        cfg = sd.SimConfig(dt=1e-3, t_end=5.0, n_modes=48,
+                           disturbance="none")
+        with pytest.raises(InvalidParameterError, match="RK4"):
+            sd.simulate(cfg, sys48, des, None, x0=0.0,
+                        x0_coeffs=np.ones(48) / np.arange(1, 49))
+        # 47 modes (dt |lam_47| = 2.759) are inside the region
+        sd.simulate(sd.SimConfig(dt=1e-3, t_end=0.01, n_modes=47,
+                                 disturbance="none"),
+                    sys48, des, None, x0=0.0, x0_coeffs=np.ones(47))
+
+    def test_unstable_plant_diverges(self):
+        # an open-loop mode growing like exp(1000 t) overflows within the
+        # first second although dt lies inside the RK4 region
+        sys_ = synthetic_system([1000.0, -1.0])
+        des = sd.zero_gain_design(sys_, n0=1, delay=0.1, t0=0.2)
+        cfg = sd.SimConfig(dt=1e-3, t_end=2.0, n_modes=2, disturbance="none")
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(SimulationDivergedError, match="non-finite"):
-                sd.simulate(cfg, heat_sys, design, fields, x0=-2.0,
-                            x0_coeffs=x0_coeffs)
+                sd.simulate(cfg, sys_, des, None, x0=0.0,
+                            x0_coeffs=np.ones(2))
 
 
 class TestSimConfig:

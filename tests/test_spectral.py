@@ -137,26 +137,19 @@ class TestKalman:
 class TestProjection:
     def test_orthonormality(self, heat_sys):
         psi1 = lambda xi: np.sqrt(2.0 / L) * np.sin(np.pi * xi / L)
-        assert sd.project_disturbance(heat_sys, psi1, 1) == pytest.approx(
-            1.0, abs=1e-8)
-        assert abs(sd.project_disturbance(heat_sys, psi1, 2)) < 1e-8
+        c = sd.project_profile(heat_sys, psi1, 2)
+        assert c[0] == pytest.approx(1.0, abs=1e-8)
+        assert abs(c[1]) < 1e-8
 
     def test_ramp_against_midpoint_oracle(self, heat_sys):
-        val = sd.project_disturbance(
-            heat_sys, lambda xi: np.sqrt(2.0 * xi) / L, 1)
+        val = sd.project_profile(
+            heat_sys, lambda xi: np.sqrt(2.0 * xi) / L, 1)[0]
         assert complex(val).imag == 0.0
         assert complex(val).real == pytest.approx(RAMP_PROJ_ORACLE, abs=1e-6)
 
     def test_odd_quadrature_rejected(self, heat_sys):
         with pytest.raises(InvalidParameterError):
-            sd.project_disturbance(heat_sys, lambda xi: xi, 1, n_quad=2047)
-
-    def test_profile_matches_per_mode(self, heat_sys):
-        prof = lambda xi: xi * (L - xi)
-        vec = sd.project_profile(heat_sys, prof, 4)
-        for n in range(1, 5):
-            assert vec[n - 1] == pytest.approx(
-                sd.project_disturbance(heat_sys, prof, n), abs=1e-12)
+            sd.project_profile(heat_sys, lambda xi: xi, 1, n_quad=2047)
 
 
 class TestReconstruct:
