@@ -211,6 +211,43 @@ def compute_constants(sys: SpectralSystem, design: PredictorDesign,
     )
 
 
+def _lyapunov_rows(sys: SpectralSystem, design: PredictorDesign,
+                   bundle: CertificateBundle, z_history: np.ndarray,
+                   dt: float, rows: np.ndarray, x_coeffs: np.ndarray,
+                   u_delay: np.ndarray) -> np.ndarray:
+    """The functional of evaluate_V at ascending rows of one history.
+
+    x_coeffs and u_delay hold each row's modal state and delayed input.
+    The integral terms of all rows are one convolution of phi Z* P Z with
+    the constant trapezoid weights.  Only the history rows the windows
+    reach are read.
+    """
+    p = design.lyap
+    delay = design.delay
+    phi = design.transition.phi
+    w = _window_weights(0.0, delay, dt)[:, 0]
+    lo = max(int(rows[0]) - (len(w) - 1), 0)
+    z = z_history[lo:int(rows[-1]) + 1]
+    local = rows - lo
+    quad = np.einsum("ij,jk,ik->i", z.conj(), p, z).real
+    s = phi(np.arange(lo, lo + len(z)) * dt) * quad
+    # a window cut at t = 0 differs from the constant one only on node 0,
+    # where phi(0) = 0, so the constant weights serve every row
+    integral = np.convolve(s, w)[local]
+    z_del = _lagged(z_history, rows, delay / dt)
+    term_del = phi(rows * dt - delay) \
+        * np.einsum("ij,jk,ik->i", z_del.conj(), p, z_del).real
+
+    n0, n = design.n0, x_coeffs.shape[1]
+    tail = x_coeffs[:, n0:] - u_delay @ sys.lifting_coeffs[n0:n].T
+    tail_term = 0.5 * np.sum(np.abs(tail) ** 2, axis=1)
+
+    v = (bundle.gamma1 * (quad[local] + integral)
+         + bundle.gamma2 * term_del + tail_term)
+    # quadratic forms with P > 0; clamp float dust
+    return np.maximum(v, 0.0)
+
+
 def evaluate_V(sys: SpectralSystem, design: PredictorDesign,
                bundle: CertificateBundle, z_history: np.ndarray, dt: float,
                x_coeffs: np.ndarray, u_delay: np.ndarray) -> float:
@@ -228,7 +265,6 @@ def evaluate_V(sys: SpectralSystem, design: PredictorDesign,
     """
     if design.lyap is None:
         raise InvalidParameterError("design carries no Lyapunov matrix")
-    p = design.lyap
     coeffs = np.atleast_1d(np.asarray(x_coeffs, dtype=complex))
     if coeffs.size < design.n0 or coeffs.size > sys.n_max:
         raise InvalidParameterError(
@@ -237,25 +273,9 @@ def evaluate_V(sys: SpectralSystem, design: PredictorDesign,
         raise InvalidParameterError(f"dt must be positive, got {dt}")
     u_delay = np.asarray(u_delay, dtype=complex)
     z_hist = np.atleast_2d(np.asarray(z_history, dtype=complex))
-    i = len(z_hist) - 1
-
-    term_now = float(np.vdot(z_hist[i], p @ z_hist[i]).real)
-    w = _window_weights(0.0, design.delay, dt, i)[:, 0]
-    rows = np.arange(i, i - len(w), -1)
-    zw = z_hist[rows]
-    quad = np.einsum("ij,jk,ik->i", zw.conj(), p, zw).real
-    integral = float(w @ (design.transition.phi(rows * dt) * quad))
-    z_del = _lagged(z_hist, design.delay / dt)
-    phi_del = float(design.transition.phi(i * dt - design.delay))
-    term_del = phi_del * float(np.vdot(z_del, p @ z_del).real)
-
-    tail = coeffs[design.n0:] - sys.lifting_coeffs[design.n0:coeffs.size] @ u_delay
-    tail_term = 0.5 * float(np.sum(np.abs(tail) ** 2))
-
-    v = (bundle.gamma1 * (term_now + integral)
-         + bundle.gamma2 * term_del + tail_term)
-    # quadratic forms with P > 0; clamp float dust
-    return max(v, 0.0)
+    row = np.array([len(z_hist) - 1])
+    return float(_lyapunov_rows(sys, design, bundle, z_hist, dt, row,
+                                coeffs[None], u_delay[None])[0])
 
 
 def nelder_mead(f: Callable[[np.ndarray], float], x0: np.ndarray,

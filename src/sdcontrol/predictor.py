@@ -378,39 +378,68 @@ def _window_weights(lam, delay: float, dt: float,
     return w
 
 
-def _lagged(hist: np.ndarray, steps: float) -> np.ndarray:
-    """A history's value `steps` rows before its newest row.
+def _interpolate(hist: np.ndarray, k, f: float) -> np.ndarray:
+    """A history's value f rows (0 <= f < 1) before row k.
 
-    Linear interpolation between rows; zero before row 0.
+    Linear interpolation between rows k - 1 and k; k may be an index array.
     """
-    j, f = _split_steps(len(hist) - 1 - steps)
-    if j < 0:
-        return np.zeros(hist.shape[1:], dtype=hist.dtype)
-    if not f:
-        return hist[j]
-    return (1.0 - f) * hist[j] + f * hist[j + 1]
+    return hist[k] if not f else f * hist[k - 1] + (1.0 - f) * hist[k]
 
 
-def _solve_row(design: PredictorDesign, steady: np.ndarray, dt: float,
-               g: np.ndarray, i: int, y: np.ndarray,
-               phi_i: float) -> tuple[np.ndarray, np.ndarray]:
-    """Predictor state and input at row i from the inputs before it.
+def _lagged(hist: np.ndarray, rows: np.ndarray, steps: float) -> np.ndarray:
+    """A history's values `steps` rows before each of the ascending `rows`.
 
-    With w the window weights of row i (the constant table `steady` once
-    the window lies in t >= 0), Z_i = Y_i + sum_{j >= 1} w[j] g[i - j]
-    + w[0] B u_i with u_i = phi_i K Z_i is linear in the unknown endpoint,
-    so each row is one small solve.  Stores g[i] = B u_i and returns
-    (Z_i, u_i).
+    Linear interpolation between rows; the history is zero before row 0.
+    Only the span of rows the lags reach is read.
     """
-    w = steady if i >= len(steady) - 1 else \
-        _window_weights(np.diag(design.a_n0), design.delay, dt, i)
-    known = np.einsum("jn,jn->n", w[1:], g[i - len(w) + 1:i][::-1])
-    mat = np.eye(design.n0) \
-        - phi_i * (w[0][:, None] * design.b_n0) @ design.gain
-    z = np.linalg.solve(mat, y + known)
-    u = phi_i * (design.gain @ z)
-    g[i] = design.b_n0 @ u
-    return z, u
+    q, f = _split_steps(steps)
+    lo = int(rows[0]) - q - 1
+    span = hist[max(lo, 0):max(int(rows[-1]) - q + 1, 0)]
+    padded = np.concatenate(
+        [np.zeros((max(-lo, 0),) + hist.shape[1:], dtype=hist.dtype), span])
+    # padded row p holds history row lo + p
+    return _interpolate(padded, rows - lo - q, f)
+
+
+class _RowSolver:
+    """Predictor state and input at each row from the inputs before it.
+
+    With w the window weights of row i (the constant table once the window
+    lies in t >= 0), Z_i = Y_i + sum_{j >= 1} w[j] g[i - j] + w[0] B u_i
+    with u_i = phi_i K Z_i is linear in the unknown endpoint, so each row
+    is one small solve of I - phi_i w[0] B K.  Built once per (design, dt):
+    it keeps the constant table oldest slot first, to meet the history in
+    its own order, its w[0] B K, and the inverse of I - w[0] B K, which
+    serves every row after the ramp (phi_i = 1).  Ramp rows and rows whose
+    window is cut at t = 0 are solved directly.
+    """
+
+    def __init__(self, design: PredictorDesign, dt: float):
+        self.design, self.dt = design, dt
+        self.lam = np.diag(design.a_n0)
+        self.eye = np.eye(design.n0)
+        w = _window_weights(self.lam, design.delay, dt)
+        self.past = w[:0:-1]
+        self.wbk = (w[0][:, None] * design.b_n0) @ design.gain
+        self.inv_full = np.linalg.inv(self.eye - self.wbk)
+
+    def __call__(self, g: np.ndarray, i: int, y: np.ndarray,
+                 phi_i: float) -> tuple[np.ndarray, np.ndarray]:
+        """(Z_i, u_i) from Y_i and g[:i], the rows' B u of retained modes."""
+        gain = self.design.gain
+        n = len(self.past)
+        if i >= n:
+            rhs = y + np.einsum("jn,jn->n", self.past, g[i - n:i])
+            if phi_i == 1.0:
+                z = self.inv_full @ rhs
+                return z, gain @ z
+            wbk = self.wbk
+        else:
+            w = _window_weights(self.lam, self.design.delay, self.dt, i)
+            rhs = y + np.einsum("jn,jn->n", w[:0:-1], g[:i])
+            wbk = (w[0][:, None] * self.design.b_n0) @ gain
+        z = np.linalg.solve(self.eye - phi_i * wbk, rhs)
+        return z, phi_i * (gain @ z)
 
 
 def artstein_state(design: PredictorDesign, y: np.ndarray,
@@ -488,9 +517,10 @@ def invert_artstein(design: PredictorDesign, times: np.ndarray, y_path,
     if phi_vals.shape == ():
         phi_vals = np.full(times.size, float(phi_vals))
 
-    steady = _window_weights(np.diag(design.a_n0), design.delay, dt)
+    solve_row = _RowSolver(design, dt)
     g = np.zeros((times.size, design.n0), dtype=complex)
     v = np.zeros((times.size, design.input_dim), dtype=complex)
     for i in range(times.size):
-        v[i] = _solve_row(design, steady, dt, g, i, y[i], phi_vals[i])[1]
+        v[i] = solve_row(g, i, y[i], phi_vals[i])[1]
+        g[i] = design.b_n0 @ v[i]
     return v

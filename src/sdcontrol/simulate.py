@@ -13,24 +13,28 @@ arrays indexed by step (row i at time i dt, zero before t = 0); delayed
 inputs at the stage times are fixed 2-point interpolations of that history,
 and each new input sample comes from the small implicit system produced by
 the trapezoid endpoint of the predictor integral, whose other weights are
-constant on the grid.
+constant on the grid.  The step loop does only the RK4 update, its
+finiteness check and that row solve; the recorded norms and V are computed
+after it, vectorized over blocks of recorded rows.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .certificates import CertificateBundle, evaluate_V
+from .certificates import CertificateBundle, _lyapunov_rows
 from .errors import (
     InsufficientDataError,
     InvalidParameterError,
     SimulationDivergedError,
 )
-from .predictor import PredictorDesign, _lagged, _solve_row, _window_weights
+from .predictor import (PredictorDesign, _interpolate, _lagged, _RowSolver,
+                        _split_steps)
 from .spectral import SpectralSystem, project_profile
 
 __all__ = [
@@ -49,6 +53,11 @@ __all__ = [
     "case_study_disturbance",
     "case_study_initial_profile",
 ]
+
+# rows per block of the recorded quantities and of the CSV writer, so that
+# their (rows, modes) temporaries and row tuples stay small whatever the
+# run length
+_BLOCK_ROWS = 1024
 
 
 def case_study_disturbance(t: float) -> float:
@@ -130,6 +139,11 @@ class CouplingFields:
                 raise InvalidParameterError("profile vectors must share one length")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        # the profiles stacked once, in the dtype of the state they meet
+        object.__setattr__(self, "_etas", np.vstack(
+            [self.eta1, self.eta2]).astype(complex))
+        object.__setattr__(self, "_thetas", np.vstack(
+            [self.theta1, self.theta2, self.theta3]).astype(complex))
 
     @property
     def n_modes(self) -> int:
@@ -177,37 +191,92 @@ def decoupled_fields(n_modes: int, a1: float = 1.5,
     )
 
 
-def _f1(fields: CouplingFields, x, coeffs, v):
-    inner = fields.eta1 @ coeffs
-    return -fields.a1 * x + (fields.b1 / fields.domain_length) * inner \
+def _drift(fields: CouplingFields, x, coeffs, v):
+    """Scalar drift f1 and modal disturbance f2 of the interconnection.
+
+    x, v and coeffs describe one state, or a batch: x and v of shape
+    (rows,) with coeffs of shape (rows, n).
+    """
+    inner1, inner2 = fields._etas @ coeffs.T
+    f1 = -fields.a1 * x + (fields.b1 / fields.domain_length) * inner1 \
         + fields.c1 * v
+    bent = np.arctan((fields.d2 / fields.domain_length) * inner2)
+    f2 = np.array([fields.a2 * x, fields.b2 * bent, fields.c2 * v]).T \
+        @ fields._thetas
+    return f1, f2
 
 
-def _f2(fields: CouplingFields, x, coeffs, v):
-    inner = fields.eta2 @ coeffs
-    bent = np.arctan((fields.d2 / fields.domain_length) * inner)
-    return (fields.a2 * x) * fields.theta1 + (fields.b2 * bent) * fields.theta2 \
-        + (fields.c2 * v) * fields.theta3
-
-
-def _assert_real(value, what: str):
+def _assert_real(value, what: str, axis: int | None = None):
+    """The real part of value, whose imaginary part must be below 1e-10 of
+    max(1, max |value|); with an axis, of each slice along it."""
     arr = np.asarray(value)
-    scale = max(1.0, float(np.abs(arr).max(initial=0.0)))
-    if float(np.abs(arr.imag).max(initial=0.0)) > 1e-10 * scale:
+    scale = np.maximum(1.0, np.abs(arr).max(axis=axis, keepdims=True,
+                                            initial=0.0))
+    if (np.abs(arr.imag) > 1e-10 * scale).any():
         raise InvalidParameterError(f"{what} has a non-negligible imaginary part")
     return arr.real
 
 
 def coupling_f1(fields: CouplingFields, x: float, coeffs, v: float) -> float:
     """Scalar subsystem drift -a1 x + (b1/L) <eta1, X> + c1 v."""
-    val = _f1(fields, complex(x), np.asarray(coeffs, dtype=complex), v)
+    val = _drift(fields, complex(x), np.asarray(coeffs, dtype=complex), v)[0]
     return float(_assert_real(val, "coupling_f1"))
 
 
 def coupling_f2(fields: CouplingFields, x: float, coeffs, v: float) -> np.ndarray:
     """Modal disturbance injected by the scalar subsystem (length n_modes)."""
-    val = _f2(fields, complex(x), np.asarray(coeffs, dtype=complex), v)
+    val = _drift(fields, complex(x), np.asarray(coeffs, dtype=complex), v)[1]
     return np.asarray(_assert_real(val, "coupling_f2"), dtype=float)
+
+
+class _RK4Step:
+    """Classical RK4 step of the coupled (x, modal) state, set up per run.
+
+    The delayed inputs at the stage times t - D, t - D + dt/2 and t - D + dt
+    are read at three fixed lags (a row offset and a fraction) from a B u
+    history that starts with `pad` zero rows: row k of the history sits at
+    index pad + k.  The exogenous input v is evaluated at the stage times.
+    """
+
+    def __init__(self, sys: SpectralSystem, design: PredictorDesign,
+                 fields: CouplingFields | None, n: int, dt: float,
+                 v_fn: Callable[[float], float]):
+        self.lam = sys.eigenvalues[:n]
+        self.bmat = sys.input_coeffs[:n]
+        self.fields, self.dt, self.v_fn = fields, dt, v_fn
+        lags = [_split_steps(design.delay / dt - lead)
+                for lead in (0.0, 0.5, 1.0)]
+        self.pad = lags[0][0] + 1
+        self.lags = tuple((self.pad - q, f) for q, f in lags)
+
+    def __call__(self, bu: np.ndarray, r: int, x: complex,
+                 coeffs: np.ndarray) -> tuple[complex, np.ndarray]:
+        """Step from row r of the padded history bu to row r + 1."""
+        dt, lam, fields = self.dt, self.lam, self.fields
+        bu0, bu_half, bu1 = (_interpolate(bu, r + k, f) for k, f in self.lags)
+        t = r * dt
+        if fields is None:
+            v0 = v_half = v1 = 0.0
+
+            def deriv(v, bu_, x_, c_):
+                return 0j, lam * c_ + bu_
+        else:
+            v0, v_half, v1 = (self.v_fn(t), self.v_fn(t + dt / 2),
+                              self.v_fn(t + dt))
+
+            def deriv(v, bu_, x_, c_):
+                f1, f2 = _drift(fields, x_, c_, v)
+                return f1, lam * c_ + bu_ + f2
+
+        kx1, kc1 = deriv(v0, bu0, x, coeffs)
+        kx2, kc2 = deriv(v_half, bu_half, x + dt / 2 * kx1,
+                         coeffs + dt / 2 * kc1)
+        kx3, kc3 = deriv(v_half, bu_half, x + dt / 2 * kx2,
+                         coeffs + dt / 2 * kc2)
+        kx4, kc4 = deriv(v1, bu1, x + dt * kx3, coeffs + dt * kc3)
+        x_new = x + dt / 6 * (kx1 + 2 * kx2 + 2 * kx3 + kx4)
+        c_new = coeffs + dt / 6 * (kc1 + 2 * kc2 + 2 * kc3 + kc4)
+        return x_new, c_new
 
 
 def step(sys: SpectralSystem, design: PredictorDesign,
@@ -219,41 +288,21 @@ def step(sys: SpectralSystem, design: PredictorDesign,
     The step starts at the time t = (len(u_history) - 1) dt of the newest
     input row (row i at time i dt).  The delayed inputs at the stage times
     t - D, t - D + dt/2 and t - D + dt are linear interpolations of that
-    history, which needs dt <= D; the exogenous input v is evaluated exactly
-    at the stage times.
+    history, which is zero before row 0 and needs dt <= D; the exogenous
+    input v is evaluated exactly at the stage times.
     """
     if dt > design.delay:
         raise InvalidParameterError(
             f"dt = {dt} must not exceed the delay {design.delay}")
     coeffs = np.asarray(coeffs, dtype=complex)
     n = coeffs.size
-    lam = sys.eigenvalues[:n]
-    bmat = sys.input_coeffs[:n]
-    u_history = np.asarray(u_history, dtype=complex)
-    t = (len(u_history) - 1) * dt
-    steps = design.delay / dt
-    bu0, bu_half, bu1 = (bmat @ _lagged(u_history, steps - lead)
-                         for lead in (0.0, 0.5, 1.0))
-
-    def deriv(tau, bu, x_, c_):
-        v = v_fn(tau)
-        dc = lam * c_ + bu
-        if fields is not None:
-            dc = dc + _f2(fields, x_, c_, v)
-            dx = _f1(fields, x_, c_, v)
-        else:
-            dx = 0.0 + 0.0j
-        return dx, dc
-
-    kx1, kc1 = deriv(t, bu0, x, coeffs)
-    kx2, kc2 = deriv(t + dt / 2, bu_half, x + dt / 2 * kx1,
-                     coeffs + dt / 2 * kc1)
-    kx3, kc3 = deriv(t + dt / 2, bu_half, x + dt / 2 * kx2,
-                     coeffs + dt / 2 * kc2)
-    kx4, kc4 = deriv(t + dt, bu1, x + dt * kx3, coeffs + dt * kc3)
-    x_new = x + dt / 6 * (kx1 + 2 * kx2 + 2 * kx3 + kx4)
-    c_new = coeffs + dt / 6 * (kc1 + 2 * kc2 + 2 * kc3 + kc4)
-    return x_new, c_new
+    rk4 = _RK4Step(sys, design, fields, n, dt, v_fn)
+    u = np.atleast_2d(u_history)
+    r = len(u) - 1
+    first = max(r - rk4.pad, 0)  # the oldest row a lag reaches
+    bu = np.zeros((rk4.pad + r + 1, n), dtype=complex)
+    bu[rk4.pad + first:] = np.asarray(u[first:], dtype=complex) @ rk4.bmat.T
+    return rk4(bu, r, complex(x), coeffs)
 
 
 @dataclass(frozen=True)
@@ -336,7 +385,6 @@ def simulate(config: SimConfig, sys: SpectralSystem, design: PredictorDesign,
 
     delay = design.delay
     n0 = design.n0
-    m = sys.input_dim
     v_fn = config.v_function()
     coeffs = np.asarray(x0_coeffs, dtype=complex)
     if coeffs.shape != (n,):
@@ -349,51 +397,58 @@ def simulate(config: SimConfig, sys: SpectralSystem, design: PredictorDesign,
         if n_steps > 0 else np.zeros(0, dtype=int)
     x_rec = np.zeros(rows.size, dtype=complex)
     c_rec = np.zeros((rows.size, n), dtype=complex)
-    nx_rec, nd_rec, v_rec = (np.zeros(rows.size) for _ in range(3))
 
-    # histories indexed by step; g = B u feeds the predictor window
-    u_hist = np.zeros((n_steps + 1, m), dtype=complex)
+    # histories indexed by step; bu holds B u after the stepper's zero pad,
+    # and its retained columns feed the predictor window
+    rk4 = _RK4Step(sys, design, fields, n, dt, v_fn)
+    solve_row = _RowSolver(design, dt)
+    u_hist = np.zeros((n_steps + 1, sys.input_dim), dtype=complex)
     z_hist = np.zeros((n_steps + 1, n0), dtype=complex)
-    g_hist = np.zeros((n_steps + 1, n0), dtype=complex)
-    steady = _window_weights(np.diag(design.a_n0), delay, dt)
-
-    def record(k, i, x_, c_):
-        t = i * dt
-        norm_x = float(np.linalg.norm(c_))
-        norm_d = 0.0 if fields is None else float(
-            np.linalg.norm(coupling_f2(fields, x_, c_, v_fn(t))))
-        vval = 0.0
-        if bundle is not None:
-            vval = evaluate_V(sys, design, bundle, z_hist[:i + 1], dt, c_,
-                              _lagged(u_hist[:i + 1], delay / dt))
-        if not (math.isfinite(norm_x) and math.isfinite(norm_d)
-                and math.isfinite(vval)):
-            raise SimulationDivergedError(
-                f"recorded norms became non-finite at t = {t:.6g}")
-        x_rec[k], c_rec[k] = x_, c_
-        nx_rec[k], nd_rec[k], v_rec[k] = norm_x, norm_d, vval
+    bu = np.zeros((rk4.pad + n_steps + 1, n), dtype=complex)
+    g = bu[rk4.pad:, :n0]
+    phi = design.transition.phi(np.arange(n_steps + 1) * dt)
 
     k = 0
     if n_steps > 0:
         z_hist[0] = coeffs[:n0]
-        record(0, 0, x, coeffs)
+        x_rec[0], c_rec[0] = x, coeffs
         k = 1
     for i in range(1, n_steps + 1):
-        x, coeffs = step(sys, design, fields, u_hist[:i], dt, x, coeffs,
-                         v_fn)
-        if not (np.isfinite(x.real) and np.isfinite(x.imag)
-                and np.all(np.isfinite(coeffs.view(float)))):
+        x, coeffs = rk4(bu, i - 1, x, coeffs)
+        if not (cmath.isfinite(x) and np.isfinite(coeffs.view(float)).all()):
             raise SimulationDivergedError(
                 f"state became non-finite at t = {i * dt:.6g}")
-        z_hist[i], u_hist[i] = _solve_row(
-            design, steady, dt, g_hist, i, coeffs[:n0],
-            float(design.transition.phi(i * dt)))
+        z_hist[i], u_hist[i] = solve_row(g, i, coeffs[:n0], phi[i])
+        bu[rk4.pad + i] = rk4.bmat @ u_hist[i]
         if k < rows.size and rows[k] == i:
-            record(k, i, x, coeffs)
+            x_rec[k], c_rec[k] = x, coeffs
             k += 1
 
+    # only the step-indexed histories and the recorded states are read now
+    del bu, g
+    t = rows * dt
+    nx_rec, nd_rec, v_rec = (np.zeros(rows.size) for _ in range(3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(0, rows.size, _BLOCK_ROWS):
+            blk = slice(a, a + _BLOCK_ROWS)
+            nx_rec[blk] = np.linalg.norm(c_rec[blk], axis=1)
+            if fields is not None:
+                v = np.array([v_fn(tk) for tk in t[blk]])
+                d = _drift(fields, x_rec[blk], c_rec[blk], v)[1]
+                nd_rec[blk] = np.linalg.norm(
+                    _assert_real(d, "coupling_f2", axis=1), axis=1)
+            if bundle is not None:
+                v_rec[blk] = _lyapunov_rows(
+                    sys, design, bundle, z_hist, dt, rows[blk], c_rec[blk],
+                    _lagged(u_hist, rows[blk], delay / dt))
+    bad = ~(np.isfinite(nx_rec) & np.isfinite(nd_rec) & np.isfinite(v_rec))
+    if bad.any():
+        raise SimulationDivergedError(
+            f"recorded norms became non-finite at t = "
+            f"{t[np.argmax(bad)]:.6g}")
+
     return Trajectory(
-        t=rows * dt, x=_assert_real(x_rec, "scalar state"), coeffs=c_rec,
+        t=t, x=_assert_real(x_rec, "scalar state"), coeffs=c_rec,
         norm_x=nx_rec, u=u_hist[rows], norm_d=nd_rec, V=v_rec,
         z=z_hist[rows], dt=dt, delay=delay, t0=design.transition.t0, n0=n0,
         has_certificate=bundle is not None,
@@ -462,9 +517,11 @@ def write_csv(traj: Trajectory, path) -> None:
         np.zeros((0, m))
     c_real = _assert_real(traj.coeffs, "recorded coefficients") if \
         traj.coeffs.size else np.zeros((0, n))
+    columns = [traj.t, traj.x, traj.norm_x, traj.V, u_real, traj.norm_d,
+               c_real]
+    row_format = ",".join(["%" + _CSV_PRECISION] * len(header)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(len(traj)):
-            vals = ([traj.t[i], traj.x[i], traj.norm_x[i], traj.V[i]]
-                    + list(u_real[i]) + [traj.norm_d[i]] + list(c_real[i]))
-            fh.write(",".join(format(v, _CSV_PRECISION) for v in vals) + "\n")
+        for a in range(0, len(traj), _BLOCK_ROWS):
+            block = np.column_stack([col[a:a + _BLOCK_ROWS] for col in columns])
+            fh.writelines(row_format % tuple(row) for row in block.tolist())

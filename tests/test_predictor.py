@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import sdcontrol as sd
 from sdcontrol.errors import InvalidParameterError, SynthesisFailureError
+from sdcontrol.predictor import _lagged
 from conftest import closed_loop_ode, random_design
 
 
@@ -241,6 +242,15 @@ class TestArtsteinState:
         hist = np.full((41, 1), 2.0)
         z = sd.artstein_state(des, np.array([0.0]), hist, 1e-3)
         assert z[0].real == pytest.approx(2.0 * 0.04, rel=1e-12)
+
+    def test_lag_before_origin_reads_zeros(self):
+        # every lagged time lies before t = 0, so every value is zero
+        hist = np.arange(1.0, 301.0)[:, None] * np.array([1.0, -2.0])
+        rows = np.array([0, 3, 17, 39])
+        np.testing.assert_array_equal(_lagged(hist, rows, 40.25),
+                                      np.zeros((4, 2)))
+        np.testing.assert_array_equal(_lagged(hist, np.array([40]), 40.25),
+                                      [0.75 * hist[0]])
 
     def test_input_width_checked(self, design):
         with pytest.raises(InvalidParameterError, match="columns"):

@@ -1,5 +1,6 @@
 """Coupled closed-loop integration, diagnostics, and trajectory output."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 import sdcontrol as sd
 from sdcontrol.errors import (InsufficientDataError, InvalidParameterError,
                               SimulationDivergedError)
+from sdcontrol.simulate import _assert_real
 
 from conftest import COUPLINGS, synthetic_system
 
@@ -114,6 +116,19 @@ class TestCouplings:
         with pytest.raises(InvalidParameterError, match="imaginary"):
             sd.coupling_f1(fz, 1.0 + 2.0j, np.zeros(2), 0.0)
 
+    def test_batched_check_scales_each_row(self):
+        # the recorded coupling terms are checked as one array, row by row:
+        # a row of 1e6 must not hide an imaginary part of 1e-5 in a row of
+        # 1e-3, which the one-row check rejects
+        rows = np.array([[1e6, 0.0], [1e-3 + 1e-5j, 0.0]])
+        with pytest.raises(InvalidParameterError, match="imaginary"):
+            _assert_real(rows[1], "one row")
+        with pytest.raises(InvalidParameterError, match="imaginary"):
+            _assert_real(rows, "rows", axis=1)
+        small = np.array([[1e6 + 1e-5j, 0.0], [1e-3, 0.0]])
+        np.testing.assert_array_equal(_assert_real(small, "rows", axis=1),
+                                      small.real)
+
 
 class TestStep:
     def test_single_mode_exponential(self):
@@ -210,6 +225,44 @@ class TestSimulate:
             worst = max(worst, float(np.abs(resid).max()))
         assert worst < 1e-6
 
+    def test_certificate_column_rebuilt_independently(self, heat_sys, design,
+                                                      fields, bundle,
+                                                      x0_coeffs):
+        # V from the recorded Z, u and coefficients, with the window
+        # integral taken by np.trapezoid over explicit nodes (cut at t = 0
+        # for the rows before t = D), apart from the library's weights
+        cfg = sd.SimConfig(dt=1e-3, t_end=0.5, n_modes=10,
+                           disturbance="case-study")
+        traj = sd.simulate(cfg, heat_sys, design, fields, x0=-2.0,
+                           x0_coeffs=x0_coeffs, bundle=bundle)
+        p, phi, n0 = design.lyap, design.transition.phi, design.n0
+        width = int(round(design.delay / traj.dt))
+        quad = np.array([np.vdot(z, p @ z).real for z in traj.z])
+        lift = heat_sys.lifting_coeffs[n0:10]
+        for i in (0, 1, 37, 99, 100, 101, 163, 250, 499, 500):
+            nodes = np.arange(max(i - width, 0), i + 1)
+            integral = np.trapezoid(phi(traj.t[nodes]) * quad[nodes],
+                                    traj.t[nodes])
+            j = i - width
+            if j >= 0:
+                delayed = float(phi(traj.t[i] - design.delay)) * quad[j]
+                u_del = traj.u[j]
+            else:
+                delayed, u_del = 0.0, np.zeros(traj.u.shape[1])
+            tail = traj.coeffs[i, n0:] - lift @ u_del
+            expected = (bundle.gamma1 * (quad[i] + integral)
+                        + bundle.gamma2 * delayed
+                        + 0.5 * float(np.sum(np.abs(tail) ** 2)))
+            assert traj.V[i] == pytest.approx(expected, rel=1e-9), i
+
+        strided = sd.simulate(dataclasses.replace(cfg, record_stride=7),
+                              heat_sys, design, fields, x0=-2.0,
+                              x0_coeffs=x0_coeffs, bundle=bundle)
+        shared = np.rint(strided.t / traj.dt).astype(int)
+        assert shared[-1] == 500
+        np.testing.assert_allclose(strided.V, traj.V[shared], rtol=1e-14,
+                                   atol=0.0)
+
     def test_record_stride(self, heat_sys, design, fields):
         cfg = sd.SimConfig(dt=1e-3, t_end=0.1, n_modes=10,
                            disturbance="none", record_stride=20)
@@ -278,6 +331,17 @@ class TestSimulate:
             with pytest.raises(SimulationDivergedError, match="non-finite"):
                 sd.simulate(cfg, sys_, des, None, x0=0.0,
                             x0_coeffs=np.ones(2))
+
+    def test_recorded_norm_divergence(self, heat_sys, design, fields, bundle,
+                                      x0_coeffs):
+        # the state stays finite; V overflows on the first recorded row
+        huge = dataclasses.replace(bundle, gamma1=1e308)
+        cfg = sd.SimConfig(dt=1e-3, t_end=0.5, n_modes=10,
+                           disturbance="case-study")
+        with pytest.raises(SimulationDivergedError,
+                           match=r"recorded norms .* at t = 0$"):
+            sd.simulate(cfg, heat_sys, design, fields, x0=-2.0,
+                        x0_coeffs=x0_coeffs, bundle=huge)
 
 
 class TestSimConfig:
@@ -395,6 +459,36 @@ class TestWriteCsv:
         assert first[4] == "2.71828182846"
         assert first[6] == "0.333333333333"
         assert first[7] == "0.666666666667"
+
+    def test_bytes_match_per_value_format(self, tmp_path):
+        # the row-at-once writer against one format() per value, over more
+        # rows than one block, with signed zero, extreme exponents and
+        # values at the 12-digit and %g-exponent boundaries
+        edge = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324,
+                999999999999.0, 999999999999.5, 1e12, 123456789012.4,
+                0.000123456789012345, 1e-4, 9.99999999999949e-5,
+                -2.5e-5, 1.0 / 3.0, 0.1, 7.0, -123.456]
+        rng = np.random.default_rng(5)
+        rows = 2500
+        table = rng.normal(size=(rows, 10)) * 10.0 ** rng.integers(
+            -30, 30, size=(rows, 10))
+        for j in range(10):
+            table[j * 40:j * 40 + len(edge), j] = edge
+        table[-len(edge):, 3] = edge
+        t = np.arange(rows) * 1e-3
+        traj = make_traj(t, table[:, 1], V=table[:, 2], x=table[:, 0],
+                         u=table[:, 3:5].astype(complex),
+                         norm_d=table[:, 5],
+                         coeffs=table[:, 6:10].astype(complex))
+        path = tmp_path / "edge.csv"
+        sd.write_csv(traj, path)
+        lines = ["t,x,normX,V,u1,u2,normd,c1,c2,c3,c4\n"]
+        for i in range(rows):
+            vals = ([t[i], table[i, 0], table[i, 1], table[i, 2]]
+                    + list(table[i, 3:5]) + [table[i, 5]]
+                    + list(table[i, 6:10]))
+            lines.append(",".join(format(v, ".12g") for v in vals) + "\n")
+        assert path.read_bytes() == "".join(lines).encode()
 
     def test_case_study_header(self, tmp_path, disturbed_traj):
         path = tmp_path / "traj.csv"
