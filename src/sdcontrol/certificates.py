@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -92,20 +93,12 @@ class CouplingConstants:
                 raise InvalidParameterError(f"{name} must be nonnegative")
 
 
-def _spectral_norm(m: np.ndarray) -> float:
-    m = np.atleast_2d(np.asarray(m, dtype=complex))
-    return float(np.linalg.svd(m, compute_uv=False)[0]) if m.size else 0.0
-
-
-@dataclass(frozen=True)
-class _BaseConstants:
+class _BaseConstants(NamedTuple):
     """Weight-independent part of the certificate arithmetic."""
 
     alpha: float
     lam_min_p: float
     lam_max_p: float
-    norm_p: float
-    norm_a: float
     norm_bk_sq: float
     c1: float
     c5: float
@@ -117,14 +110,14 @@ def _base_constants(sys: SpectralSystem, design: PredictorDesign) -> _BaseConsta
     alpha = check_truncation(sys, design.n0).alpha
     m_r = sys.riesz_lower
     m = sys.input_dim
-    gain = design.gain
+    gain = np.asarray(design.gain, dtype=complex)
 
     eig_p = np.linalg.eigvalsh(design.lyap)
     lam_min_p = float(eig_p.min())
     lam_max_p = float(eig_p.max())
 
     norm_a = float(np.abs(np.diag(design.a_n0)).max())
-    norm_bk_trunc = _spectral_norm(design.b_n0 @ gain)
+    norm_bk_trunc = float(np.linalg.svd(design.b_n0 @ gain, compute_uv=False)[0])
 
     # operator norm of the composite input map v -> B K v via the lifting Gram
     kgk = gain.conj().T @ sys.lifting_gram.astype(complex) @ gain
@@ -134,19 +127,13 @@ def _base_constants(sys: SpectralSystem, design: PredictorDesign) -> _BaseConsta
     c1 = 2.0 * max(1.0, design.delay
                    * math.exp(2.0 * design.delay * norm_a) * norm_bk_trunc ** 2)
 
-    rows = np.asarray(gain, dtype=complex)
-    row_norms_sq = np.sum(np.abs(rows) ** 2, axis=1)
-    rowacl_norms_sq = np.sum(np.abs(rows @ design.a_cl) ** 2, axis=1)
+    row_norms_sq = np.sum(np.abs(gain) ** 2, axis=1)
+    rowacl_norms_sq = np.sum(np.abs(gain @ design.a_cl) ** 2, axis=1)
     c5 = (2.0 * m / (alpha * m_r)) * float(
         np.sum(sys.lifting_norm_AB ** 2 * row_norms_sq
                + sys.lifting_norm_B ** 2 * rowacl_norms_sq))
 
-    return _BaseConstants(
-        alpha=alpha, lam_min_p=lam_min_p, lam_max_p=lam_max_p,
-        norm_p=lam_max_p,  # P is Hermitian positive definite
-        norm_a=norm_a,
-        norm_bk_sq=norm_bk_sq, c1=c1, c5=c5,
-    )
+    return _BaseConstants(alpha, lam_min_p, lam_max_p, norm_bk_sq, c1, c5)
 
 
 def compute_constants(sys: SpectralSystem, design: PredictorDesign,
@@ -164,16 +151,18 @@ def compute_constants(sys: SpectralSystem, design: PredictorDesign,
     if gamma1 <= 0 or gamma2 <= 0:
         raise CertificateParameterError("gamma weights must be positive")
 
-    base = _base_constants(sys, design)
-    alpha = base.alpha
-    m_r = sys.riesz_lower
-    m_R = sys.riesz_upper
-    delay = design.delay
-    lam_min_p, lam_max_p = base.lam_min_p, base.lam_max_p
-    norm_p = base.norm_p
-    norm_bk_sq = base.norm_bk_sq
+    return _weighted_constants(_base_constants(sys, design), sys.riesz_lower,
+                               sys.riesz_upper, design.delay,
+                               beta, gamma1, gamma2)
+
+
+def _weighted_constants(base: _BaseConstants, m_r: float, m_R: float,
+                        delay: float, beta: float, gamma1: float,
+                        gamma2: float) -> CertificateBundle:
+    """The weight-dependent part of compute_constants, on a precomputed base."""
+    alpha, lam_min_p, lam_max_p, norm_bk_sq, c1, c5 = base
+    norm_p = lam_max_p  # P is Hermitian positive definite
     norm_bk = math.sqrt(norm_bk_sq)
-    c1, c5 = base.c1, base.c5
 
     if gamma1 <= c1 / lam_min_p:
         raise CertificateParameterError(
@@ -363,17 +352,20 @@ def optimize_parameters(sys: SpectralSystem, design: PredictorDesign,
     """
     if search is None:
         search = SearchConfig()
+    # computed once: each evaluation redoes only the weight arithmetic
+    base = _base_constants(sys, design)
+    bundle_at = partial(_weighted_constants, base, sys.riesz_lower,
+                        sys.riesz_upper, design.delay)
 
     def objective(x: np.ndarray) -> float:
         b, g1, g2 = float(x[0]), float(x[1]), float(x[2])
         if not (0.0 < b < 1.0) or g1 <= 0.0 or g2 <= 0.0:
             return math.inf
         try:
-            return compute_constants(sys, design, b, g1, g2).small_gain_constant
+            return bundle_at(b, g1, g2).small_gain_constant
         except CertificateParameterError:
             return math.inf
 
-    base = _base_constants(sys, design)
     g1_min = base.c1 / base.lam_min_p
     bk_bound = base.norm_bk_sq / (sys.riesz_lower * base.lam_min_p)
 
@@ -400,7 +392,7 @@ def optimize_parameters(sys: SpectralSystem, design: PredictorDesign,
             best_x, best_f = xs, fs
     if best_x is None or not math.isfinite(best_f):
         raise InfeasibleCertificateError("the weight search failed to converge")
-    return compute_constants(sys, design, *best_x)
+    return bundle_at(*map(float, best_x))
 
 
 def coupling_constants(a1: float, b1: float, c1: float, a2: float, b2: float,

@@ -44,14 +44,14 @@ from .errors import (
     ToolkitError,
 )
 from .predictor import (
+    _place_retained,
     design_predictor,
-    diagonal_exponential,
-    place_poles,
     solve_lyapunov,
     zero_gain_design,
 )
 from .simulate import (
     SimConfig,
+    _check_rk4_stability,
     case_study_fields,
     case_study_initial_profile,
     decay_fit,
@@ -165,12 +165,8 @@ def cmd_design(cfg: RunConfig, out_dir: Path) -> int:
     if not check_kalman(sys_, cfg.truncation.n0):
         raise SynthesisFailureError("the retained block is not controllable")
 
-    n0 = cfg.truncation.n0
-    a_n0 = np.diag(sys_.eigenvalues[:n0])
-    b_n0 = np.array(sys_.input_coeffs[:n0], dtype=complex)
-    exp_da = diagonal_exponential(a_n0, -cfg.control.delay)
-    gain = place_poles(a_n0, exp_da @ b_n0, cfg.control.poles)
-    a_cl = a_n0 + exp_da @ b_n0 @ gain
+    *_, gain, a_cl = _place_retained(sys_, cfg.truncation.n0,
+                                     cfg.control.delay, cfg.control.poles)
     if float(np.linalg.eigvals(a_cl).real.max()) >= 0:
         _write_design(out_dir, gain, a_cl, None)
         log.error("closed-loop spectrum is not Hurwitz; design is unusable")
@@ -301,6 +297,7 @@ def _write_simulation(cfg: RunConfig, out_dir: Path, traj, bundle) -> None:
 def cmd_simulate(cfg: RunConfig, out_dir: Path, no_disturbance: bool = False,
                  open_loop: bool = False) -> int:
     sys_ = _build_system(cfg)
+    _check_rk4_stability(sys_, cfg.simulation.n_modes, cfg.simulation.dt)
     check_truncation(sys_, cfg.truncation.n0)
     design = _make_design(cfg, sys_, open_loop=open_loop)
     bundle = None if open_loop else _make_bundle(cfg, sys_, design)

@@ -286,6 +286,16 @@ class PredictorDesign:
         return float(np.linalg.eigvalsh(self.lyap).max())
 
 
+def _place_retained(sys: SpectralSystem, n0: int, delay: float,
+                    poles: Sequence[complex]):
+    """Retained block and placed gain: (a_n0, b_n0, exp_da, gain, a_cl)."""
+    a_n0 = np.diag(sys.eigenvalues[:n0])
+    b_n0 = np.array(sys.input_coeffs[:n0], dtype=complex)
+    exp_da = diagonal_exponential(a_n0, -delay)
+    gain = place_poles(a_n0, exp_da @ b_n0, poles)
+    return a_n0, b_n0, exp_da, gain, a_n0 + exp_da @ b_n0 @ gain
+
+
 def design_predictor(sys: SpectralSystem, n0: int, delay: float,
                      poles: Sequence[complex], t0: float) -> PredictorDesign:
     """Full synthesis: gain placement plus Lyapunov certificate matrix.
@@ -303,15 +313,10 @@ def design_predictor(sys: SpectralSystem, n0: int, delay: float,
             f"n0 must satisfy 1 <= n0 <= n_max = {sys.n_max}, got {n0}")
     if delay < 0:
         raise InvalidParameterError(f"delay must be nonnegative, got {delay}")
-    a_n0 = np.diag(sys.eigenvalues[:n0])
-    b_n0 = np.array(sys.input_coeffs[:n0], dtype=complex)
-    exp_da = diagonal_exponential(a_n0, -delay)
-    gain = place_poles(a_n0, exp_da @ b_n0, poles)
-    a_cl = a_n0 + exp_da @ b_n0 @ gain
-    lyap = solve_lyapunov(a_cl)
+    a_n0, b_n0, exp_da, gain, a_cl = _place_retained(sys, n0, delay, poles)
     return PredictorDesign(
         delay=float(delay), n0=n0, a_n0=a_n0, b_n0=b_n0, exp_da=exp_da,
-        gain=gain, a_cl=a_cl, lyap=lyap,
+        gain=gain, a_cl=a_cl, lyap=solve_lyapunov(a_cl),
         desired_poles=_canonical_poles(poles),
         transition=TransitionSignal(t0=t0),
     )

@@ -332,6 +332,20 @@ class Trajectory:
         return int(self.t.size)
 
 
+def _check_rk4_stability(sys: SpectralSystem, n_modes: int, dt: float) -> None:
+    # RK4 amplification 1 + z + z^2/2 + z^3/6 + z^4/24 at z = dt lam; a
+    # decaying mode must not be amplified (on the real axis dt |lam| < 2.785)
+    z_rk = dt * sys.eigenvalues[:n_modes]
+    z_rk = z_rk[z_rk.real < 0]
+    amp = np.abs(1 + z_rk * (1 + z_rk / 2 * (1 + z_rk / 3 * (1 + z_rk / 4))))
+    if amp.size and float(amp.max()) >= 1.0:
+        worst = complex(z_rk[int(np.argmax(amp))])
+        raise InvalidParameterError(
+            f"dt = {dt} is outside the RK4 stability region: the mode with "
+            f"dt lambda = {worst:.6g} is amplified by {float(amp.max()):.6g} "
+            f"per step")
+
+
 def simulate(config: SimConfig, sys: SpectralSystem, design: PredictorDesign,
              fields: CouplingFields | None, x0: float, x0_coeffs,
              bundle: CertificateBundle | None = None) -> Trajectory:
@@ -371,17 +385,7 @@ def simulate(config: SimConfig, sys: SpectralSystem, design: PredictorDesign,
             "certificate recording needs a design with a Lyapunov matrix")
 
     dt = config.dt
-    # RK4 amplification 1 + z + z^2/2 + z^3/6 + z^4/24 at z = dt lam; a
-    # decaying mode must not be amplified (on the real axis dt |lam| < 2.785)
-    z_rk = dt * sys.eigenvalues[:n]
-    z_rk = z_rk[z_rk.real < 0]
-    amp = np.abs(1 + z_rk * (1 + z_rk / 2 * (1 + z_rk / 3 * (1 + z_rk / 4))))
-    if amp.size and float(amp.max()) >= 1.0:
-        worst = complex(z_rk[int(np.argmax(amp))])
-        raise InvalidParameterError(
-            f"dt = {dt} is outside the RK4 stability region: the mode with "
-            f"dt lambda = {worst:.6g} is amplified by {float(amp.max()):.6g} "
-            f"per step")
+    _check_rk4_stability(sys, n, dt)
 
     delay = design.delay
     n0 = design.n0

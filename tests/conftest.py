@@ -122,6 +122,18 @@ def closed_loop_ode(design, y0, t_end, dt):
     ys[0] = y
     us[0] = float(phi(0.0)) * (gain @ y)
 
+    # the window [t1 - D, t1 - dt] of step i holds its two ends and the
+    # grid nodes j = i + 1 + q for q0 <= q <= -2, so its kernel
+    # exp((t1 - D - s) A) is the same at every step; so is the endpoint
+    # matrix once the ramp is done
+    q0 = math.floor(-delay / dt + 1e-9) + 1
+    kern = np.exp(np.outer(np.concatenate(
+        [[0.0], -delay - np.arange(q0, -1) * dt, [dt - delay]]), lam))
+    eye = np.eye(n0, dtype=complex)
+    half_ebk = (dt / 2.0) * (edab @ gain)
+    inv_on = np.linalg.inv(eye - half_ebk)
+    phi1s = phi(np.arange(nsteps) * dt + dt)  # phi(t1) of every step
+
     def u_at(t):
         # linear between samples, zero before t = 0
         x = t / dt
@@ -131,31 +143,35 @@ def closed_loop_ode(design, y0, t_end, dt):
         f = x - j
         return us[j] if f <= 1e-9 else (1.0 - f) * us[j] + f * us[j + 1]
 
-    def rhs(t, yv):
-        return lam * yv + b @ u_at(t - delay)
-
     for i in range(nsteps):
         t = i * dt
-        k1 = rhs(t, y)
-        k2 = rhs(t + dt / 2, y + dt / 2 * k1)
-        k3 = rhs(t + dt / 2, y + dt / 2 * k2)
-        k4 = rhs(t + dt, y + dt * k3)
-        y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         t1 = t + dt
+        lo, hi = t1 - delay, t1 - dt
+        # dY = A Y + B u(t - D) at the RK4 stage times t, t + dt/2, t1
+        bu0 = b @ u_at(t - delay)
+        bu_mid = b @ u_at(t + dt / 2 - delay)
+        u_lo = u_at(lo)
+        bu1 = b @ u_lo
+        k1 = lam * y + bu0
+        k2 = lam * (y + dt / 2 * k1) + bu_mid
+        k3 = lam * (y + dt / 2 * k2) + bu_mid
+        k4 = lam * (y + dt * k3) + bu1
+        y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
         # window [t1 - D, t1 - dt]: its ends plus the grid nodes inside
-        lo, hi = t1 - delay, t1 - dt
         k0 = math.floor(lo / dt + 1e-9) + 1
         k1 = math.ceil(hi / dt - 1e-9)
         s = np.concatenate([[lo], np.arange(k0, k1) * dt, [hi]])
-        uw = np.vstack([u_at(lo), np.zeros((max(0, -k0), m)),
+        assert len(s) == len(kern), "window node count changed"
+        uw = np.vstack([u_lo, np.zeros((max(0, -k0), m)),
                         us[max(k0, 0):k1], u_at(hi)])
-        kern = np.exp(np.outer(t1 - delay - s, lam))
         known = np.trapezoid(kern * (uw @ b.T), s, axis=0)
-        known = known + (dt / 2.0) * np.exp((dt - delay) * lam) * (b @ uw[-1])
-        phi1 = float(phi(t1))
-        mat = np.eye(n0, dtype=complex) - (dt / 2.0) * phi1 * (edab @ gain)
-        z = np.linalg.solve(mat, y + known)
+        known = known + (dt / 2.0) * kern[-1] * (b @ uw[-1])
+        phi1 = float(phi1s[i])
+        if phi1 == 1.0:
+            z = inv_on @ (y + known)
+        else:
+            z = np.linalg.solve(eye - phi1 * half_ebk, y + known)
         ys[i + 1] = y
         us[i + 1] = phi1 * (gain @ z)
     return times, ys, us

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sdcontrol as sd
+from sdcontrol import certificates
 from sdcontrol.errors import (CertificateParameterError,
                               InfeasibleCertificateError,
                               InvalidParameterError)
@@ -376,6 +377,41 @@ class TestOptimizer:
         b = sd.optimize_parameters(heat_sys, design, search)
         assert b.C2g1 > 0 and b.C3g2 > 0
         assert b.small_gain_constant >= bundle.small_gain_constant - 1e-9
+
+
+class TestSearchInvariants:
+    """The search evaluates the weight arithmetic on one precomputed base."""
+
+    def test_base_constants_once_per_search(self, heat_sys, design,
+                                            monkeypatch):
+        calls = []
+        real = certificates._base_constants
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(certificates, "_base_constants", counted)
+        sd.optimize_parameters(heat_sys, design)
+        assert len(calls) == 1
+        narrow = sd.SearchConfig(beta_grid=(0.4,), gamma_multipliers=(2.0,),
+                                 n_starts=1, nm_max_iter=400)
+        sd.optimize_parameters(heat_sys, design, narrow)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("n0, delay, poles", [
+        (2, 0.1, [-3.0, -3.0]),          # the case study
+        (1, 0.1, [-2.0]),                # a single real pole
+        (2, 0.3, [-2.0 + 1.0j, -2.0 - 1.0j]),
+    ], ids=["case-study", "single-real", "conjugate-D0.3"])
+    def test_bundle_equals_direct_evaluation(self, heat_sys, n0, delay,
+                                             poles):
+        des = sd.design_predictor(heat_sys, n0=n0, delay=delay, poles=poles,
+                                  t0=0.2)
+        b = sd.optimize_parameters(heat_sys, des)
+        direct = sd.compute_constants(heat_sys, des, b.beta, b.gamma1,
+                                      b.gamma2)
+        assert b == direct  # every field equal, not only close
 
 
 class TestCouplingConstants:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import sdcontrol as sd
+from sdcontrol import cli
 from sdcontrol.cli import cmd_case_study, main
 from sdcontrol.config import CASE_STUDY_INI
 
@@ -213,6 +214,22 @@ class TestSimulate:
             code, _ = run_cli(tmp_path, "simulate", text=text)
         assert code == 1
         assert "longer than N_modes" in caplog.text
+
+    def test_rk4_unstable_dt_rejected_before_synthesis(self, tmp_path,
+                                                       caplog, monkeypatch):
+        # 48 modes at dt = 1e-3 put the fastest mode outside the RK4 region;
+        # the run must stop before the weight search
+        def no_search(*args, **kwargs):
+            raise AssertionError("the weight search ran")
+
+        monkeypatch.setattr(cli, "optimize_parameters", no_search)
+        text = ini_with(plant={"N_max": 48},
+                        simulation={"N_modes": 48, "T_end": 0.1})
+        with caplog.at_level(logging.ERROR):
+            code, out = run_cli(tmp_path, "simulate", text=text)
+        assert code == 1
+        assert "RK4 stability region" in caplog.text
+        assert not (out / "trajectory.csv").exists()
 
 
 class TestCaseStudyCommand:
