@@ -34,13 +34,11 @@ from .spectral import SpectralSystem, check_truncation
 __all__ = [
     "CertificateBundle",
     "CouplingConstants",
-    "SearchConfig",
     "compute_constants",
     "evaluate_V",
     "optimize_parameters",
     "coupling_constants",
     "small_gain_margin",
-    "no_blowup_margin",
     "render_certificate",
     "parse_certificate",
     "nelder_mead",
@@ -261,7 +259,13 @@ def evaluate_V(sys: SpectralSystem, design: PredictorDesign,
     if dt <= 0:
         raise InvalidParameterError(f"dt must be positive, got {dt}")
     u_delay = np.asarray(u_delay, dtype=complex)
+    if u_delay.shape != (sys.input_dim,):
+        raise InvalidParameterError(
+            f"u_delay must have shape ({sys.input_dim},), got {u_delay.shape}")
     z_hist = np.atleast_2d(np.asarray(z_history, dtype=complex))
+    if z_hist.shape[1] != design.n0:
+        raise InvalidParameterError(
+            f"z_history must have {design.n0} columns, got {z_hist.shape[1]}")
     row = np.array([len(z_hist) - 1])
     return float(_lyapunov_rows(sys, design, bundle, z_hist, dt, row,
                                 coeffs[None], u_delay[None])[0])
@@ -325,33 +329,24 @@ def nelder_mead(f: Callable[[np.ndarray], float], x0: np.ndarray,
     return simplex[i_best], float(fvals[i_best])
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """Grid scan plus simplex-descent settings for the weight search."""
-
-    beta_grid: tuple = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
-    gamma_multipliers: tuple = (1.5, 3.0, 10.0)
-    nm_max_iter: int = 2000
-    nm_rel_tol: float = 1e-6
-    simplex_step: float = 0.05
-    n_starts: int = 3
+_BETA_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+_GAMMA_MULTIPLIERS = (1.5, 3.0, 10.0)
+_N_STARTS = 3
 
 
-def optimize_parameters(sys: SpectralSystem, design: PredictorDesign,
-                        search: SearchConfig | None = None) -> CertificateBundle:
+def optimize_parameters(sys: SpectralSystem,
+                        design: PredictorDesign) -> CertificateBundle:
     """Minimize the disturbance-to-state gain over (beta, gamma1, gamma2).
 
     A coarse feasible-start scan (beta grid crossed with multiples of each
-    weight's feasibility lower bound) seeds a few simplex descents on the
-    penalized objective (infeasible points score +inf); the best feasible
-    bundle wins.  Deterministic: same inputs give a bitwise-identical
-    bundle.
+    weight's feasibility lower bound) seeds three simplex descents, at
+    nelder_mead's defaults, on the penalized objective (infeasible points
+    score +inf); the best feasible bundle wins.  Deterministic: same
+    inputs give a bitwise-identical bundle.
 
     Raises:
         InfeasibleCertificateError: the scan finds no feasible start.
     """
-    if search is None:
-        search = SearchConfig()
     # computed once: each evaluation redoes only the weight arithmetic
     base = _base_constants(sys, design)
     bundle_at = partial(_weighted_constants, base, sys.riesz_lower,
@@ -370,10 +365,10 @@ def optimize_parameters(sys: SpectralSystem, design: PredictorDesign,
     bk_bound = base.norm_bk_sq / (sys.riesz_lower * base.lam_min_p)
 
     candidates = []
-    for beta in search.beta_grid:
+    for beta in _BETA_GRID:
         g2_min = max(bk_bound, base.c5 / (1.0 - beta))
-        for m1 in search.gamma_multipliers:
-            for m2 in search.gamma_multipliers:
+        for m1 in _GAMMA_MULTIPLIERS:
+            for m2 in _GAMMA_MULTIPLIERS:
                 x = np.array([beta, m1 * g1_min, m2 * g2_min])
                 fx = objective(x)
                 if math.isfinite(fx):
@@ -384,10 +379,8 @@ def optimize_parameters(sys: SpectralSystem, design: PredictorDesign,
     candidates.sort(key=lambda c: c[0])
 
     best_x, best_f = None, math.inf
-    for fx, x in candidates[:search.n_starts]:
-        xs, fs = nelder_mead(objective, x, step=search.simplex_step,
-                             rel_tol=search.nm_rel_tol,
-                             max_iter=search.nm_max_iter)
+    for fx, x in candidates[:_N_STARTS]:
+        xs, fs = nelder_mead(objective, x)
         if fs < best_f:
             best_x, best_f = xs, fs
     if best_x is None or not math.isfinite(best_f):
@@ -422,15 +415,6 @@ def small_gain_margin(bundle: CertificateBundle,
     """1 - (d1 ct1 + d2) * C4 sqrt(C6/(2 kappa0)); positive certifies the loop."""
     return 1.0 - (coupling.d1 * coupling.ct1 + coupling.d2) \
         * bundle.small_gain_constant
-
-
-def no_blowup_margin(bundle: CertificateBundle, coupling: CouplingConstants,
-                     c10: float) -> float:
-    """Margin variant with a caller-supplied squared-gain constant C10."""
-    if c10 < 0:
-        raise InvalidParameterError(f"c10 must be nonnegative, got {c10}")
-    return 1.0 - (coupling.d1 * coupling.ct1 + coupling.d2) \
-        * bundle.C4 * math.sqrt(c10)
 
 
 _REPORT_KEYS = ("beta", "gamma1", "gamma2", "C1", "C2g1", "C3g2", "C4", "C5",

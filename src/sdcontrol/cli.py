@@ -188,7 +188,7 @@ def _make_design(cfg: RunConfig, sys_, open_loop: bool = False):
 
 def _make_bundle(cfg: RunConfig, sys_, design):
     cert = cfg.certificate
-    if cert.beta is not None:
+    if not cert.optimize:
         return compute_constants(sys_, design, cert.beta, cert.gamma1,
                                  cert.gamma2)
     return optimize_parameters(sys_, design)

@@ -13,18 +13,10 @@ from dataclasses import dataclass, field
 from .errors import ConfigError
 
 __all__ = [
-    "PlantConfig",
-    "TruncationConfig",
-    "ControlConfig",
-    "CertificateConfig",
-    "CouplingConfig",
-    "SimulationConfig",
-    "InitialConfig",
     "RunConfig",
     "load_config",
     "loads_config",
     "case_study_run_config",
-    "CASE_STUDY_INI",
 ]
 
 
@@ -240,10 +232,12 @@ def _config_from_parser(parser: configparser.ConfigParser) -> RunConfig:
         if any(v is None for v in overrides):
             raise ConfigError(
                 "certificate optimize = false requires beta, gamma1 and gamma2")
-    elif any(v is not None for v in overrides) and \
-            any(v is None for v in overrides):
+    elif any(v is not None for v in overrides):
+        # the optimizer chooses the weights itself, so given weights would
+        # be ignored
         raise ConfigError(
-            "certificate overrides must set all of beta, gamma1, gamma2")
+            "certificate weights need optimize = false with all of beta, "
+            "gamma1, gamma2")
 
     coup_r = _SectionReader(parser, "coupling")
     coupling = CouplingConfig(

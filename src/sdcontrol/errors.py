@@ -4,6 +4,18 @@ Every error raised by the public API derives from ToolkitError so callers
 (and the CLI exit-code mapping) can tell toolkit failures from bugs.
 """
 
+__all__ = [
+    "ToolkitError",
+    "ConfigError",
+    "InvalidParameterError",
+    "AssumptionViolatedError",
+    "SynthesisFailureError",
+    "CertificateParameterError",
+    "InfeasibleCertificateError",
+    "SimulationDivergedError",
+    "InsufficientDataError",
+]
+
 
 class ToolkitError(Exception):
     """Base class for all toolkit errors."""

@@ -25,15 +25,12 @@ from .spectral import SpectralSystem, pbh_controllable
 __all__ = [
     "TransitionSignal",
     "PredictorDesign",
-    "transition_value",
     "diagonal_exponential",
     "place_poles",
     "solve_lyapunov",
     "design_predictor",
     "zero_gain_design",
-    "artstein_state",
     "invert_artstein",
-    "control_input",
 ]
 
 
@@ -59,15 +56,6 @@ class TransitionSignal:
     def phi_dot(self, t):
         s = np.clip(np.asarray(t, dtype=float) / self.t0, 0.0, 1.0)
         return 30.0 * s ** 2 * (1.0 - s) ** 2 / self.t0
-
-    @property
-    def max_slope(self) -> float:
-        return 15.0 / (8.0 * self.t0)
-
-
-def transition_value(sig: TransitionSignal, t: float) -> tuple[float, float]:
-    """Ramp value and slope at time t."""
-    return float(sig.phi(t)), float(sig.phi_dot(t))
 
 
 def diagonal_exponential(a: np.ndarray, s: float) -> np.ndarray:
@@ -445,38 +433,6 @@ class _RowSolver:
             wbk = (w[0][:, None] * self.design.b_n0) @ gain
         z = np.linalg.solve(self.eye - phi_i * wbk, rhs)
         return z, phi_i * (gain @ z)
-
-
-def artstein_state(design: PredictorDesign, y: np.ndarray,
-                   u_history: np.ndarray, dt: float) -> np.ndarray:
-    """Predictor state Z(t) = Y(t) + window integral of the stored input.
-
-    Args:
-        y: retained modal state Y(t).
-        u_history: inputs at 0, dt, ..., t (row i at time i dt); a window
-            reaching back past t = 0 is cut there.
-        dt: the history's step.
-    """
-    y = np.asarray(y, dtype=complex)
-    if y.shape != (design.n0,):
-        raise InvalidParameterError(f"y must have shape ({design.n0},)")
-    u = np.atleast_2d(np.asarray(u_history, dtype=complex))
-    if u.shape[1] != design.input_dim:
-        raise InvalidParameterError(
-            f"u_history must have {design.input_dim} columns")
-    if dt <= 0:
-        raise InvalidParameterError(f"dt must be positive, got {dt}")
-    w = _window_weights(np.diag(design.a_n0), design.delay, dt, len(u) - 1)
-    g = u[len(u) - len(w):][::-1] @ design.b_n0.T
-    return y + np.einsum("jn,jn->n", w, g)
-
-
-def control_input(design: PredictorDesign, phi_t: float,
-                  z: np.ndarray) -> np.ndarray:
-    """Ramped feedback u(t) = phi(t) K Z(t)."""
-    if not -1e-12 <= phi_t <= 1.0 + 1e-12:
-        raise InvalidParameterError(f"phi must lie in [0, 1], got {phi_t}")
-    return phi_t * (design.gain @ np.asarray(z, dtype=complex))
 
 
 def invert_artstein(design: PredictorDesign, times: np.ndarray, y_path,

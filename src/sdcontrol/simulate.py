@@ -41,8 +41,6 @@ __all__ = [
     "SimConfig",
     "CouplingFields",
     "Trajectory",
-    "coupling_f1",
-    "coupling_f2",
     "step",
     "simulate",
     "decay_fit",
@@ -217,18 +215,6 @@ def _assert_real(value, what: str, axis: int | None = None):
     return arr.real
 
 
-def coupling_f1(fields: CouplingFields, x: float, coeffs, v: float) -> float:
-    """Scalar subsystem drift -a1 x + (b1/L) <eta1, X> + c1 v."""
-    val = _drift(fields, complex(x), np.asarray(coeffs, dtype=complex), v)[0]
-    return float(_assert_real(val, "coupling_f1"))
-
-
-def coupling_f2(fields: CouplingFields, x: float, coeffs, v: float) -> np.ndarray:
-    """Modal disturbance injected by the scalar subsystem (length n_modes)."""
-    val = _drift(fields, complex(x), np.asarray(coeffs, dtype=complex), v)[1]
-    return np.asarray(_assert_real(val, "coupling_f2"), dtype=float)
-
-
 class _RK4Step:
     """Classical RK4 step of the coupled (x, modal) state, set up per run.
 
@@ -296,8 +282,17 @@ def step(sys: SpectralSystem, design: PredictorDesign,
             f"dt = {dt} must not exceed the delay {design.delay}")
     coeffs = np.asarray(coeffs, dtype=complex)
     n = coeffs.size
-    rk4 = _RK4Step(sys, design, fields, n, dt, v_fn)
+    if not 1 <= n <= sys.n_max:
+        raise InvalidParameterError(
+            f"coeffs length must lie in [1, {sys.n_max}], got {n}")
+    if fields is not None and fields.n_modes != n:
+        raise InvalidParameterError(
+            f"fields cover {fields.n_modes} modes, coeffs has {n}")
     u = np.atleast_2d(u_history)
+    if u.shape[1] != sys.input_dim:
+        raise InvalidParameterError(
+            f"u_history must have {sys.input_dim} columns, got {u.shape[1]}")
+    rk4 = _RK4Step(sys, design, fields, n, dt, v_fn)
     r = len(u) - 1
     first = max(r - rk4.pad, 0)  # the oldest row a lag reaches
     bu = np.zeros((rk4.pad + r + 1, n), dtype=complex)
@@ -351,9 +346,9 @@ def simulate(config: SimConfig, sys: SpectralSystem, design: PredictorDesign,
              bundle: CertificateBundle | None = None) -> Trajectory:
     """Run the closed loop from t = 0 to t_end.
 
-    The loop is open (u keeps its zero history) for t < D by construction;
-    the ramp phi then blends the predictor feedback in over [D-free time]
-    automatically since u(t) = phi(t) K Z(t) with phi starting at 0.
+    The feedback u(t) = phi(t) K Z(t) ramps in over [0, t0], since phi
+    rises from 0 to 1 there, and the plant first feels it at t = D: until
+    then the delayed input reads the zero history before t = 0.
 
     Args:
         fields: interconnection, or None for a plant-only run.
@@ -440,7 +435,7 @@ def simulate(config: SimConfig, sys: SpectralSystem, design: PredictorDesign,
                 v = np.array([v_fn(tk) for tk in t[blk]])
                 d = _drift(fields, x_rec[blk], c_rec[blk], v)[1]
                 nd_rec[blk] = np.linalg.norm(
-                    _assert_real(d, "coupling_f2", axis=1), axis=1)
+                    _assert_real(d, "coupling term", axis=1), axis=1)
             if bundle is not None:
                 v_rec[blk] = _lyapunov_rows(
                     sys, design, bundle, z_hist, dt, rows[blk], c_rec[blk],

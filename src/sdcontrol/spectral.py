@@ -24,7 +24,6 @@ __all__ = [
     "check_kalman",
     "pbh_controllable",
     "project_profile",
-    "reconstruct",
 ]
 
 # basis callable: (mode index n >= 1, points array) -> values array
@@ -55,7 +54,7 @@ class SpectralSystem:
         lifting_gram: (m, m) Gram matrix of the lifted channels, used for
             the operator norm of the composite input map.
         basis: optional callable evaluating eigenfunction n on a grid;
-            required by the projection / reconstruction helpers.
+            required by project_profile.
     """
 
     eigenvalues: np.ndarray
@@ -126,8 +125,8 @@ class TruncationSpec:
             raise InvalidParameterError("alpha must be positive")
 
 
-def build_heat_system(a: float, c: float, L: float, n_max: int = 10,
-                      basis: bool = True) -> SpectralSystem:
+def build_heat_system(a: float, c: float, L: float,
+                      n_max: int = 10) -> SpectralSystem:
     """Build the modal model of a boundary-actuated reaction-diffusion rod.
 
     The plant is X_t = a X_xx + c X on (0, L) with Dirichlet actuation
@@ -142,10 +141,10 @@ def build_heat_system(a: float, c: float, L: float, n_max: int = 10,
         c: reaction coefficient.
         L: domain length, must be positive.
         n_max: number of retained modes, at least 1.
-        basis: attach the sine-basis evaluator (needed for projections).
 
     Returns:
-        SpectralSystem with frame bounds 1 (orthonormal basis).
+        SpectralSystem with frame bounds 1 (orthonormal basis) and the
+        sine-basis evaluator attached.
     """
     if a <= 0:
         raise InvalidParameterError(f"diffusivity a must be positive, got {a}")
@@ -169,10 +168,8 @@ def build_heat_system(a: float, c: float, L: float, n_max: int = 10,
     norm_AB = np.full(2, abs(c) * np.sqrt(L / 3.0))
     gram = (L / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
 
-    basis_fn = None
-    if basis:
-        def basis_fn(k: int, xi: np.ndarray) -> np.ndarray:
-            return np.sqrt(2.0 / L) * np.sin(k * np.pi * np.asarray(xi) / L)
+    def basis_fn(k: int, xi: np.ndarray) -> np.ndarray:
+        return np.sqrt(2.0 / L) * np.sin(k * np.pi * np.asarray(xi) / L)
 
     return SpectralSystem(
         eigenvalues=lam,
@@ -226,21 +223,20 @@ def _group_close(values: np.ndarray, tol_scale: float) -> list[np.ndarray]:
     return [np.array(g) for g in groups]
 
 
-def pbh_controllable(eigenvalues: np.ndarray, b: np.ndarray,
-                     eq_tol: float = 1e-9, rank_tol: float = 1e-9) -> bool:
+def pbh_controllable(eigenvalues: np.ndarray, b: np.ndarray) -> bool:
     """Eigenvector-wise controllability test for a diagonal pair.
 
-    For each group of coinciding eigenvalues (relative tolerance eq_tol) the
+    For each group of coinciding eigenvalues (relative tolerance 1e-9) the
     corresponding rows of b must have full row rank; rank is decided by
-    singular values above rank_tol times the largest singular value of b.
+    singular values above 1e-9 times the largest singular value of b.
     """
     eig = np.atleast_1d(np.asarray(eigenvalues, dtype=complex))
     bmat = np.atleast_2d(np.asarray(b, dtype=complex))
     if bmat.shape[0] != eig.size:
         raise InvalidParameterError("b must have one row per eigenvalue")
     sigma_max = float(np.linalg.svd(bmat, compute_uv=False)[0]) if bmat.size else 0.0
-    thresh = rank_tol * sigma_max
-    for g in _group_close(eig, eq_tol):
+    thresh = 1e-9 * sigma_max
+    for g in _group_close(eig, 1e-9):
         rows = bmat[g]
         if len(g) > rows.shape[1]:
             return False
@@ -263,54 +259,37 @@ def check_kalman(sys: SpectralSystem, n0: int) -> bool:
     return pbh_controllable(sys.eigenvalues[:n0], sys.input_coeffs[:n0])
 
 
-def _simpson_grid(L: float, n_quad: int) -> tuple[np.ndarray, np.ndarray]:
+# composite Simpson panels of project_profile (an even count)
+_SIMPSON_PANELS = 2048
+
+
+def _simpson_grid(L: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the composite Simpson 1/3 rule on [0, L]."""
-    if n_quad < 2 or n_quad % 2:
-        raise InvalidParameterError(
-            f"n_quad must be a positive even integer, got {n_quad}")
-    xi = np.linspace(0.0, L, n_quad + 1)
-    w = np.full(n_quad + 1, 2.0)
+    n = _SIMPSON_PANELS
+    xi = np.linspace(0.0, L, n + 1)
+    w = np.full(n + 1, 2.0)
     w[1::2] = 4.0
     w[[0, -1]] = 1.0
-    return xi, w * (L / n_quad / 3.0)
+    return xi, w * (L / n / 3.0)
 
 
 def project_profile(sys: SpectralSystem, profile: Callable[[np.ndarray], np.ndarray],
-                    n_modes: int, n_quad: int = 2048) -> np.ndarray:
+                    n_modes: int) -> np.ndarray:
     """First n_modes modal coefficients <profile, psi_n> of a spatial profile.
+
+    The inner products use the composite Simpson rule with 2048 panels on
+    [0, L].
 
     Args:
         sys: plant with an attached basis evaluator.
         profile: callable evaluating the spatial profile on an array.
         n_modes: number of coefficients, 1 <= n_modes <= n_max.
-        n_quad: even number of composite Simpson panels over (0, L).
     """
     if sys.basis is None:
         raise InvalidParameterError("system has no basis evaluator attached")
     if not 1 <= n_modes <= sys.n_max:
         raise InvalidParameterError(f"n_modes must be in [1, {sys.n_max}]")
-    xi, w = _simpson_grid(sys.domain_length, n_quad)
+    xi, w = _simpson_grid(sys.domain_length)
     pvals = np.asarray(profile(xi), dtype=complex)
     rows = np.stack([np.conj(sys.basis(k, xi)) for k in range(1, n_modes + 1)])
     return (rows * pvals[None, :]) @ w
-
-
-def reconstruct(sys: SpectralSystem, coeffs: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Evaluate sum_n coeffs[n-1] * basis_n on a spatial grid.
-
-    The shipped plant is real-valued; imaginary residues beyond 1e-10 are
-    rejected rather than silently dropped.
-    """
-    if sys.basis is None:
-        raise InvalidParameterError("system has no basis evaluator attached")
-    coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
-    if coeffs.size > sys.n_max:
-        raise InvalidParameterError("more coefficients than retained modes")
-    xi = np.asarray(xi, dtype=float)
-    out = np.zeros_like(xi, dtype=complex)
-    for k, ck in enumerate(coeffs, start=1):
-        out += ck * sys.basis(k, xi)
-    scale = max(1.0, float(np.abs(out).max(initial=0.0)))
-    if float(np.abs(out.imag).max(initial=0.0)) > 1e-10 * scale:
-        raise InvalidParameterError("reconstruction has a non-negligible imaginary part")
-    return out.real

@@ -1,0 +1,59 @@
+"""The public names and the README's Library example."""
+
+import importlib
+import re
+from pathlib import Path
+
+import sdcontrol as sd
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+MODULES = ("config", "certificates", "errors", "predictor", "simulate",
+           "spectral")
+
+
+def readme_section(title):
+    """Text under the markdown heading `title`, up to the next heading of
+    the same or a higher level."""
+    level, _, _ = title.partition(" ")
+    start = README.index(title + "\n") + len(title) + 1
+    end = re.compile(rf"^#{{1,{len(level)}}} ", re.M).search(README, start)
+    return README[start:end.start() if end else len(README)]
+
+
+def readme_api():
+    """{module: names} from the bullets of README's Public API list."""
+    api = {}
+    for item in re.split(r"^\* ", readme_section("### Public API"),
+                         flags=re.M)[1:]:
+        module, _, names = item.partition(":")
+        api[module.strip("` ")] = re.findall(r"`(\w+)`", names)
+    return api
+
+
+def test_all_is_the_union_of_the_modules():
+    union = [name for m in MODULES
+             for name in importlib.import_module(f"sdcontrol.{m}").__all__]
+    assert len(set(union)) == len(union)  # no name exported twice
+    assert sorted(sd.__all__) == sorted(union)
+
+
+def test_every_listed_name_resolves():
+    for m in MODULES:
+        module = importlib.import_module(f"sdcontrol.{m}")
+        for name in module.__all__:
+            assert getattr(sd, name) is getattr(module, name), name
+
+
+def test_readme_lists_exactly_the_public_names():
+    api = readme_api()
+    assert sorted(api) == sorted(f"sdcontrol.{m}" for m in MODULES)
+    for m in MODULES:
+        module = importlib.import_module(f"sdcontrol.{m}")
+        assert sorted(api[f"sdcontrol.{m}"]) == sorted(module.__all__), m
+
+
+def test_readme_library_example_runs():
+    blocks = re.findall(r"```python\n(.*?)```", readme_section("## Library"),
+                        re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md (Library)", "exec"), {})

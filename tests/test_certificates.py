@@ -264,6 +264,17 @@ class TestEvaluateV:
             sd.evaluate_V(sys_, des, bundle, hist, 0.01,
                           np.zeros(3), np.zeros(1))
 
+    def test_input_width_validated(self, heat_sys, design, bundle):
+        # the case study has two inputs; a 3-vector is rejected up front
+        with pytest.raises(InvalidParameterError, match="u_delay"):
+            sd.evaluate_V(heat_sys, design, bundle, np.zeros((201, 2)), 1e-3,
+                          np.zeros(10), np.zeros(3))
+
+    def test_history_width_validated(self, heat_sys, design, bundle):
+        with pytest.raises(InvalidParameterError, match="z_history"):
+            sd.evaluate_V(heat_sys, design, bundle, np.zeros((201, 3)), 1e-3,
+                          np.zeros(10), np.zeros(2))
+
     def test_open_loop_design_rejected(self):
         sys_, des, bundle = self._setup()
         open_loop = sd.zero_gain_design(sys_, n0=1, delay=0.1, t0=0.2)
@@ -371,13 +382,6 @@ class TestOptimizer:
         with pytest.raises(InfeasibleCertificateError, match="admissible"):
             sd.optimize_parameters(sys_, des)
 
-    def test_narrow_search_config(self, heat_sys, design, bundle):
-        search = sd.SearchConfig(beta_grid=(0.4,), gamma_multipliers=(2.0,),
-                                 n_starts=1, nm_max_iter=400)
-        b = sd.optimize_parameters(heat_sys, design, search)
-        assert b.C2g1 > 0 and b.C3g2 > 0
-        assert b.small_gain_constant >= bundle.small_gain_constant - 1e-9
-
 
 class TestSearchInvariants:
     """The search evaluates the weight arithmetic on one precomputed base."""
@@ -394,10 +398,6 @@ class TestSearchInvariants:
         monkeypatch.setattr(certificates, "_base_constants", counted)
         sd.optimize_parameters(heat_sys, design)
         assert len(calls) == 1
-        narrow = sd.SearchConfig(beta_grid=(0.4,), gamma_multipliers=(2.0,),
-                                 n_starts=1, nm_max_iter=400)
-        sd.optimize_parameters(heat_sys, design, narrow)
-        assert len(calls) == 2
 
     @pytest.mark.parametrize("n0, delay, poles", [
         (2, 0.1, [-3.0, -3.0]),          # the case study
@@ -482,21 +482,6 @@ class TestMargins:
             ct0=math.sqrt(2.0), ct1=0.0, ct2=0.1, d1=0.0,
             d2=1.0 / bundle.small_gain_constant, d3=0.0)
         assert abs(sd.small_gain_margin(bundle, cc)) <= 1e-12
-
-    def test_no_blowup_reduces_to_small_gain(self, bundle):
-        cc = sd.coupling_constants(**COUPLINGS, L=L)
-        c10 = bundle.C6 / (2.0 * bundle.kappa0)
-        assert sd.no_blowup_margin(bundle, cc, c10) == pytest.approx(
-            sd.small_gain_margin(bundle, cc), abs=1e-12)
-
-    def test_no_blowup_edge_values(self, bundle):
-        cc = sd.coupling_constants(**COUPLINGS, L=L)
-        assert sd.no_blowup_margin(bundle, cc, 0.0) == 1.0
-        lhs = cc.d1 * cc.ct1 + cc.d2
-        c10 = (1.0 / (lhs * bundle.C4)) ** 2
-        assert abs(sd.no_blowup_margin(bundle, cc, c10)) <= 1e-9
-        with pytest.raises(InvalidParameterError, match="c10"):
-            sd.no_blowup_margin(bundle, cc, -1.0)
 
 
 class TestCertificateReport:

@@ -125,6 +125,16 @@ class TestCertify:
         assert report["small_gain_constant"] == direct.small_gain_constant
         assert report["kappa0"] == direct.kappa0
 
+    def test_weights_with_optimize_true_exit_one(self, tmp_path, caplog):
+        # the optimizer would silently be skipped for the given weights
+        text = ini_with(certificate={"optimize": "true", "beta": 0.4131,
+                                     "gamma1": 106.3290, "gamma2": 337.1938})
+        with caplog.at_level(logging.ERROR):
+            code, out = run_cli(tmp_path, "certify", text=text)
+        assert code == 1
+        assert "all of beta" in caplog.text
+        assert not (out / "certificate.txt").exists()
+
     def test_weak_coupling_certifies(self, tmp_path):
         text = ini_with(coupling={"a2": 0.07, "b2": 0.055})
         code, out = run_cli(tmp_path, "certify", text=text)

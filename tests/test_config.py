@@ -153,12 +153,20 @@ class TestCertificateSection:
         assert cfg.certificate.gamma1 == 106.3290
         assert cfg.certificate.gamma2 == 337.1938
 
+    def test_weights_with_optimize_true_rejected(self):
+        # all three weights with optimize = true would skip the optimizer
+        with pytest.raises(ConfigError, match="all of beta"):
+            sd.loads_config(ini_with(certificate={
+                "optimize": "true", "beta": 0.4131, "gamma1": 106.3290,
+                "gamma2": 337.1938}))
+
     def test_boolean_spellings(self):
+        weights = {"beta": 0.4, "gamma1": 100.0, "gamma2": 400.0}
         for raw, expected in (("yes", True), ("on", True), ("1", True),
                               ("No", False), ("off", False), ("0", False)):
+            # weights are read only with optimize = false
             text = ini_with(certificate={
-                "optimize": raw, "beta": 0.4, "gamma1": 100.0,
-                "gamma2": 400.0})
+                "optimize": raw, **({} if expected else weights)})
             assert sd.loads_config(text).certificate.optimize is expected
 
     def test_bad_boolean(self):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import sdcontrol as sd
 from sdcontrol.errors import InvalidParameterError, SynthesisFailureError
-from sdcontrol.predictor import _lagged
+from sdcontrol.predictor import _lagged, _RowSolver, _window_weights
 from conftest import closed_loop_ode, random_design
 
 
@@ -47,16 +47,16 @@ class TestDiagonalExponential:
 class TestTransition:
     def test_midpoint(self):
         sig = sd.TransitionSignal(0.2)
-        phi, _ = sd.transition_value(sig, 0.1)
-        assert phi == pytest.approx(0.5, abs=1e-12)
+        assert sig.phi(0.1) == pytest.approx(0.5, abs=1e-12)
 
     def test_before_start(self):
         sig = sd.TransitionSignal(0.2)
-        assert sd.transition_value(sig, -1.0) == (0.0, 0.0)
+        assert float(sig.phi(-1.0)) == 0.0
+        assert float(sig.phi_dot(-1.0)) == 0.0
 
     def test_at_transition_end(self):
         sig = sd.TransitionSignal(0.2)
-        phi, dphi = sd.transition_value(sig, 0.2)
+        phi, dphi = float(sig.phi(0.2)), float(sig.phi_dot(0.2))
         assert phi == 1.0
         assert dphi == 0.0
         # left limit of the second derivative, extrapolated to h = 0 from
@@ -65,7 +65,7 @@ class TestTransition:
         h = 1e-3
         est = []
         for j in (1, 2, 3, 4):
-            _, dm = sd.transition_value(sig, 0.2 - j * h)
+            dm = float(sig.phi_dot(0.2 - j * h))
             est.append((dphi - dm) / (j * h))
         second = 4 * est[0] - 6 * est[1] + 4 * est[2] - est[3]
         assert abs(second) < 1e-6
@@ -73,10 +73,10 @@ class TestTransition:
     def test_monotone_with_bounded_slope(self):
         sig = sd.TransitionSignal(0.4)
         ts = np.linspace(-0.1, 0.6, 401)
-        vals = np.array([sd.transition_value(sig, t) for t in ts])
-        assert np.all(np.diff(vals[:, 0]) >= -1e-15)
-        assert np.all(vals[:, 1] >= 0.0)
-        assert vals[:, 1].max() == pytest.approx(15.0 / (8.0 * 0.4), rel=1e-4)
+        phi, dphi = sig.phi(ts), sig.phi_dot(ts)
+        assert np.all(np.diff(phi) >= -1e-15)
+        assert np.all(dphi >= 0.0)
+        assert dphi.max() == pytest.approx(15.0 / (8.0 * 0.4), rel=1e-4)
 
     def test_invalid_t0(self):
         with pytest.raises(InvalidParameterError):
@@ -202,18 +202,24 @@ class TestDesign:
             assert max(abs(achieved - des.desired_poles)) < 1e-6
 
 
+def window_integral(des, u_history, dt):
+    """Z(t) - Y(t) at the newest input row: the window weights of that row
+    summed against the newest rows of B u, newest first."""
+    w = _window_weights(np.diag(des.a_n0), des.delay, dt, len(u_history) - 1)
+    g = u_history[::-1][:len(w)] @ des.b_n0.T
+    return np.einsum("jn,jn->n", w, g)
+
+
 class TestArtsteinState:
     def test_zero_history_returns_state(self, design):
-        hist = np.zeros((201, 2))
-        y = np.array([0.3, -0.7])
-        np.testing.assert_allclose(
-            sd.artstein_state(design, y, hist, 1e-3), y, atol=1e-15)
+        np.testing.assert_array_equal(
+            window_integral(design, np.zeros((201, 2)), 1e-3), np.zeros(2))
 
     def test_constant_input_integrator(self):
         des = scalar_design(a=0.0, b=1.0, k=0.0, delay=0.1)
         hist = np.full((201, 1), 2.5)
-        z = sd.artstein_state(des, np.array([1.0]), hist, 1e-3)
-        assert z[0].real == pytest.approx(1.0 + 2.5 * 0.1, rel=1e-10)
+        z = window_integral(des, hist, 1e-3)
+        assert z[0].real == pytest.approx(2.5 * 0.1, rel=1e-10)
 
     def test_constant_input_closed_form(self):
         a, c, D = 1.5, 0.8, 0.1
@@ -221,7 +227,7 @@ class TestArtsteinState:
         dt = 2.5e-4
         n = int(round(0.2 / dt))
         hist = np.full((n + 1, 1), c)
-        z = sd.artstein_state(des, np.array([0.0]), hist, dt)
+        z = window_integral(des, hist, dt)
         exact = c * np.exp(-a * D) * (np.exp(a * D) - 1.0) / a
         assert z[0].real == pytest.approx(exact, abs=1e-8)
 
@@ -231,7 +237,7 @@ class TestArtsteinState:
         des = scalar_design(a=0.0, b=1.0, k=0.0, delay=0.101)
         dt = 2.5e-3
         tt = np.arange(121) * dt
-        z = sd.artstein_state(des, np.array([0.0]), tt[:, None], dt)
+        z = window_integral(des, tt[:, None], dt)
         t = tt[-1]
         exact = (t ** 2 - (t - 0.101) ** 2) / 2.0
         assert z[0].real == pytest.approx(exact, rel=1e-12)
@@ -240,7 +246,7 @@ class TestArtsteinState:
         # a window reaching back past t = 0 integrates the input from 0 on
         des = scalar_design(a=0.0, b=1.0, k=0.0, delay=0.1)
         hist = np.full((41, 1), 2.0)
-        z = sd.artstein_state(des, np.array([0.0]), hist, 1e-3)
+        z = window_integral(des, hist, 1e-3)
         assert z[0].real == pytest.approx(2.0 * 0.04, rel=1e-12)
 
     def test_lag_before_origin_reads_zeros(self):
@@ -252,33 +258,37 @@ class TestArtsteinState:
         np.testing.assert_array_equal(_lagged(hist, np.array([40]), 40.25),
                                       [0.75 * hist[0]])
 
-    def test_input_width_checked(self, design):
-        with pytest.raises(InvalidParameterError, match="columns"):
-            sd.artstein_state(design, np.zeros(2), np.zeros((5, 3)), 1e-3)
-
     def test_zero_delay_identity(self):
         des = scalar_design(a=1.0, b=1.0, k=0.4, delay=0.0)
-        y = np.array([2.0])
         np.testing.assert_array_equal(
-            sd.artstein_state(des, y, np.array([[5.0]]), 1e-3), y)
+            window_integral(des, np.array([[5.0]]), 1e-3), [0.0])
 
 
 class TestControlInput:
+    """The input u_i = phi_i K Z_i of the row solve."""
+
     def test_zero_ramp(self, design):
-        np.testing.assert_array_equal(
-            sd.control_input(design, 0.0, np.array([1.0, 2.0])), np.zeros(2))
+        y = np.array([1.0, 2.0])
+        z, u = _RowSolver(design, 1e-3)(np.zeros((300, 2), dtype=complex),
+                                        200, y, 0.0)
+        np.testing.assert_array_equal(z, y)
+        np.testing.assert_array_equal(u, np.zeros(2))
 
     def test_zero_state(self, design):
-        np.testing.assert_array_equal(
-            sd.control_input(design, 1.0, np.zeros(2)), np.zeros(2))
+        z, u = _RowSolver(design, 1e-3)(np.zeros((300, 2), dtype=complex),
+                                        200, np.zeros(2), 1.0)
+        np.testing.assert_array_equal(z, np.zeros(2))
+        np.testing.assert_array_equal(u, np.zeros(2))
 
     def test_unit_state_gives_gain_column(self, design):
-        u = sd.control_input(design, 1.0, np.array([1.0, 0.0]))
-        np.testing.assert_allclose(u, design.gain[:, 0], atol=1e-15)
-
-    def test_ramp_range_enforced(self, design):
-        with pytest.raises(InvalidParameterError):
-            sd.control_input(design, 1.5, np.zeros(2))
+        # Y chosen so that the endpoint solve after the ramp returns Z = e1
+        e1 = np.array([1.0, 0.0])
+        w0 = _window_weights(np.diag(design.a_n0), design.delay, 1e-3)[0]
+        y = e1 - w0 * (design.b_n0 @ design.gain[:, 0])
+        z, u = _RowSolver(design, 1e-3)(np.zeros((300, 2), dtype=complex),
+                                        200, y, 1.0)
+        np.testing.assert_allclose(z, e1, atol=1e-12)
+        np.testing.assert_allclose(u, design.gain[:, 0], atol=1e-12)
 
 
 class TestInversion:

@@ -9,7 +9,7 @@ import pytest
 import sdcontrol as sd
 from sdcontrol.errors import (InsufficientDataError, InvalidParameterError,
                               SimulationDivergedError)
-from sdcontrol.simulate import _assert_real
+from sdcontrol.simulate import _assert_real, _drift
 
 from conftest import COUPLINGS, synthetic_system
 
@@ -73,30 +73,35 @@ class TestCaseStudyData:
     def test_decoupled_fields_are_inert(self):
         fz = sd.decoupled_fields(4, a1=2.0, domain_length=3.0)
         assert fz.n_modes == 4
-        assert sd.coupling_f1(fz, 1.5, np.ones(4), 2.0) == pytest.approx(-3.0)
-        assert np.all(sd.coupling_f2(fz, 1.5, np.ones(4), 2.0) == 0.0)
+        f1, f2 = _drift(fz, 1.5, np.ones(4), 2.0)
+        assert f1 == pytest.approx(-3.0)
+        assert np.all(f2 == 0.0)
 
 
 class TestCouplings:
+    """The drift f1 of the scalar subsystem and the modal disturbance f2."""
+
     def test_f1_pure_decay(self, fields):
-        assert sd.coupling_f1(fields, 1.0, np.zeros(10), 0.0) == \
-            pytest.approx(-1.5, rel=1e-15)
+        f1, _ = _drift(fields, 1.0, np.zeros(10), 0.0)
+        assert f1 == pytest.approx(-1.5, rel=1e-15)
 
     def test_f1_sensing_term(self, fields):
         # X = eta1 makes the inner product the squared profile norm ~ 1
-        val = sd.coupling_f1(fields, 0.0, fields.eta1, 0.0)
-        assert val == pytest.approx(0.5 / L, rel=1e-2)
+        f1, _ = _drift(fields, 0.0, fields.eta1, 0.0)
+        assert f1 == pytest.approx(0.5 / L, rel=1e-2)
 
     def test_f1_exogenous_term(self, fields):
-        assert sd.coupling_f1(fields, 0.0, np.zeros(10), 1.0) == \
-            pytest.approx(0.2, rel=1e-15)
+        f1, _ = _drift(fields, 0.0, np.zeros(10), 1.0)
+        assert f1 == pytest.approx(0.2, rel=1e-15)
 
     def test_f2_vanishes_at_origin(self, fields):
-        assert np.all(sd.coupling_f2(fields, 0.0, np.zeros(10), 0.0) == 0.0)
+        _, f2 = _drift(fields, 0.0, np.zeros(10), 0.0)
+        assert np.all(f2 == 0.0)
 
     def test_f2_scalar_injection(self, fields):
-        out = sd.coupling_f2(fields, 1.3, np.zeros(10), 0.0)
-        np.testing.assert_allclose(out, 0.7 * 1.3 * fields.theta1, rtol=1e-14)
+        _, f2 = _drift(fields, 1.3, np.zeros(10), 0.0)
+        np.testing.assert_allclose(_assert_real(f2, "f2"),
+                                   0.7 * 1.3 * fields.theta1, rtol=1e-14)
 
     def test_f2_growth_bound(self, fields):
         # ||d|| <= d1 |x| + d2 ||X|| + d3 |v| with the published constants
@@ -106,15 +111,16 @@ class TestCouplings:
             x = rng.uniform(-20.0, 20.0)
             coeffs = rng.uniform(-15.0, 15.0, size=10)
             v = rng.uniform(-4.0, 4.0)
-            d = sd.coupling_f2(fields, x, coeffs, v)
+            d = _assert_real(_drift(fields, x, coeffs, v)[1], "f2")
             bound = (cc.d1 * abs(x) + cc.d2 * np.linalg.norm(coeffs)
                      + cc.d3 * abs(v))
             assert np.linalg.norm(d) <= bound + 1e-12
 
     def test_complex_output_rejected(self):
         fz = sd.decoupled_fields(2)
+        f1, _ = _drift(fz, 1.0 + 2.0j, np.zeros(2), 0.0)
         with pytest.raises(InvalidParameterError, match="imaginary"):
-            sd.coupling_f1(fz, 1.0 + 2.0j, np.zeros(2), 0.0)
+            _assert_real(f1, "f1")
 
     def test_batched_check_scales_each_row(self):
         # the recorded coupling terms are checked as one array, row by row:
@@ -154,6 +160,21 @@ class TestStep:
                        1.0, np.zeros(1, dtype=complex), lambda t: 0.0)
         assert x.real == pytest.approx(math.exp(-1.5e-3), abs=1e-12)
         assert x.imag == 0.0
+
+    def test_field_width_checked(self, heat_sys, design, fields):
+        with pytest.raises(InvalidParameterError, match="fields cover 10"):
+            sd.step(heat_sys, design, fields, np.zeros((201, 2)), 1e-3,
+                    0.0, np.zeros(4), sd.case_study_disturbance)
+
+    def test_coefficient_length_checked(self, heat_sys, design):
+        with pytest.raises(InvalidParameterError, match="coeffs length"):
+            sd.step(heat_sys, design, None, np.zeros((201, 2)), 1e-3,
+                    0.0, np.zeros(11), sd.case_study_disturbance)
+
+    def test_input_width_checked(self, heat_sys, design, fields):
+        with pytest.raises(InvalidParameterError, match="u_history"):
+            sd.step(heat_sys, design, fields, np.zeros((201, 3)), 1e-3,
+                    0.0, np.zeros(10), sd.case_study_disturbance)
 
 
 class TestSimulate:
