@@ -282,51 +282,64 @@ def nelder_mead(f: Callable[[np.ndarray], float], x0: np.ndarray,
     coordinate (relative to max(1, |coordinate|)) or at the iteration cap,
     returning the best vertex either way.  Fully deterministic.
     """
-    x0 = np.asarray(x0, dtype=float)
-    n = x0.size
-    simplex = [x0.copy()]
+    # the simplex is a list of vertices, each a list of floats: on the
+    # search's 3 weights numpy's per-call overhead would cost more than the
+    # objective.  Every operation keeps the arithmetic order of the array
+    # form (the centroid adds the vertices in turn, then divides by n), so
+    # the iterates are the same bits.
+    x0 = np.asarray(x0, dtype=float).tolist()
+    n = len(x0)
+    simplex = [x0]
     for i in range(n):
-        v = x0.copy()
+        v = list(x0)
         v[i] = v[i] * (1.0 + step) if v[i] != 0.0 else step
         simplex.append(v)
-    simplex = np.array(simplex)
-    fvals = np.array([f(v) for v in simplex])
 
+    def at(v: list) -> float:
+        return float(f(np.array(v)))
+
+    fvals = [at(v) for v in simplex]
     for _ in range(max_iter):
-        order = np.argsort(fvals, kind="stable")
-        simplex, fvals = simplex[order], fvals[order]
+        order = sorted(range(n + 1), key=fvals.__getitem__)
+        simplex, fvals = [simplex[j] for j in order], [fvals[j] for j in order]
         best = simplex[0]
-        spread = np.abs(simplex - best) / np.maximum(1.0, np.abs(best))
-        if float(spread.max()) < rel_tol:
+        scale = [max(1.0, abs(b)) for b in best]
+        spread = max(abs(c - b) / s for v in simplex
+                     for c, b, s in zip(v, best, scale))
+        if spread < rel_tol:
             break
-        centroid = simplex[:-1].mean(axis=0)
+        centroid = simplex[0]
+        for v in simplex[1:-1]:
+            centroid = [c + d for c, d in zip(centroid, v)]
+        centroid = [c / n for c in centroid]
         worst, f_worst = simplex[-1], fvals[-1]
-        xr = centroid + (centroid - worst)
-        fr = f(xr)
+        xr = [c + (c - w) for c, w in zip(centroid, worst)]
+        fr = at(xr)
         if fr < fvals[0]:
-            xe = centroid + 2.0 * (centroid - worst)
-            fe = f(xe)
+            xe = [c + 2.0 * (c - w) for c, w in zip(centroid, worst)]
+            fe = at(xe)
             simplex[-1], fvals[-1] = (xe, fe) if fe < fr else (xr, fr)
         elif fr < fvals[-2]:
             simplex[-1], fvals[-1] = xr, fr
         else:
             if fr < f_worst:
-                xc = centroid + 0.5 * (xr - centroid)
-                fc = f(xc)
+                xc = [c + 0.5 * (r - c) for c, r in zip(centroid, xr)]
+                fc = at(xc)
                 if fc <= fr:
                     simplex[-1], fvals[-1] = xc, fc
                     continue
             else:
-                xc = centroid - 0.5 * (centroid - worst)
-                fc = f(xc)
+                xc = [c - 0.5 * (c - w) for c, w in zip(centroid, worst)]
+                fc = at(xc)
                 if fc < f_worst:
                     simplex[-1], fvals[-1] = xc, fc
                     continue
-            simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
-            fvals[1:] = [f(v) for v in simplex[1:]]
+            simplex[1:] = [[b + 0.5 * (c - b) for b, c in zip(best, v)]
+                           for v in simplex[1:]]
+            fvals[1:] = [at(v) for v in simplex[1:]]
 
-    i_best = int(np.argmin(fvals))
-    return simplex[i_best], float(fvals[i_best])
+    i_best = min(range(n + 1), key=fvals.__getitem__)
+    return np.array(simplex[i_best]), fvals[i_best]
 
 
 _BETA_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)

@@ -297,7 +297,8 @@ def _write_simulation(cfg: RunConfig, out_dir: Path, traj, bundle) -> None:
 def cmd_simulate(cfg: RunConfig, out_dir: Path, no_disturbance: bool = False,
                  open_loop: bool = False) -> int:
     sys_ = _build_system(cfg)
-    _check_rk4_stability(sys_, cfg.simulation.n_modes, cfg.simulation.dt)
+    _check_rk4_stability(sys_, cfg.simulation.n_modes, cfg.simulation.dt,
+                         cfg.coupling.a1)
     check_truncation(sys_, cfg.truncation.n0)
     design = _make_design(cfg, sys_, open_loop=open_loop)
     bundle = None if open_loop else _make_bundle(cfg, sys_, design)

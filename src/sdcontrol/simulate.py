@@ -13,9 +13,15 @@ arrays indexed by step (row i at time i dt, zero before t = 0); delayed
 inputs at the stage times are fixed 2-point interpolations of that history,
 and each new input sample comes from the small implicit system produced by
 the trapezoid endpoint of the predictor integral, whose other weights are
-constant on the grid.  The step loop does only the RK4 update, its
-finiteness check and that row solve; the recorded norms and V are computed
-after it, vectorized over blocks of recorded rows.
+constant on the grid.
+
+The drift is linear in the state apart from one scalar arctan, so an RK4
+step is linear in its inputs (state, delayed-input rows, v at the stage
+times) and in the four stage arctans.  Those maps are built once per run
+(`_RK4Step`); a step is then two small matrix-vector products and four
+scalar arctans.  The step loop does only that update, its finiteness check
+and the row solve; the recorded norms and V are computed after it,
+vectorized over blocks of recorded rows.
 """
 
 from __future__ import annotations
@@ -33,8 +39,7 @@ from .errors import (
     InvalidParameterError,
     SimulationDivergedError,
 )
-from .predictor import (PredictorDesign, _interpolate, _lagged, _RowSolver,
-                        _split_steps)
+from .predictor import PredictorDesign, _lagged, _RowSolver, _split_steps
 from .spectral import SpectralSystem, project_profile
 
 __all__ = [
@@ -216,53 +221,110 @@ def _assert_real(value, what: str, axis: int | None = None):
 
 
 class _RK4Step:
-    """Classical RK4 step of the coupled (x, modal) state, set up per run.
+    """RK4 step of the coupled state s = (x, c_1..c_n), set up once per run.
+
+    The drift is s' = M s + arctan(e . s) t2 + F(t): M holds -a1, the
+    sensing row, a2 theta1 and the eigenvalues, e = (0, (d2/L) eta2),
+    t2 = (0, b2 theta2), and F = (c1 v, B u(t - D) + c2 v theta3).  One step
+    is therefore linear in the step inputs X = (s, the B u history rows the
+    three stage lags read, v at the three stage times) and in the four
+    stage values a_k = arctan(e . s_k).  Running the four-stage recursion
+    once on matrices gives
+
+        s_new = R X + G a,   e . s_k = E_k X + sum_{j < k} T_kj a_j,
+
+    so a step is one E X, four scalar arctans in sequence and one
+    [R G] (X, a).  A plant-only run has no arctans and no v: s_new = R X.
 
     The delayed inputs at the stage times t - D, t - D + dt/2 and t - D + dt
-    are read at three fixed lags (a row offset and a fraction) from a B u
-    history that starts with `pad` zero rows: row k of the history sits at
-    index pad + k.  The exogenous input v is evaluated at the stage times.
+    are fixed 2-point interpolations (folded into R and E) of a B u history
+    that starts with `pad` zero rows: row k of the history sits at index
+    pad + k.  The state lives in `state`, a view of the work vector
+    (X, a); load it before the first step.
     """
 
     def __init__(self, sys: SpectralSystem, design: PredictorDesign,
                  fields: CouplingFields | None, n: int, dt: float,
                  v_fn: Callable[[float], float]):
-        self.lam = sys.eigenvalues[:n]
         self.bmat = sys.input_coeffs[:n]
-        self.fields, self.dt, self.v_fn = fields, dt, v_fn
+        self.dt, self.v_fn = dt, v_fn
+        self.coupled = fields is not None
         lags = [_split_steps(design.delay / dt - lead)
                 for lead in (0.0, 0.5, 1.0)]
         self.pad = lags[0][0] + 1
-        self.lags = tuple((self.pad - q, f) for q, f in lags)
+        # a lag (k, f) reads f bu[r + k - 1] + (1 - f) bu[r + k]; the step
+        # reads the history rows r + lo .. r + hi - 1
+        lags = [(self.pad - q, f) for q, f in lags]
+        self.lo = min(k - (f > 0) for k, f in lags)
+        self.hi = max(k for k, _ in lags) + 1
+        dim, n_hist = n + 1, (self.hi - self.lo) * n
+        n_x = dim + n_hist + (3 if self.coupled else 0)
+        width = n_x + (4 if self.coupled else 0)
 
-    def __call__(self, bu: np.ndarray, r: int, x: complex,
-                 coeffs: np.ndarray) -> tuple[complex, np.ndarray]:
-        """Step from row r of the padded history bu to row r + 1."""
-        dt, lam, fields = self.dt, self.lam, self.fields
-        bu0, bu_half, bu1 = (_interpolate(bu, r + k, f) for k, f in self.lags)
-        t = r * dt
-        if fields is None:
-            v0 = v_half = v1 = 0.0
+        mat = np.zeros((dim, dim), dtype=complex)
+        mat[1:, 1:] = np.diag(sys.eigenvalues[:n])
+        e_row = t2 = cv = np.zeros(dim, dtype=complex)
+        if self.coupled:
+            ell = fields.domain_length
+            mat[0, 0] = -fields.a1
+            mat[0, 1:] = fields.b1 / ell * fields.eta1
+            mat[1:, 0] = fields.a2 * fields.theta1
+            e_row = np.concatenate([[0.0], fields.d2 / ell * fields.eta2])
+            t2 = np.concatenate([[0.0], fields.b2 * fields.theta2])
+            cv = np.concatenate([[fields.c1], fields.c2 * fields.theta3])
 
-            def deriv(v, bu_, x_, c_):
-                return 0j, lam * c_ + bu_
-        else:
-            v0, v_half, v1 = (self.v_fn(t), self.v_fn(t + dt / 2),
-                              self.v_fn(t + dt))
+        # the four stages on matrices, as maps of (X, a): s_k, its arctan
+        # argument e . s_k and the slope k_k = M s_k + F_j + a_k t2, where
+        # F_j is B u and v at stage lag j (0, 1, 1, 2); acc sums
+        # k1 + 2 k2 + 2 k3 + k4
+        s1 = np.eye(dim, width, dtype=complex)
+        acc = np.zeros_like(s1)
+        modes = np.arange(1, dim)
+        args = []
+        for stage, (h, j, weight) in enumerate(
+                ((0.0, 0, 1.0), (dt / 2, 1, 2.0), (dt / 2, 1, 2.0),
+                 (dt, 2, 1.0))):
+            s_k = s1 + h * k_k if stage else s1
+            args.append(e_row @ s_k)
+            k_k = mat @ s_k
+            k, f = lags[j]
+            col = dim + (k - self.lo) * n + modes - 1
+            k_k[modes, col] += 1.0 - f
+            if f:
+                k_k[modes, col - n] += f
+            if self.coupled:
+                k_k[:, dim + n_hist + j] += cv
+                k_k[:, n_x + stage] += t2
+            acc += weight * k_k
+        self.op = s1 + dt / 6 * acc
+        # the arctan arguments: E on X, and T (strictly lower) on a
+        args = np.array(args)
+        self.e_op = np.ascontiguousarray(args[:, :n_x])
+        self.tri = tuple(args[:, n_x:][np.tril_indices(4, -1)].tolist()) \
+            if self.coupled else ()
 
-            def deriv(v, bu_, x_, c_):
-                f1, f2 = _drift(fields, x_, c_, v)
-                return f1, lam * c_ + bu_ + f2
+        self.work = np.zeros(width, dtype=complex)
+        self.state = self.work[:dim]
+        self.inputs = self.work[:n_x]
+        self.hist = self.work[dim:dim + n_hist]
+        self.v = self.work[dim + n_hist:n_x]
+        self.a = self.work[n_x:]
 
-        kx1, kc1 = deriv(v0, bu0, x, coeffs)
-        kx2, kc2 = deriv(v_half, bu_half, x + dt / 2 * kx1,
-                         coeffs + dt / 2 * kc1)
-        kx3, kc3 = deriv(v_half, bu_half, x + dt / 2 * kx2,
-                         coeffs + dt / 2 * kc2)
-        kx4, kc4 = deriv(v1, bu1, x + dt * kx3, coeffs + dt * kc3)
-        x_new = x + dt / 6 * (kx1 + 2 * kx2 + 2 * kx3 + kx4)
-        c_new = coeffs + dt / 6 * (kc1 + 2 * kc2 + 2 * kc3 + kc4)
-        return x_new, c_new
+    def __call__(self, bu: np.ndarray, r: int) -> None:
+        """Step `state` from row r of the padded history bu to row r + 1."""
+        self.hist[:] = bu[r + self.lo:r + self.hi].ravel()
+        if self.coupled:
+            dt, v_fn = self.dt, self.v_fn
+            t = r * dt
+            self.v[:] = (v_fn(t), v_fn(t + dt / 2), v_fn(t + dt))
+            g0, g1, g2, g3 = (self.e_op @ self.inputs).tolist()
+            t10, t20, t21, t30, t31, t32 = self.tri
+            a0 = cmath.atan(g0)
+            a1 = cmath.atan(g1 + t10 * a0)
+            a2 = cmath.atan(g2 + t20 * a0 + t21 * a1)
+            self.a[:] = (a0, a1, a2,
+                         cmath.atan(g3 + t30 * a0 + t31 * a1 + t32 * a2))
+        self.state[:] = self.op @ self.work
 
 
 def step(sys: SpectralSystem, design: PredictorDesign,
@@ -297,7 +359,9 @@ def step(sys: SpectralSystem, design: PredictorDesign,
     first = max(r - rk4.pad, 0)  # the oldest row a lag reaches
     bu = np.zeros((rk4.pad + r + 1, n), dtype=complex)
     bu[rk4.pad + first:] = np.asarray(u[first:], dtype=complex) @ rk4.bmat.T
-    return rk4(bu, r, complex(x), coeffs)
+    rk4.state[0], rk4.state[1:] = x, coeffs
+    rk4(bu, r)
+    return complex(rk4.state[0]), rk4.state[1:].copy()
 
 
 @dataclass(frozen=True)
@@ -327,16 +391,22 @@ class Trajectory:
         return int(self.t.size)
 
 
-def _check_rk4_stability(sys: SpectralSystem, n_modes: int, dt: float) -> None:
+def _check_rk4_stability(sys: SpectralSystem, n_modes: int, dt: float,
+                         a1: float | None = None) -> None:
     # RK4 amplification 1 + z + z^2/2 + z^3/6 + z^4/24 at z = dt lam; a
-    # decaying mode must not be amplified (on the real axis dt |lam| < 2.785)
-    z_rk = dt * sys.eigenvalues[:n_modes]
+    # decaying rate must not be amplified (on the real axis dt |lam| < 2.785).
+    # The rates are the simulated modes' and, with an interconnection
+    # (a1 given), the scalar subsystem's -a1.
+    rates = sys.eigenvalues[:n_modes]
+    if a1 is not None:
+        rates = np.append(rates, -a1)
+    z_rk = dt * rates
     z_rk = z_rk[z_rk.real < 0]
     amp = np.abs(1 + z_rk * (1 + z_rk / 2 * (1 + z_rk / 3 * (1 + z_rk / 4))))
     if amp.size and float(amp.max()) >= 1.0:
         worst = complex(z_rk[int(np.argmax(amp))])
         raise InvalidParameterError(
-            f"dt = {dt} is outside the RK4 stability region: the mode with "
+            f"dt = {dt} is outside the RK4 stability region: the rate with "
             f"dt lambda = {worst:.6g} is amplified by {float(amp.max()):.6g} "
             f"per step")
 
@@ -380,7 +450,7 @@ def simulate(config: SimConfig, sys: SpectralSystem, design: PredictorDesign,
             "certificate recording needs a design with a Lyapunov matrix")
 
     dt = config.dt
-    _check_rk4_stability(sys, n, dt)
+    _check_rk4_stability(sys, n, dt, None if fields is None else fields.a1)
 
     delay = design.delay
     n0 = design.n0
@@ -407,20 +477,24 @@ def simulate(config: SimConfig, sys: SpectralSystem, design: PredictorDesign,
     g = bu[rk4.pad:, :n0]
     phi = design.transition.phi(np.arange(n_steps + 1) * dt)
 
+    # the stepper holds the state (x, c_1..c_n); these are views of it
+    state = rk4.state
+    modes, retained = state[1:], state[1:n0 + 1]
+    state[0], modes[:] = x, coeffs
     k = 0
     if n_steps > 0:
-        z_hist[0] = coeffs[:n0]
+        z_hist[0] = retained
         x_rec[0], c_rec[0] = x, coeffs
         k = 1
     for i in range(1, n_steps + 1):
-        x, coeffs = rk4(bu, i - 1, x, coeffs)
-        if not (cmath.isfinite(x) and np.isfinite(coeffs.view(float)).all()):
+        rk4(bu, i - 1)
+        if not np.isfinite(state).all():
             raise SimulationDivergedError(
                 f"state became non-finite at t = {i * dt:.6g}")
-        z_hist[i], u_hist[i] = solve_row(g, i, coeffs[:n0], phi[i])
+        z_hist[i], u_hist[i] = solve_row(g, i, retained, phi[i])
         bu[rk4.pad + i] = rk4.bmat @ u_hist[i]
         if k < rows.size and rows[k] == i:
-            x_rec[k], c_rec[k] = x, coeffs
+            x_rec[k], c_rec[k] = state[0], modes
             k += 1
 
     # only the step-indexed histories and the recorded states are read now

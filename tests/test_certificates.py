@@ -413,6 +413,31 @@ class TestSearchInvariants:
                                       b.gamma2)
         assert b == direct  # every field equal, not only close
 
+    def test_case_study_search_pinned_bitwise(self, heat_sys, design,
+                                              monkeypatch):
+        # the case-study base, frozen so that no LAPACK result enters: from
+        # it on, the search is IEEE arithmetic and sqrt only, so the bundle
+        # is the same bits on every platform.  A change to the simplex
+        # arithmetic (order of operations included) moves these bits.
+        base = certificates._BaseConstants(*map(float.fromhex, (
+            "0x1.1800000000000p+3", "0x1.1aaed42ec0e38p-3",
+            "0x1.aeb141eb1cbf9p-3", "0x1.7ad6b370abd38p+4",
+            "0x1.417a866056c74p+3", "0x1.0ec6f20e07b6cp+7")))
+        monkeypatch.setattr(certificates, "_base_constants",
+                            lambda *args: base)
+        b = sd.optimize_parameters(heat_sys, design)
+        assert (heat_sys.riesz_lower, heat_sys.riesz_upper,
+                design.delay) == (1.0, 1.0, 0.1)
+        pinned = {
+            "beta": "0x1.906878481a206p-2",
+            "gamma1": "0x1.232239ed6069ap+6",
+            "gamma2": "0x1.5ebea31c387bdp+9",
+            "kappa0": "0x1.fa5f44a5baabcp-1",
+            "C6": "0x1.7824af9176774p+6",
+            "small_gain_constant": "0x1.b58f5fd72924cp+3",
+        }
+        assert {k: getattr(b, k).hex() for k in pinned} == pinned
+
 
 class TestCouplingConstants:
     def test_case_study_values(self):

@@ -241,6 +241,21 @@ class TestSimulate:
         assert "RK4 stability region" in caplog.text
         assert not (out / "trajectory.csv").exists()
 
+    def test_rk4_unstable_scalar_rate_rejected_before_synthesis(
+            self, tmp_path, caplog, monkeypatch):
+        # dt a1 = 3 puts the scalar subsystem outside the RK4 region; the
+        # run used to overflow and exit 5 after the weight search
+        def no_search(*args, **kwargs):
+            raise AssertionError("the weight search ran")
+
+        monkeypatch.setattr(cli, "optimize_parameters", no_search)
+        text = ini_with(coupling={"a1": 3000.0}, simulation={"T_end": 2.0})
+        with caplog.at_level(logging.ERROR):
+            code, out = run_cli(tmp_path, "simulate", text=text)
+        assert code == 1
+        assert "RK4 stability region" in caplog.text
+        assert not (out / "trajectory.csv").exists()
+
 
 class TestCaseStudyCommand:
     def test_full_pipeline(self, tmp_path):

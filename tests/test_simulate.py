@@ -11,7 +11,7 @@ from sdcontrol.errors import (InsufficientDataError, InvalidParameterError,
                               SimulationDivergedError)
 from sdcontrol.simulate import _assert_real, _drift
 
-from conftest import COUPLINGS, synthetic_system
+from conftest import COUPLINGS, closed_loop_ode, synthetic_system
 
 L = 2 * np.pi
 
@@ -136,7 +136,83 @@ class TestCouplings:
                                       small.real)
 
 
+def textbook_rk4(sys_, delay, fields, u_history, dt, x, coeffs, v_fn):
+    """Four-stage RK4 over _drift plus the delayed B u, written out.
+
+    The delayed input is read from u_history (row j at time j dt, zero
+    before t = 0) by its own linear interpolation at each stage time.
+    """
+    n = coeffs.size
+    lam, b = sys_.eigenvalues[:n], sys_.input_coeffs[:n]
+    t = (len(u_history) - 1) * dt
+
+    def bu_at(s):
+        k = s / dt
+        if k < -1e-9:
+            return np.zeros(n, dtype=complex)
+        j = math.floor(k + 1e-9)
+        f = k - j
+        u = u_history[j] if f <= 1e-9 else \
+            (1.0 - f) * u_history[j] + f * u_history[j + 1]
+        return b @ u
+
+    def deriv(tau, x_, c_):
+        dc = lam * c_ + bu_at(tau - delay)
+        if fields is None:
+            return 0.0, dc
+        f1, f2 = _drift(fields, x_, c_, v_fn(tau))
+        return f1, dc + f2
+
+    kx1, kc1 = deriv(t, x, coeffs)
+    kx2, kc2 = deriv(t + dt / 2, x + dt / 2 * kx1, coeffs + dt / 2 * kc1)
+    kx3, kc3 = deriv(t + dt / 2, x + dt / 2 * kx2, coeffs + dt / 2 * kc2)
+    kx4, kc4 = deriv(t + dt, x + dt * kx3, coeffs + dt * kc3)
+    return (x + dt / 6 * (kx1 + 2 * kx2 + 2 * kx3 + kx4),
+            coeffs + dt / 6 * (kc1 + 2 * kc2 + 2 * kc3 + kc4))
+
+
+def assert_step_matches_textbook(sys_, design, fields, u_history, x, coeffs):
+    """step agrees with textbook_rk4 to 1e-13 of the new state's size;
+    returns the reference coefficients."""
+    args = (fields, u_history, 1e-3, x, coeffs, sd.case_study_disturbance)
+    x_ref, c_ref = textbook_rk4(sys_, design.delay, *args)
+    x_new, c_new = sd.step(sys_, design, *args)
+    scale = max(abs(x_ref), np.abs(c_ref).max())
+    assert abs(x_new - x_ref) <= 1e-13 * scale
+    assert np.abs(c_new - c_ref).max() <= 1e-13 * scale
+    return c_ref
+
+
 class TestStep:
+    @pytest.mark.parametrize("delay,coupled,rows", [
+        (0.1, True, 301), (0.1, True, 51), (0.1237, True, 301),
+        (0.1237, True, 90), (0.1, False, 301), (0.1237, False, 301)])
+    def test_matches_textbook_rk4(self, heat_sys, fields, x0_coeffs, delay,
+                                  coupled, rows):
+        # the case-study state after a nonzero input history; rows = 51 and
+        # 90 put the stage lags in the zero history before t = 0
+        rng = np.random.default_rng(rows)
+        des = sd.zero_gain_design(heat_sys, 2, delay, 0.2)
+        hist = rng.normal(size=(rows, heat_sys.input_dim))
+        coeffs = x0_coeffs + 0.1 * rng.normal(size=10)
+        assert_step_matches_textbook(heat_sys, des, fields if coupled else None,
+                                     hist, -1.7, coeffs)
+
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_complex_pair_matches_textbook_rk4(self, coupled):
+        # a complex-conjugate eigenvalue pair; with random coupling profiles
+        # the arctan arguments are complex
+        rng = np.random.default_rng(7)
+        sys_ = synthetic_system([0.5 + 2j, 0.5 - 2j, -3.0, -6.0])
+        des = sd.zero_gain_design(sys_, 2, 0.1237, 0.2)
+        prof = rng.normal(size=(5, 4))
+        f = sd.CouplingFields(1.5, 0.5, 0.2, 0.7, 0.55, 10.0, 0.45, 1.0,
+                              *prof) if coupled else None
+        hist = rng.normal(size=(301, 1))
+        coeffs = rng.normal(size=4) + 1j * rng.normal(size=4)
+        c_ref = assert_step_matches_textbook(sys_, des, f, hist, 0.8, coeffs)
+        assert np.abs(c_ref.imag).max() > 0.1
+
     def test_single_mode_exponential(self):
         sys_ = synthetic_system([-1.0])
         des = sd.zero_gain_design(sys_, n0=1, delay=0.1, t0=0.2)
@@ -341,6 +417,35 @@ class TestSimulate:
         sd.simulate(sd.SimConfig(dt=1e-3, t_end=0.01, n_modes=47,
                                  disturbance="none"),
                     sys48, des, None, x0=0.0, x0_coeffs=np.ones(47))
+
+    def test_rk4_limit_of_the_scalar_rate(self, heat_sys, design, x0_coeffs):
+        # dt a1 = 3 > 2.785: the scalar subsystem used to overflow and raise
+        # SimulationDivergedError at t = 1.118
+        cfg = sd.SimConfig(dt=1e-3, t_end=2.0, n_modes=10)
+        fast = sd.case_study_fields(heat_sys, 10, **{**COUPLINGS, "a1": 3000.0})
+        with pytest.raises(InvalidParameterError, match="RK4"):
+            sd.simulate(cfg, heat_sys, design, fast, x0=-2.0,
+                        x0_coeffs=x0_coeffs)
+        # dt a1 = 2.7 is inside the region
+        ok = sd.case_study_fields(heat_sys, 10, **{**COUPLINGS, "a1": 2700.0})
+        traj = sd.simulate(cfg, heat_sys, design, ok, x0=-2.0,
+                           x0_coeffs=x0_coeffs)
+        assert np.isfinite(traj.x).all() and abs(traj.x[-1]) < 1.0
+
+    def test_complex_plant_matches_closed_loop_ode(self):
+        # plant eigenvalues 0.5 +- 2i, -3, -6; closed-loop poles -2 +- i
+        sys_ = synthetic_system([0.5 + 2j, 0.5 - 2j, -3.0, -6.0])
+        des = sd.design_predictor(sys_, 2, 0.1, [-2 + 1j, -2 - 1j], 0.2)
+        y0 = np.array([0.3 - 0.4j, 0.3 + 0.4j])
+        cfg = sd.SimConfig(dt=1e-3, t_end=3.0, n_modes=2, disturbance="none")
+        traj = sd.simulate(cfg, sys_, des, None, x0=0.0, x0_coeffs=y0)
+        tt, ys, us = closed_loop_ode(des, y0, 3.0, 1e-3)
+        np.testing.assert_allclose(traj.t, tt, rtol=0.0, atol=1e-12)
+        # criterion 04's tolerance
+        assert np.abs(traj.coeffs - ys).max() < 1e-3
+        assert np.abs(traj.u - us).max() < 1e-3
+        assert np.abs(traj.coeffs.imag).max() > 0.1
+        assert np.abs(traj.coeffs[-1]).max() < 1e-2 * np.abs(y0).max()
 
     def test_unstable_plant_diverges(self):
         # an open-loop mode growing like exp(1000 t) overflows within the
