@@ -394,45 +394,96 @@ def _lagged(hist: np.ndarray, rows: np.ndarray, steps: float) -> np.ndarray:
     return _interpolate(padded, rows - lo - q, f)
 
 
+# the most rows one block solve takes; the block system's inverse grows
+# with the square of the count, and 32 measured faster than 16 or 64
+_SOLVE_ROWS = 32
+
+
 class _RowSolver:
-    """Predictor state and input at each row from the inputs before it.
+    """Predictor states and inputs of consecutive rows, solved in blocks.
 
     With w the window weights of row i (the constant table once the window
-    lies in t >= 0), Z_i = Y_i + sum_{j >= 1} w[j] g[i - j] + w[0] B u_i
-    with u_i = phi_i K Z_i is linear in the unknown endpoint, so each row
-    is one small solve of I - phi_i w[0] B K.  Built once per (design, dt):
-    it keeps the constant table oldest slot first, to meet the history in
-    its own order, its w[0] B K, and the inverse of I - w[0] B K, which
-    serves every row after the ramp (phi_i = 1).  Ramp rows and rows whose
-    window is cut at t = 0 are solved directly.
+    lies in t >= 0), Z_i = Y_i + sum_{j >= 1} w[j] g[i - j] + w[0] g[i]
+    with g = B u and u_i = phi_i K Z_i.  A call solves the rows
+    a + 1 .. a + b (b at most `rows`) from their Y and phi and the history
+    rows up to a, and writes each solved row's history row bmat u_i; the
+    first n0 columns of the history are g.
+
+    Once phi = 1 and the window lies in t >= 0, the Z of consecutive rows
+    satisfy one block lower-triangular Toeplitz system: I - diag(w[0]) B K
+    on the diagonal, -diag(w[j]) B K at distance j below it, and Y plus the
+    window sum over the older rows on the right.  Built once per
+    (design, dt): the inverse of that system for `rows` rows, whose leading
+    principal sub-block is the inverse for fewer rows since the system is
+    lower triangular, and the (rows, window, n0) table of the older rows'
+    weights.  Such a run of rows is then one einsum, one matvec and
+    u = Z K^T.  A call solves every row up to its last ramp row or row with
+    a window cut at t = 0 on its own, from the small system
+    I - phi_i w[0] B K, and the rest as one run.
     """
 
-    def __init__(self, design: PredictorDesign, dt: float):
-        self.design, self.dt = design, dt
+    def __init__(self, design: PredictorDesign, dt: float, bmat: np.ndarray,
+                 rows: int):
+        self.design, self.dt, self.bmat = design, dt, bmat
         self.lam = np.diag(design.a_n0)
         self.eye = np.eye(design.n0)
         w = _window_weights(self.lam, design.delay, dt)
+        # oldest slot first, to meet the history in its own order
         self.past = w[:0:-1]
-        self.wbk = (w[0][:, None] * design.b_n0) @ design.gain
-        self.inv_full = np.linalg.inv(self.eye - self.wbk)
+        # diag(w[j]) B K at the lags j < rows that the window reaches
+        wbk = (w[:rows, :, None] * design.b_n0) @ design.gain
+        self.wbk = wbk[0]
+        system = np.eye(rows * design.n0, dtype=complex)
+        blocks = system.reshape(rows, design.n0, rows, design.n0)
+        for j in range(len(wbk)):
+            p = np.arange(j, rows)
+            blocks[p, :, p - j] -= wbk[j]
+        self.inv = np.linalg.inv(system)
+        # row p of a run weights the k-th of the len(past) rows before the
+        # run by past[k - p]; the rows k < p lie outside its window
+        n_past = len(self.past)
+        self.older = np.zeros((rows, n_past, design.n0), dtype=complex)
+        for p in range(min(rows, n_past)):
+            self.older[p, p:] = self.past[:n_past - p]
 
-    def __call__(self, g: np.ndarray, i: int, y: np.ndarray,
-                 phi_i: float) -> tuple[np.ndarray, np.ndarray]:
-        """(Z_i, u_i) from Y_i and g[:i], the rows' B u of retained modes."""
+    def __call__(self, hist: np.ndarray, a: int, y: np.ndarray,
+                 phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(Z, u) of the rows a + 1 .. a + len(y); writes their hist rows."""
+        n0, n_past = self.design.n0, len(self.past)
+        b = len(y)
+        z = np.empty((b, n0), dtype=complex)
+        u = np.empty((b, self.design.input_dim), dtype=complex)
+        alone = np.flatnonzero((phi != 1.0) | (np.arange(a + 1, a + 1 + b)
+                                               < n_past))
+        m = int(alone[-1]) + 1 if alone.size else 0
+        for p in range(m):
+            z[p], u[p] = self._row(hist, a + 1 + p, y[p], phi[p])
+        if m < b:
+            c, k = a + 1 + m, (b - m) * n0
+            rhs = y[m:] + np.einsum("pkn,kn->pn", self.older[:b - m],
+                                    hist[c - n_past:c, :n0])
+            z[m:] = (self.inv[:k, :k] @ rhs.ravel()).reshape(b - m, n0)
+            u[m:] = z[m:] @ self.design.gain.T
+            hist[c:a + 1 + b] = u[m:] @ self.bmat.T
+        return z, u
+
+    def _row(self, hist: np.ndarray, i: int, y: np.ndarray,
+             phi_i: float) -> tuple[np.ndarray, np.ndarray]:
+        """(Z_i, u_i) of one row from its own endpoint solve."""
         gain = self.design.gain
+        g = hist[:, :self.design.n0]
         n = len(self.past)
         if i >= n:
             rhs = y + np.einsum("jn,jn->n", self.past, g[i - n:i])
-            if phi_i == 1.0:
-                z = self.inv_full @ rhs
-                return z, gain @ z
             wbk = self.wbk
         else:
             w = _window_weights(self.lam, self.design.delay, self.dt, i)
             rhs = y + np.einsum("jn,jn->n", w[:0:-1], g[:i])
             wbk = (w[0][:, None] * self.design.b_n0) @ gain
         z = np.linalg.solve(self.eye - phi_i * wbk, rhs)
-        return z, phi_i * (gain @ z)
+        u = phi_i * (gain @ z)
+        hist[i] = self.bmat @ u
+        return z, u
 
 
 def invert_artstein(design: PredictorDesign, times: np.ndarray, y_path,
@@ -442,8 +493,8 @@ def invert_artstein(design: PredictorDesign, times: np.ndarray, y_path,
     Solves v(t) = phi(t) K [Y(t) + int exp((t-s-D)A) B v(s) ds] on the
     sample grid.  With the window's fixed trapezoid weights the discrete
     Volterra system is lower triangular, so one forward-substitution pass
-    solves it, row by row, with the endpoint solve the simulator makes.  A
-    window that starts before t = 0 is integrated from 0.
+    solves it, in blocks of rows, with the row solver the simulator uses.
+    A window that starts before t = 0 is integrated from 0.
 
     Args:
         design: the predictor design (supplies A, B, K, D).
@@ -478,10 +529,10 @@ def invert_artstein(design: PredictorDesign, times: np.ndarray, y_path,
     if phi_vals.shape == ():
         phi_vals = np.full(times.size, float(phi_vals))
 
-    solve_row = _RowSolver(design, dt)
+    solve = _RowSolver(design, dt, design.b_n0, _SOLVE_ROWS)
     g = np.zeros((times.size, design.n0), dtype=complex)
     v = np.zeros((times.size, design.input_dim), dtype=complex)
-    for i in range(times.size):
-        v[i] = solve_row(g, i, y[i], phi_vals[i])[1]
-        g[i] = design.b_n0 @ v[i]
+    for a in range(-1, times.size - 1, _SOLVE_ROWS):
+        block = slice(a + 1, a + 1 + _SOLVE_ROWS)
+        v[block] = solve(g, a, y[block], phi_vals[block])[1]
     return v

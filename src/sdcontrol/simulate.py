@@ -19,9 +19,13 @@ The drift is linear in the state apart from one scalar arctan, so an RK4
 step is linear in its inputs (state, delayed-input rows, v at the stage
 times) and in the four stage arctans.  Those maps are built once per run
 (`_RK4Step`); a step is then two small matrix-vector products and four
-scalar arctans.  The step loop does only that update, its finiteness check
-and the row solve; the recorded norms and V are computed after it,
-vectorized over blocks of recorded rows.
+scalar arctans.  The input that drives the plant, u(t - D), is fixed one
+delay ahead, so up to floor(D / dt) consecutive steps read no input row
+they reach themselves.  The loop therefore runs the steps in blocks of at
+most that many rows (and at most 32), then checks the block's states for
+finiteness once, records its rows and solves all of its predictor rows in
+one linear solve (`_RowSolver`).  The recorded norms and V are computed
+after the loop, vectorized over blocks of recorded rows.
 """
 
 from __future__ import annotations
@@ -39,7 +43,8 @@ from .errors import (
     InvalidParameterError,
     SimulationDivergedError,
 )
-from .predictor import PredictorDesign, _lagged, _RowSolver, _split_steps
+from .predictor import (PredictorDesign, _lagged, _RowSolver, _SOLVE_ROWS,
+                        _split_steps)
 from .spectral import SpectralSystem, project_profile
 
 __all__ = [
@@ -244,10 +249,8 @@ class _RK4Step:
     """
 
     def __init__(self, sys: SpectralSystem, design: PredictorDesign,
-                 fields: CouplingFields | None, n: int, dt: float,
-                 v_fn: Callable[[float], float]):
+                 fields: CouplingFields | None, n: int, dt: float):
         self.bmat = sys.input_coeffs[:n]
-        self.dt, self.v_fn = dt, v_fn
         self.coupled = fields is not None
         lags = [_split_steps(design.delay / dt - lead)
                 for lead in (0.0, 0.5, 1.0)]
@@ -257,6 +260,9 @@ class _RK4Step:
         lags = [(self.pad - q, f) for q, f in lags]
         self.lo = min(k - (f > 0) for k, f in lags)
         self.hi = max(k for k, _ in lags) + 1
+        # the step from row r reads no row after r + hi - 1 - pad, so the
+        # steps from rows a .. a + ahead - 1 read no row after a
+        self.ahead = self.pad - self.hi + 2
         dim, n_hist = n + 1, (self.hi - self.lo) * n
         n_x = dim + n_hist + (3 if self.coupled else 0)
         width = n_x + (4 if self.coupled else 0)
@@ -310,13 +316,14 @@ class _RK4Step:
         self.v = self.work[dim + n_hist:n_x]
         self.a = self.work[n_x:]
 
-    def __call__(self, bu: np.ndarray, r: int) -> None:
-        """Step `state` from row r of the padded history bu to row r + 1."""
+    def __call__(self, bu: np.ndarray, r: int, v=None) -> None:
+        """Step `state` from row r of the padded history bu to row r + 1.
+
+        A coupled step takes v at its three stage times in `v`.
+        """
         self.hist[:] = bu[r + self.lo:r + self.hi].ravel()
         if self.coupled:
-            dt, v_fn = self.dt, self.v_fn
-            t = r * dt
-            self.v[:] = (v_fn(t), v_fn(t + dt / 2), v_fn(t + dt))
+            self.v[:] = v
             g0, g1, g2, g3 = (self.e_op @ self.inputs).tolist()
             t10, t20, t21, t30, t31, t32 = self.tri
             a0 = cmath.atan(g0)
@@ -354,13 +361,15 @@ def step(sys: SpectralSystem, design: PredictorDesign,
     if u.shape[1] != sys.input_dim:
         raise InvalidParameterError(
             f"u_history must have {sys.input_dim} columns, got {u.shape[1]}")
-    rk4 = _RK4Step(sys, design, fields, n, dt, v_fn)
+    rk4 = _RK4Step(sys, design, fields, n, dt)
     r = len(u) - 1
     first = max(r - rk4.pad, 0)  # the oldest row a lag reaches
     bu = np.zeros((rk4.pad + r + 1, n), dtype=complex)
     bu[rk4.pad + first:] = np.asarray(u[first:], dtype=complex) @ rk4.bmat.T
     rk4.state[0], rk4.state[1:] = x, coeffs
-    rk4(bu, r)
+    t = r * dt
+    rk4(bu, r, (v_fn(t), v_fn(t + dt / 2), v_fn(t + dt)) if rk4.coupled
+        else None)
     return complex(rk4.state[0]), rk4.state[1:].copy()
 
 
@@ -420,6 +429,14 @@ def simulate(config: SimConfig, sys: SpectralSystem, design: PredictorDesign,
     rises from 0 to 1 there, and the plant first feels it at t = D: until
     then the delayed input reads the zero history before t = 0.
 
+    The steps run in blocks of min(floor(D / dt), 32) rows, none of which
+    reads an input row of its own block.  After a block's steps its states
+    are checked for finiteness, its recorded rows are copied, and its
+    predictor rows are solved together: after the ramp as one block
+    lower-triangular system, ramp rows and rows whose window reaches past
+    t = 0 one by one.  v is evaluated once per grid time and once per half
+    step.
+
     Args:
         fields: interconnection, or None for a plant-only run.
         x0: scalar subsystem initial value.
@@ -467,38 +484,56 @@ def simulate(config: SimConfig, sys: SpectralSystem, design: PredictorDesign,
     x_rec = np.zeros(rows.size, dtype=complex)
     c_rec = np.zeros((rows.size, n), dtype=complex)
 
-    # histories indexed by step; bu holds B u after the stepper's zero pad,
-    # and its retained columns feed the predictor window
-    rk4 = _RK4Step(sys, design, fields, n, dt, v_fn)
-    solve_row = _RowSolver(design, dt)
+    # histories indexed by step; bu holds B u after the stepper's zero pad.
+    # A block of steps reads no input row of its own, so it runs first and
+    # the rows it reaches are solved together after it
+    rk4 = _RK4Step(sys, design, fields, n, dt)
+    block = min(rk4.ahead, _SOLVE_ROWS)
+    solve = _RowSolver(design, dt, rk4.bmat, block)
     u_hist = np.zeros((n_steps + 1, sys.input_dim), dtype=complex)
     z_hist = np.zeros((n_steps + 1, n0), dtype=complex)
     bu = np.zeros((rk4.pad + n_steps + 1, n), dtype=complex)
-    g = bu[rk4.pad:, :n0]
     phi = design.transition.phi(np.arange(n_steps + 1) * dt)
+    # v once at each half-step time k dt / 2: the step from row r reads
+    # v_half[2 r:2 r + 3], and row i's own value is v_half[2 i]
+    v_half = None
+    if fields is not None:
+        v_half = np.fromiter(
+            (v_fn(k // 2 * dt + k % 2 * (dt / 2))
+             for k in range(2 * n_steps + 1)), float, 2 * n_steps + 1)
 
-    # the stepper holds the state (x, c_1..c_n); these are views of it
+    # the stepper holds the state (x, c_1..c_n); reached copies it per step
     state = rk4.state
-    modes, retained = state[1:], state[1:n0 + 1]
-    state[0], modes[:] = x, coeffs
+    state[0], state[1:] = x, coeffs
+    reached = np.zeros((block, n + 1), dtype=complex)
     k = 0
     if n_steps > 0:
-        z_hist[0] = retained
+        z_hist[0] = coeffs[:n0]
         x_rec[0], c_rec[0] = x, coeffs
         k = 1
-    for i in range(1, n_steps + 1):
-        rk4(bu, i - 1)
-        if not np.isfinite(state).all():
-            raise SimulationDivergedError(
-                f"state became non-finite at t = {i * dt:.6g}")
-        z_hist[i], u_hist[i] = solve_row(g, i, retained, phi[i])
-        bu[rk4.pad + i] = rk4.bmat @ u_hist[i]
-        if k < rows.size and rows[k] == i:
-            x_rec[k], c_rec[k] = state[0], modes
-            k += 1
+    # a diverging state overflows on its way to inf; the finiteness check,
+    # not numpy's warning, reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(0, n_steps, block):
+            end = min(a + block, n_steps)
+            for p, r in enumerate(range(a, end)):
+                rk4(bu, r, None if v_half is None
+                    else v_half[2 * r:2 * r + 3])
+                reached[p] = state
+            new = reached[:end - a]
+            if not np.isfinite(new).all():
+                bad = np.argmin(np.isfinite(new).all(axis=1))
+                raise SimulationDivergedError(
+                    f"state became non-finite at t = {(a + 1 + bad) * dt:.6g}")
+            z_hist[a + 1:end + 1], u_hist[a + 1:end + 1] = solve(
+                bu[rk4.pad:], a, new[:, 1:n0 + 1], phi[a + 1:end + 1])
+            k_end = int(np.searchsorted(rows, end, side="right"))
+            taken = new[rows[k:k_end] - a - 1]
+            x_rec[k:k_end], c_rec[k:k_end] = taken[:, 0], taken[:, 1:]
+            k = k_end
 
     # only the step-indexed histories and the recorded states are read now
-    del bu, g
+    del bu, solve
     t = rows * dt
     nx_rec, nd_rec, v_rec = (np.zeros(rows.size) for _ in range(3))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -506,8 +541,8 @@ def simulate(config: SimConfig, sys: SpectralSystem, design: PredictorDesign,
             blk = slice(a, a + _BLOCK_ROWS)
             nx_rec[blk] = np.linalg.norm(c_rec[blk], axis=1)
             if fields is not None:
-                v = np.array([v_fn(tk) for tk in t[blk]])
-                d = _drift(fields, x_rec[blk], c_rec[blk], v)[1]
+                d = _drift(fields, x_rec[blk], c_rec[blk],
+                           v_half[2 * rows[blk]])[1]
                 nd_rec[blk] = np.linalg.norm(
                     _assert_real(d, "coupling term", axis=1), axis=1)
             if bundle is not None:

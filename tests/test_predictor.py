@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 import sdcontrol as sd
 from sdcontrol.errors import InvalidParameterError, SynthesisFailureError
 from sdcontrol.predictor import _lagged, _RowSolver, _window_weights
-from conftest import closed_loop_ode, random_design
+from sdcontrol.simulate import _RK4Step
+from conftest import closed_loop_ode, random_design, synthetic_system
 
 
 def scalar_design(a=0.0, b=1.0, k=0.7, delay=0.25, t0=0.2):
@@ -264,19 +265,25 @@ class TestArtsteinState:
             window_integral(des, np.array([[5.0]]), 1e-3), [0.0])
 
 
+def solve_row_200(design, y, phi):
+    """(Z, u) of row 200 after 200 zero rows, from the row solver."""
+    hist = np.zeros((300, design.n0), dtype=complex)
+    z, u = _RowSolver(design, 1e-3, design.b_n0, 1)(
+        hist, 199, np.atleast_2d(y), np.array([phi]))
+    return z[0], u[0]
+
+
 class TestControlInput:
     """The input u_i = phi_i K Z_i of the row solve."""
 
     def test_zero_ramp(self, design):
         y = np.array([1.0, 2.0])
-        z, u = _RowSolver(design, 1e-3)(np.zeros((300, 2), dtype=complex),
-                                        200, y, 0.0)
+        z, u = solve_row_200(design, y, 0.0)
         np.testing.assert_array_equal(z, y)
         np.testing.assert_array_equal(u, np.zeros(2))
 
     def test_zero_state(self, design):
-        z, u = _RowSolver(design, 1e-3)(np.zeros((300, 2), dtype=complex),
-                                        200, np.zeros(2), 1.0)
+        z, u = solve_row_200(design, np.zeros(2), 1.0)
         np.testing.assert_array_equal(z, np.zeros(2))
         np.testing.assert_array_equal(u, np.zeros(2))
 
@@ -285,8 +292,7 @@ class TestControlInput:
         e1 = np.array([1.0, 0.0])
         w0 = _window_weights(np.diag(design.a_n0), design.delay, 1e-3)[0]
         y = e1 - w0 * (design.b_n0 @ design.gain[:, 0])
-        z, u = _RowSolver(design, 1e-3)(np.zeros((300, 2), dtype=complex),
-                                        200, y, 1.0)
+        z, u = solve_row_200(design, y, 1.0)
         np.testing.assert_allclose(z, e1, atol=1e-12)
         np.testing.assert_allclose(u, design.gain[:, 0], atol=1e-12)
 
@@ -348,6 +354,123 @@ class TestInversion:
         with pytest.raises(InvalidParameterError):
             sd.invert_artstein(design, np.array([0.0, 0.1]),
                                np.zeros((3, 2)))
+
+
+def per_row_solve(design, dt, g, i, y_i, phi_i):
+    """(Z_i, u_i) from one endpoint solve with row i's own window weights
+    over g[:i], the rows' B u; writes g[i].  The row-by-row reference of
+    the block solve."""
+    w = _window_weights(np.diag(design.a_n0), design.delay, dt, i)
+    rhs = y_i + np.einsum("jn,jn->n", w[1:], g[:i][::-1][:len(w) - 1])
+    wbk = (w[0][:, None] * design.b_n0) @ design.gain
+    z = np.linalg.solve(np.eye(design.n0) - phi_i * wbk, rhs)
+    u = phi_i * (design.gain @ z)
+    g[i] = design.b_n0 @ u
+    return z, u
+
+
+def per_row_inputs(design, dt, y, phi):
+    """(Z, u) of every row of the Y path y by per_row_solve."""
+    g = np.zeros((len(y), design.n0), dtype=complex)
+    rows = [per_row_solve(design, dt, g, i, y[i], phi[i])
+            for i in range(len(y))]
+    return np.array([z for z, _ in rows]), np.array([u for _, u in rows])
+
+
+def assert_rel_close(actual, reference):
+    scale = np.abs(reference).max()
+    assert np.abs(actual - reference).max() <= 1e-13 * scale
+
+
+class TestBlockSolve:
+    """Runs of predictor rows solved at once against the row-by-row solve."""
+
+    @pytest.mark.parametrize("case", [
+        "delay-0.0625", "delay-0.1237-coupled", "one-row-blocks", "n0-1",
+        "complex-pair"])
+    def test_simulate_matches_per_row_solve(self, heat_sys, fields,
+                                            x0_coeffs, case):
+        # t_end = 1 is 1000 steps: the last block of 32 rows has 8; the
+        # ramp ends inside a block; D = 1.5 dt gives blocks of one row
+        sys_, n0, delay, poles, f = heat_sys, 2, 0.1, [-3.0, -3.0], None
+        y0 = x0_coeffs
+        if case == "delay-0.0625":
+            delay = 0.0625
+        elif case == "delay-0.1237-coupled":
+            delay, f = 0.1237, fields
+        elif case == "one-row-blocks":
+            delay = 0.0015
+        elif case == "n0-1":
+            n0, poles = 1, [-3.0]
+        else:
+            sys_ = synthetic_system([0.5 + 2j, 0.5 - 2j, -3.0, -6.0])
+            poles, y0 = [-2 + 1j, -2 - 1j], np.array([0.3 - 0.4j, 0.3 + 0.4j,
+                                                     0.1, -0.2])
+        des = sd.design_predictor(sys_, n0, delay, poles, 0.2)
+        cfg = sd.SimConfig(dt=1e-3, t_end=1.0, n_modes=y0.size)
+        traj = sd.simulate(cfg, sys_, des, f, x0=-2.0, x0_coeffs=y0)
+        z, u = per_row_inputs(des, 1e-3, traj.coeffs[:, :n0],
+                              des.transition.phi(traj.t))
+        assert_rel_close(traj.z, z)
+        assert_rel_close(traj.u, u)
+
+    @pytest.mark.parametrize("delay", [0.0015, 0.00205, 0.0125])
+    def test_simulate_matches_stepwise_loop(self, heat_sys, x0_coeffs,
+                                            delay):
+        # one step and then that row's solve, row after row: the blocks of
+        # floor(D / dt) steps must give the same run
+        des = sd.design_predictor(heat_sys, 2, delay, [-3.0, -3.0], 0.2)
+        dt, n_steps = 1e-3, 300
+        cfg = sd.SimConfig(dt=dt, t_end=n_steps * dt, n_modes=10,
+                           disturbance="none")
+        traj = sd.simulate(cfg, heat_sys, des, None, x0=0.0,
+                           x0_coeffs=x0_coeffs)
+        phi = des.transition.phi(traj.t)
+        g = np.zeros((n_steps + 1, 2), dtype=complex)
+        u = np.zeros((n_steps + 1, heat_sys.input_dim), dtype=complex)
+        c = [np.asarray(x0_coeffs, dtype=complex)]
+        for i in range(1, n_steps + 1):
+            c.append(sd.step(heat_sys, des, None, u[:i], dt, 0.0, c[-1],
+                             lambda t: 0.0)[1])
+            u[i] = per_row_solve(des, dt, g, i, c[-1][:2], phi[i])[1]
+        assert_rel_close(traj.coeffs, np.array(c))
+        assert_rel_close(traj.u, u)
+
+    @pytest.mark.parametrize("delay,phi", [
+        (0.1237, "one"), (0.1237, "zero"), (0.1237, "ramp"),
+        (0.0015, "one")])
+    def test_inversion_matches_per_row_solve(self, heat_sys, delay, phi):
+        des = sd.design_predictor(heat_sys, 2, delay, [-3.0, -3.0], 0.2)
+        tt = np.arange(1001) * 1e-3
+        y = np.random.default_rng(11).normal(size=(tt.size, 2))
+        phi_fn = {"one": np.ones_like, "zero": np.zeros_like,
+                  "ramp": des.transition.phi}[phi]
+        u = sd.invert_artstein(des, tt, y, phi=phi_fn)
+        _, u_ref = per_row_inputs(des, 1e-3, y, phi_fn(tt))
+        if phi == "zero":
+            np.testing.assert_array_equal(u, np.zeros_like(u))
+        else:
+            assert_rel_close(u, u_ref)
+
+    @pytest.mark.parametrize("delay,ahead", [
+        (1.05e-3, 1), (2.05e-3, 2), (0.1, 100)])
+    def test_block_steps_read_no_row_of_their_block(self, heat_sys, delay,
+                                                    ahead):
+        # rows after a are NaN: the ahead steps from rows a .. a + ahead - 1
+        # stay finite and the next step, from row a + ahead, reads row a + 1
+        des = sd.zero_gain_design(heat_sys, 2, delay, 0.2)
+        rk4 = _RK4Step(heat_sys, des, None, 10, 1e-3)
+        assert rk4.ahead == ahead
+        a = 150
+        rng = np.random.default_rng(3)
+        bu = np.full((rk4.pad + a + ahead + 2, 10), np.nan, dtype=complex)
+        bu[:rk4.pad + a + 1] = rng.normal(size=(rk4.pad + a + 1, 10))
+        rk4.state[:] = rng.normal(size=11)
+        for r in range(a, a + ahead):
+            rk4(bu, r)
+        assert np.isfinite(rk4.state).all()
+        rk4(bu, a + ahead)
+        assert not np.isfinite(rk4.state).any()
 
 
 class TestPredictorDecoupling:

@@ -366,6 +366,24 @@ class TestSimulate:
         traj = sd.simulate(cfg, heat_sys, design, fields, x0=1.0,
                            x0_coeffs=np.ones(10))
         np.testing.assert_allclose(np.diff(traj.t)[1:], 0.02, rtol=1e-9)
+        # the recorded rows are those of the run that records every row
+        full = sd.simulate(dataclasses.replace(cfg, record_stride=1),
+                           heat_sys, design, fields, x0=1.0,
+                           x0_coeffs=np.ones(10))
+        np.testing.assert_array_equal(traj.coeffs, full.coeffs[::20])
+        np.testing.assert_array_equal(traj.x, full.x[::20])
+
+    def test_disturbance_evaluated_once_per_stage_time(self, heat_sys,
+                                                        design, fields):
+        # v at the 51 grid times and the 50 half steps, norm_d included
+        times = []
+        cfg = sd.SimConfig(dt=1e-3, t_end=0.05, n_modes=10,
+                           disturbance=lambda t: times.append(t) or 0.5)
+        sd.simulate(cfg, heat_sys, design, fields, x0=1.0,
+                    x0_coeffs=np.ones(10))
+        assert len(times) == 101
+        np.testing.assert_allclose(sorted(times), np.arange(101) * 5e-4,
+                                   rtol=0.0, atol=1e-15)
 
     def test_empty_horizon(self, heat_sys, design, fields):
         cfg = sd.SimConfig(dt=1e-3, t_end=0.0, n_modes=10)
@@ -449,14 +467,28 @@ class TestSimulate:
 
     def test_unstable_plant_diverges(self):
         # an open-loop mode growing like exp(1000 t) overflows within the
-        # first second although dt lies inside the RK4 region
+        # first second although dt lies inside the RK4 region; the error is
+        # the one signal, numpy's overflow warnings stay quiet
         sys_ = synthetic_system([1000.0, -1.0])
         des = sd.zero_gain_design(sys_, n0=1, delay=0.1, t0=0.2)
         cfg = sd.SimConfig(dt=1e-3, t_end=2.0, n_modes=2, disturbance="none")
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(SimulationDivergedError, match="non-finite"):
-                sd.simulate(cfg, sys_, des, None, x0=0.0,
-                            x0_coeffs=np.ones(2))
+        with pytest.raises(SimulationDivergedError,
+                           match=r"state became non-finite at t = 0\.713$"):
+            sd.simulate(cfg, sys_, des, None, x0=0.0,
+                        x0_coeffs=np.ones(2))
+
+    def test_unstable_coupled_plant_diverges(self):
+        # the same plant through the interconnection, with v and the arctan
+        sys_ = synthetic_system([1000.0, -1.0])
+        des = sd.zero_gain_design(sys_, n0=1, delay=0.1, t0=0.2)
+        f = sd.CouplingFields(**COUPLINGS, domain_length=1.0,
+                              eta1=np.ones(2), eta2=np.ones(2),
+                              theta1=np.ones(2), theta2=np.ones(2),
+                              theta3=np.ones(2))
+        cfg = sd.SimConfig(dt=1e-3, t_end=2.0, n_modes=2)
+        with pytest.raises(SimulationDivergedError,
+                           match=r"state became non-finite at t = 0\.713$"):
+            sd.simulate(cfg, sys_, des, f, x0=0.0, x0_coeffs=np.ones(2))
 
     def test_recorded_norm_divergence(self, heat_sys, design, fields, bundle,
                                       x0_coeffs):
