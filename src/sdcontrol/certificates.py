@@ -218,8 +218,9 @@ def _lyapunov_rows(sys: SpectralSystem, design: PredictorDesign,
     local = rows - lo
     quad = np.einsum("ij,jk,ik->i", z.conj(), p, z).real
     s = phi(np.arange(lo, lo + len(z)) * dt) * quad
-    # a window cut at t = 0 differs from the constant one only on node 0,
-    # where phi(0) = 0, so the constant weights serve every row
+    # a window cut at t = 0 differs from the constant one only on node 0
+    # (see predictor._RowSolver), where phi(0) = 0, so the constant weights
+    # serve every row
     integral = np.convolve(s, w)[local]
     z_del = _lagged(z_history, rows, delay / dt)
     term_del = phi(rows * dt - delay) \

@@ -402,47 +402,53 @@ _SOLVE_ROWS = 32
 class _RowSolver:
     """Predictor states and inputs of consecutive rows, solved in blocks.
 
-    With w the window weights of row i (the constant table once the window
-    lies in t >= 0), Z_i = Y_i + sum_{j >= 1} w[j] g[i - j] + w[0] g[i]
-    with g = B u and u_i = phi_i K Z_i.  A call solves the rows
-    a + 1 .. a + b (b at most `rows`) from their Y and phi and the history
-    rows up to a, and writes each solved row's history row bmat u_i; the
-    first n0 columns of the history are g.
+    With w the constant window weights, row i's predictor state is
+    Z_i = Y_i + sum_j w[j] g[i - j] with g = B u and u_i = phi_i K Z_i.  A
+    window cut at t = 0, that of a row i < len(w) - 1, differs from that
+    table only in its weight on row 0: dt/2 exp((i dt - D) lam) in place
+    of w[i], and 0 for row 0 itself, so Z_0 = Y_0.  `cut` holds that
+    difference for each such row.
 
-    Once phi = 1 and the window lies in t >= 0, the Z of consecutive rows
-    satisfy one block lower-triangular Toeplitz system: I - diag(w[0]) B K
-    on the diagonal, -diag(w[j]) B K at distance j below it, and Y plus the
-    window sum over the older rows on the right.  Built once per
-    (design, dt): the inverse of that system for `rows` rows, whose leading
-    principal sub-block is the inverse for fewer rows since the system is
-    lower triangular, and the (rows, window, n0) table of the older rows'
-    weights.  Such a run of rows is then one einsum, one matvec and
-    u = Z K^T.  A call solves every row up to its last ramp row or row with
-    a window cut at t = 0 on its own, from the small system
-    I - phi_i w[0] B K, and the rest as one run.
+    A call solves the rows a + 1 .. a + b (a >= 0, b at most `rows`) from
+    their Y and phi and the history rows up to a, and writes each solved
+    row's history row bmat u_i; the first n0 columns of the history are g.
+    Their Z satisfy one block lower-triangular system
+
+        (I - L Phi) Z = Y + older + cut g[0],
+
+    where L holds diag(w[j]) B K at distance j below the diagonal,
+    Phi = diag(phi) scales its block columns (the ramp), and older is the
+    window sum over the rows before the call.  Built once per (design, dt):
+    L for `rows` rows, the inverse of I - L, and the (rows, window, n0)
+    table of the older rows' weights; since the system is lower
+    triangular, the leading principal sub-blocks serve fewer rows.  A call
+    with phi = 1 throughout is then one einsum, one matvec and u = Z K^T;
+    any other call solves its I - L Phi once.
     """
 
     def __init__(self, design: PredictorDesign, dt: float, bmat: np.ndarray,
                  rows: int):
-        self.design, self.dt, self.bmat = design, dt, bmat
-        self.lam = np.diag(design.a_n0)
-        self.eye = np.eye(design.n0)
-        w = _window_weights(self.lam, design.delay, dt)
+        self.design, self.bmat = design, bmat
+        n0, lam = design.n0, np.diag(design.a_n0)
+        w = _window_weights(lam, design.delay, dt)
         # oldest slot first, to meet the history in its own order
         self.past = w[:0:-1]
+        n_past = len(self.past)
+        cut = dt / 2.0 * np.exp(np.outer(np.arange(n_past) * dt
+                                         - design.delay, lam))
+        cut[:1] = 0.0
+        self.cut = cut - w[:n_past]
         # diag(w[j]) B K at the lags j < rows that the window reaches
         wbk = (w[:rows, :, None] * design.b_n0) @ design.gain
-        self.wbk = wbk[0]
-        system = np.eye(rows * design.n0, dtype=complex)
-        blocks = system.reshape(rows, design.n0, rows, design.n0)
+        self.lower = np.zeros((rows * n0, rows * n0), dtype=complex)
+        blocks = self.lower.reshape(rows, n0, rows, n0)
         for j in range(len(wbk)):
             p = np.arange(j, rows)
-            blocks[p, :, p - j] -= wbk[j]
-        self.inv = np.linalg.inv(system)
-        # row p of a run weights the k-th of the len(past) rows before the
-        # run by past[k - p]; the rows k < p lie outside its window
-        n_past = len(self.past)
-        self.older = np.zeros((rows, n_past, design.n0), dtype=complex)
+            blocks[p, :, p - j] = wbk[j]
+        self.inv = np.linalg.inv(np.eye(rows * n0) - self.lower)
+        # row p of a call weights the k-th of the n_past rows before it by
+        # past[k - p]; the rows k < p lie outside its window
+        self.older = np.zeros((rows, n_past, n0), dtype=complex)
         for p in range(min(rows, n_past)):
             self.older[p, p:] = self.past[:n_past - p]
 
@@ -450,39 +456,21 @@ class _RowSolver:
                  phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(Z, u) of the rows a + 1 .. a + len(y); writes their hist rows."""
         n0, n_past = self.design.n0, len(self.past)
-        b = len(y)
-        z = np.empty((b, n0), dtype=complex)
-        u = np.empty((b, self.design.input_dim), dtype=complex)
-        alone = np.flatnonzero((phi != 1.0) | (np.arange(a + 1, a + 1 + b)
-                                               < n_past))
-        m = int(alone[-1]) + 1 if alone.size else 0
-        for p in range(m):
-            z[p], u[p] = self._row(hist, a + 1 + p, y[p], phi[p])
-        if m < b:
-            c, k = a + 1 + m, (b - m) * n0
-            rhs = y[m:] + np.einsum("pkn,kn->pn", self.older[:b - m],
-                                    hist[c - n_past:c, :n0])
-            z[m:] = (self.inv[:k, :k] @ rhs.ravel()).reshape(b - m, n0)
-            u[m:] = z[m:] @ self.design.gain.T
-            hist[c:a + 1 + b] = u[m:] @ self.bmat.T
-        return z, u
-
-    def _row(self, hist: np.ndarray, i: int, y: np.ndarray,
-             phi_i: float) -> tuple[np.ndarray, np.ndarray]:
-        """(Z_i, u_i) of one row from its own endpoint solve."""
-        gain = self.design.gain
-        g = hist[:, :self.design.n0]
-        n = len(self.past)
-        if i >= n:
-            rhs = y + np.einsum("jn,jn->n", self.past, g[i - n:i])
-            wbk = self.wbk
+        b, c = len(y), a + 1
+        k, lo = b * n0, max(c - n_past, 0)
+        # history rows before t = 0 are zero: the window starts at row lo
+        rhs = y + np.einsum("pkn,kn->pn", self.older[:b, lo - c + n_past:],
+                            hist[lo:c, :n0])
+        cut = self.cut[c:c + b]
+        rhs[:len(cut)] += cut * hist[0, :n0]
+        if (phi == 1.0).all():
+            z = self.inv[:k, :k] @ rhs.ravel()
         else:
-            w = _window_weights(self.lam, self.design.delay, self.dt, i)
-            rhs = y + np.einsum("jn,jn->n", w[:0:-1], g[:i])
-            wbk = (w[0][:, None] * self.design.b_n0) @ gain
-        z = np.linalg.solve(self.eye - phi_i * wbk, rhs)
-        u = phi_i * (gain @ z)
-        hist[i] = self.bmat @ u
+            z = np.linalg.solve(np.eye(k) - self.lower[:k, :k]
+                                * np.repeat(phi, n0), rhs.ravel())
+        z = z.reshape(b, n0)
+        u = z @ self.design.gain.T * phi[:, None]
+        hist[c:c + b] = u @ self.bmat.T
         return z, u
 
 
@@ -501,7 +489,8 @@ def invert_artstein(design: PredictorDesign, times: np.ndarray, y_path,
         times: uniform, increasing sample grid starting at 0.
         y_path: (len(times), n0) samples or a callable t -> Y(t).
         phi: ramp override; a TransitionSignal or a plain callable t ->
-            phi(t).  Defaults to the design's ramp.
+            phi(t) giving finite values of shape () or (len(times),).
+            Defaults to the design's ramp.
 
     Returns:
         (len(times), m) input samples.
@@ -526,13 +515,20 @@ def invert_artstein(design: PredictorDesign, times: np.ndarray, y_path,
         phi = design.transition
     phi_fn = phi.phi if isinstance(phi, TransitionSignal) else phi
     phi_vals = np.asarray(phi_fn(times), dtype=float)
-    if phi_vals.shape == ():
-        phi_vals = np.full(times.size, float(phi_vals))
+    if phi_vals.shape not in ((), times.shape) \
+            or not np.isfinite(phi_vals).all():
+        raise InvalidParameterError(
+            f"phi must give one finite value per sample or one for all, "
+            f"got shape {phi_vals.shape}")
+    phi_vals = np.broadcast_to(phi_vals, times.shape)
 
     solve = _RowSolver(design, dt, design.b_n0, _SOLVE_ROWS)
     g = np.zeros((times.size, design.n0), dtype=complex)
     v = np.zeros((times.size, design.input_dim), dtype=complex)
-    for a in range(-1, times.size - 1, _SOLVE_ROWS):
+    # row 0's window is empty, so Z_0 = Y_0
+    v[0] = phi_vals[0] * (design.gain @ y[0])
+    g[0] = design.b_n0 @ v[0]
+    for a in range(0, times.size - 1, _SOLVE_ROWS):
         block = slice(a + 1, a + 1 + _SOLVE_ROWS)
         v[block] = solve(g, a, y[block], phi_vals[block])[1]
     return v

@@ -11,9 +11,8 @@ with u = phi(t) K Z(t) fed by the predictor state.  Time stepping is
 classical fixed-step RK4.  Inputs and predictor states are kept as plain
 arrays indexed by step (row i at time i dt, zero before t = 0); delayed
 inputs at the stage times are fixed 2-point interpolations of that history,
-and each new input sample comes from the small implicit system produced by
-the trapezoid endpoint of the predictor integral, whose other weights are
-constant on the grid.
+and the predictor integral uses trapezoid weights that are constant on the
+grid.  Its endpoint weight makes each new input implicit.
 
 The drift is linear in the state apart from one scalar arctan, so an RK4
 step is linear in its inputs (state, delayed-input rows, v at the stage
@@ -23,9 +22,11 @@ scalar arctans.  The input that drives the plant, u(t - D), is fixed one
 delay ahead, so up to floor(D / dt) consecutive steps read no input row
 they reach themselves.  The loop therefore runs the steps in blocks of at
 most that many rows (and at most 32), then checks the block's states for
-finiteness once, records its rows and solves all of its predictor rows in
-one linear solve (`_RowSolver`).  The recorded norms and V are computed
-after the loop, vectorized over blocks of recorded rows.
+finiteness once, records its rows and solves all of its predictor rows as
+one block lower-triangular system (`_RowSolver`): the ramp scales the
+system's columns and a window cut at t = 0 only corrects the weight on row
+0.  The recorded norms and V are computed after the loop, vectorized over
+blocks of recorded rows.
 """
 
 from __future__ import annotations
@@ -432,10 +433,9 @@ def simulate(config: SimConfig, sys: SpectralSystem, design: PredictorDesign,
     The steps run in blocks of min(floor(D / dt), 32) rows, none of which
     reads an input row of its own block.  After a block's steps its states
     are checked for finiteness, its recorded rows are copied, and its
-    predictor rows are solved together: after the ramp as one block
-    lower-triangular system, ramp rows and rows whose window reaches past
-    t = 0 one by one.  v is evaluated once per grid time and once per half
-    step.
+    predictor rows are solved together as one block lower-triangular
+    system, ramp rows and rows whose window reaches past t = 0 included.
+    v is evaluated once per grid time and once per half step.
 
     Args:
         fields: interconnection, or None for a plant-only run.

@@ -344,6 +344,15 @@ class TestInversion:
                                    phi=lambda t: np.ones_like(t))
         np.testing.assert_allclose(u_fn, u_arr, atol=1e-14)
 
+    @pytest.mark.parametrize("phi", [
+        lambda t: np.ones((t.size, 1)),
+        lambda t: np.ones(t.size - 1),
+        lambda t: np.full(t.size, np.nan)], ids=["column", "short", "nan"])
+    def test_malformed_ramp_override_rejected(self, design, phi):
+        tt = np.arange(0.0, 0.1, 1e-3)
+        with pytest.raises(InvalidParameterError):
+            sd.invert_artstein(design, tt, np.zeros((tt.size, 2)), phi=phi)
+
     def test_bad_grids_rejected(self, design):
         with pytest.raises(InvalidParameterError):
             sd.invert_artstein(design, np.array([0.0, 0.1, 0.15]),
@@ -438,13 +447,16 @@ class TestBlockSolve:
 
     @pytest.mark.parametrize("delay,phi", [
         (0.1237, "one"), (0.1237, "zero"), (0.1237, "ramp"),
-        (0.0015, "one")])
+        (0.1237, "wave"), (0.0625, "wave"), (0.0015, "one")])
     def test_inversion_matches_per_row_solve(self, heat_sys, delay, phi):
+        # "wave" has phi(0) = 0.9, so row 0 feeds the cut windows, and
+        # varies across every block, so each column's scaling counts
         des = sd.design_predictor(heat_sys, 2, delay, [-3.0, -3.0], 0.2)
         tt = np.arange(1001) * 1e-3
         y = np.random.default_rng(11).normal(size=(tt.size, 2))
         phi_fn = {"one": np.ones_like, "zero": np.zeros_like,
-                  "ramp": des.transition.phi}[phi]
+                  "ramp": des.transition.phi,
+                  "wave": lambda t: 0.5 + 0.4 * np.cos(7.0 * t)}[phi]
         u = sd.invert_artstein(des, tt, y, phi=phi_fn)
         _, u_ref = per_row_inputs(des, 1e-3, y, phi_fn(tt))
         if phi == "zero":
