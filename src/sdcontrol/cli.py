@@ -1,10 +1,17 @@
 """Command line interface.
 
-Subcommands: validate, design, certify, simulate, case-study.  Exit codes:
-0 success, 1 configuration error, 2 violated plant assumption, 3 gain
-synthesis failure, 4 infeasible certificate (or nonpositive
-interconnection margin), 5 diverged simulation.  Verbosity is controlled
-by the SDC_LOG environment variable (error, info, debug).
+Subcommands: validate, design, certify, simulate, case-study.  Every
+command runs the stages validate (truncation and Kalman checks), design
+(predictor gain and Lyapunov matrix), certify (certificate and
+interconnection margin) and simulate (the closed loop) in that order, up
+to its own stage, on one plant.  Only the command's own stage writes
+artifacts and sets the exit code; case-study writes those of every stage.
+Exit codes (each error's ``exit_code``): 0 success, 1 configuration
+error, 2 violated plant assumption, 3 gain synthesis failure (including
+an uncontrollable retained block and non-Hurwitz poles), 4 infeasible
+certificate (or nonpositive interconnection margin), 5 diverged
+simulation.  Verbosity is controlled by the SDC_LOG environment variable
+(error, info, debug).
 """
 
 from __future__ import annotations
@@ -34,21 +41,11 @@ from .config import (
 )
 from .errors import (
     AssumptionViolatedError,
-    CertificateParameterError,
-    ConfigError,
-    InfeasibleCertificateError,
     InsufficientDataError,
-    InvalidParameterError,
-    SimulationDivergedError,
     SynthesisFailureError,
     ToolkitError,
 )
-from .predictor import (
-    _place_retained,
-    design_predictor,
-    solve_lyapunov,
-    zero_gain_design,
-)
+from .predictor import design_predictor, zero_gain_design
 from .simulate import (
     SimConfig,
     _check_rk4_stability,
@@ -83,25 +80,6 @@ def _setup_logging() -> None:
         log.warning("unknown SDC_LOG value %r, using info", raw)
 
 
-def _exit_code(exc: ToolkitError) -> int:
-    if isinstance(exc, (ConfigError, InvalidParameterError)):
-        return 1
-    if isinstance(exc, AssumptionViolatedError):
-        return 2
-    if isinstance(exc, SynthesisFailureError):
-        return 3
-    if isinstance(exc, (InfeasibleCertificateError, CertificateParameterError)):
-        return 4
-    if isinstance(exc, SimulationDivergedError):
-        return 5
-    return 1
-
-
-def _build_system(cfg: RunConfig, n_max: int | None = None):
-    p = cfg.plant
-    return build_heat_system(p.a, p.c, p.L, n_max if n_max else p.n_max)
-
-
 def _fmt_complex(z: complex) -> str:
     z = complex(z)
     if abs(z.imag) < 1e-12 * max(1.0, abs(z.real)):
@@ -121,19 +99,14 @@ def _validation_report(cfg: RunConfig, sys_) -> tuple[str, bool]:
     return "\n".join(lines) + "\n", ok
 
 
-def cmd_validate(cfg: RunConfig) -> int:
-    sys_ = _build_system(cfg)
-    report, ok = _validation_report(cfg, sys_)
-    print(report, end="")
-    if not ok:
-        log.error("the retained block is not controllable")
-        return 2
-    return 0
-
-
-def _write_design(out_dir: Path, gain, a_cl, lyap) -> None:
-    """gain.csv plus design.txt; lyap is None when a_cl is not Hurwitz."""
+def _write_design(out_dir: Path, design, open_loop: bool) -> None:
+    """gain.csv plus design.txt; an open-loop run writes design.txt only."""
     out_dir.mkdir(parents=True, exist_ok=True)
+    if open_loop:
+        (out_dir / "design.txt").write_text(
+            "open-loop run: gain K = 0, no certificate\n")
+        return
+    gain, a_cl, lyap = design.gain, design.a_cl, design.lyap
     with open(out_dir / "gain.csv", "w", newline="") as fh:
         for row in np.atleast_2d(gain):
             fh.write(",".join(repr(float(v.real)) for v in row) + "\n")
@@ -155,43 +128,7 @@ def _write_design(out_dir: Path, gain, a_cl, lyap) -> None:
     else:
         lines.append("lyapunov P: not computed (closed loop is not Hurwitz)")
     (out_dir / "design.txt").write_text("\n".join(lines) + "\n")
-
-
-def cmd_design(cfg: RunConfig, out_dir: Path) -> int:
-    sys_ = _build_system(cfg)
-    check_truncation(sys_, cfg.truncation.n0)
-    if cfg.truncation.n0 < 1:
-        raise AssumptionViolatedError("design requires N0 >= 1")
-    if not check_kalman(sys_, cfg.truncation.n0):
-        raise SynthesisFailureError("the retained block is not controllable")
-
-    *_, gain, a_cl = _place_retained(sys_, cfg.truncation.n0,
-                                     cfg.control.delay, cfg.control.poles)
-    if float(np.linalg.eigvals(a_cl).real.max()) >= 0:
-        _write_design(out_dir, gain, a_cl, None)
-        log.error("closed-loop spectrum is not Hurwitz; design is unusable")
-        return 3
-    _write_design(out_dir, gain, a_cl, solve_lyapunov(a_cl))
     log.info("design written to %s", out_dir / "design.txt")
-    return 0
-
-
-def _make_design(cfg: RunConfig, sys_, open_loop: bool = False):
-    if cfg.truncation.n0 < 1:
-        raise AssumptionViolatedError("feedback design requires N0 >= 1")
-    if open_loop:
-        return zero_gain_design(sys_, cfg.truncation.n0, cfg.control.delay,
-                                cfg.control.t0)
-    return design_predictor(sys_, cfg.truncation.n0, cfg.control.delay,
-                            cfg.control.poles, cfg.control.t0)
-
-
-def _make_bundle(cfg: RunConfig, sys_, design):
-    cert = cfg.certificate
-    if not cert.optimize:
-        return compute_constants(sys_, design, cert.beta, cert.gamma1,
-                                 cert.gamma2)
-    return optimize_parameters(sys_, design)
 
 
 def _coupling_from_config(cfg: RunConfig):
@@ -213,13 +150,6 @@ def _write_certificate(cfg: RunConfig, out_dir: Path, bundle) -> int:
     return 0
 
 
-def cmd_certify(cfg: RunConfig, out_dir: Path) -> int:
-    sys_ = _build_system(cfg)
-    check_truncation(sys_, cfg.truncation.n0)
-    design = _make_design(cfg, sys_)
-    return _write_certificate(cfg, out_dir, _make_bundle(cfg, sys_, design))
-
-
 def _initial_state(cfg: RunConfig, sys_, n_modes: int):
     init = cfg.initial
     if init.pde_profile == "cubic":
@@ -228,11 +158,7 @@ def _initial_state(cfg: RunConfig, sys_, n_modes: int):
         return init.x0, coeffs.real
     if init.pde_profile == "coeffs":
         coeffs = np.zeros(n_modes)
-        given = np.asarray(init.coeffs, dtype=float)
-        if given.size > n_modes:
-            raise ConfigError(
-                f"initial coeffs list longer than N_modes = {n_modes}")
-        coeffs[:given.size] = given
+        coeffs[:len(init.coeffs)] = init.coeffs
         return init.x0, coeffs
     return init.x0, np.zeros(n_modes)
 
@@ -294,17 +220,70 @@ def _write_simulation(cfg: RunConfig, out_dir: Path, traj, bundle) -> None:
     log.info("trajectory written to %s", csv_path)
 
 
-def cmd_simulate(cfg: RunConfig, out_dir: Path, no_disturbance: bool = False,
-                 open_loop: bool = False) -> int:
-    sys_ = _build_system(cfg)
-    _check_rk4_stability(sys_, cfg.simulation.n_modes, cfg.simulation.dt,
-                         cfg.coupling.a1)
-    check_truncation(sys_, cfg.truncation.n0)
-    design = _make_design(cfg, sys_, open_loop=open_loop)
-    bundle = None if open_loop else _make_bundle(cfg, sys_, design)
+def _run(cfg: RunConfig, out_dir: Path, last: str,
+         no_disturbance: bool = False, open_loop: bool = False,
+         write_all: bool = False) -> int:
+    """Run the stages validate, design, certify, simulate up to `last`.
+
+    The plant is built once and each stage runs once, in that order.  Only
+    the last stage writes its artifacts and sets the exit code; with
+    write_all (case-study) every stage writes, validate.txt included.
+    Returns 4 when a written certificate has a nonpositive margin; other
+    failures raise.
+    """
+    def writes(stage: str) -> bool:
+        return write_all or stage == last
+
+    p = cfg.plant
+    sys_ = build_heat_system(p.a, p.c, p.L, p.n_max)
+    if last == "simulate":
+        # before the weight search, which a dt outside the region would waste
+        _check_rk4_stability(sys_, cfg.simulation.n_modes,
+                             cfg.simulation.dt, cfg.coupling.a1)
+
+    report, controllable = _validation_report(cfg, sys_)
+    if writes("validate"):
+        print(report, end="")
+        if write_all:
+            (out_dir / "validate.txt").write_text(report)
+    if not controllable:
+        error = (AssumptionViolatedError if writes("validate")
+                 else SynthesisFailureError)
+        raise error("the retained block is not controllable")
+    if last == "validate":
+        return 0
+
+    n0, ctl = cfg.truncation.n0, cfg.control
+    if n0 < 1:
+        raise AssumptionViolatedError("feedback design requires N0 >= 1")
+    if open_loop:
+        design = zero_gain_design(sys_, n0, ctl.delay, ctl.t0)
+    else:
+        design = design_predictor(sys_, n0, ctl.delay, ctl.poles, ctl.t0)
+    if writes("design"):
+        _write_design(out_dir, design, open_loop)
+    if not open_loop and design.lyap is None:
+        raise SynthesisFailureError(
+            "closed-loop spectrum is not Hurwitz; design is unusable")
+    if last == "design":
+        return 0
+
+    code, bundle = 0, None
+    if not open_loop:
+        cert = cfg.certificate
+        bundle = (optimize_parameters(sys_, design) if cert.optimize else
+                  compute_constants(sys_, design, cert.beta, cert.gamma1,
+                                    cert.gamma2))
+        if writes("certify"):
+            # a nonpositive interconnection margin (exit 4) still permits
+            # the simulation
+            code = _write_certificate(cfg, out_dir, bundle)
+    if last == "certify":
+        return code
+
     traj = _run_simulation(cfg, sys_, design, bundle, no_disturbance)
     _write_simulation(cfg, out_dir, traj, bundle)
-    return 0
+    return code
 
 
 def cmd_case_study(out_dir: Path, no_disturbance: bool = False,
@@ -314,32 +293,8 @@ def cmd_case_study(out_dir: Path, no_disturbance: bool = False,
         cfg = replace(cfg, simulation=replace(cfg.simulation, t_end=t_end))
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "case_study.ini").write_text(CASE_STUDY_INI)
-
-    # the plant, the design and the certificate are built once and shared
-    # by the design, certificate and simulation writers
-    sys_ = _build_system(cfg)
-    report, ok = _validation_report(cfg, sys_)
-    (out_dir / "validate.txt").write_text(report)
-    print(report, end="")
-    if not ok:
-        return 2
-
-    design = _make_design(cfg, sys_, open_loop=open_loop)
-    bundle = None
-    certify_code = 0
-    if open_loop:
-        (out_dir / "design.txt").write_text(
-            "open-loop run: gain K = 0, no certificate\n")
-    else:
-        _write_design(out_dir, design.gain, design.a_cl, design.lyap)
-        bundle = _make_bundle(cfg, sys_, design)
-        # a nonpositive interconnection margin (exit 4) still permits the
-        # plant-side certificate and the simulation, so keep going
-        certify_code = _write_certificate(cfg, out_dir, bundle)
-
-    traj = _run_simulation(cfg, sys_, design, bundle, no_disturbance)
-    _write_simulation(cfg, out_dir, traj, bundle)
-    return certify_code
+    return _run(cfg, out_dir, "simulate", no_disturbance, open_loop,
+                write_all=True)
 
 
 def main(argv=None) -> int:
@@ -385,27 +340,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out_dir = Path(args.out)
 
+    flags = dict(no_disturbance=getattr(args, "no_disturbance", False),
+                 open_loop=getattr(args, "open_loop", False))
     try:
         if args.command == "case-study":
-            return cmd_case_study(out_dir,
-                                  no_disturbance=args.no_disturbance,
-                                  open_loop=args.open_loop)
-        cfg = load_config(args.config)
-        if args.command == "validate":
-            return cmd_validate(cfg)
-        if args.command == "design":
-            return cmd_design(cfg, out_dir)
-        if args.command == "certify":
-            return cmd_certify(cfg, out_dir)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, out_dir,
-                                no_disturbance=args.no_disturbance,
-                                open_loop=args.open_loop)
-        raise ConfigError(f"unknown command {args.command!r}")
+            return cmd_case_study(out_dir, **flags)
+        return _run(load_config(args.config), out_dir, args.command, **flags)
     except ToolkitError as exc:
-        code = _exit_code(exc)
-        log.error("%s (exit %d)", exc, code)
-        return code
+        log.error("%s (exit %d)", exc, exc.exit_code)
+        return exc.exit_code
 
 
 def entry() -> None:

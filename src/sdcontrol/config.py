@@ -295,6 +295,10 @@ def _config_from_parser(parser: configparser.ConfigParser) -> RunConfig:
             f"got {initial.pde_profile!r}")
     if initial.pde_profile == "coeffs" and not initial.coeffs:
         raise ConfigError("initial pde_profile = coeffs requires a coeffs list")
+    if initial.pde_profile == "coeffs" and \
+            len(initial.coeffs) > simulation.n_modes:
+        raise ConfigError(f"initial coeffs list longer than N_modes = "
+                          f"{simulation.n_modes}")
 
     return RunConfig(plant=plant, truncation=truncation, control=control,
                      certificate=certificate, coupling=coupling,

@@ -222,8 +222,9 @@ class PredictorDesign:
         exp_da: exp(-delay * a_n0).
         gain: feedback gain K (m, n0); the applied input is phi(t) K Z(t).
         a_cl: A + exp(-D A) B K.
-        lyap: Hermitian P > 0 with a_cl* P + P a_cl = -I, or None for a
-            zero-gain (open-loop) design whose a_cl is not Hurwitz.
+        lyap: Hermitian P > 0 with a_cl* P + P a_cl = -I, or None when
+            there is none: for a zero-gain (open-loop) design, and for a
+            placement whose a_cl is not Hurwitz.  The certificate needs it.
         desired_poles: placement targets (canonically sorted), or None.
         transition: the feedback ramp.
     """
@@ -274,16 +275,6 @@ class PredictorDesign:
         return float(np.linalg.eigvalsh(self.lyap).max())
 
 
-def _place_retained(sys: SpectralSystem, n0: int, delay: float,
-                    poles: Sequence[complex]):
-    """Retained block and placed gain: (a_n0, b_n0, exp_da, gain, a_cl)."""
-    a_n0 = np.diag(sys.eigenvalues[:n0])
-    b_n0 = np.array(sys.input_coeffs[:n0], dtype=complex)
-    exp_da = diagonal_exponential(a_n0, -delay)
-    gain = place_poles(a_n0, exp_da @ b_n0, poles)
-    return a_n0, b_n0, exp_da, gain, a_n0 + exp_da @ b_n0 @ gain
-
-
 def design_predictor(sys: SpectralSystem, n0: int, delay: float,
                      poles: Sequence[complex], t0: float) -> PredictorDesign:
     """Full synthesis: gain placement plus Lyapunov certificate matrix.
@@ -292,8 +283,10 @@ def design_predictor(sys: SpectralSystem, n0: int, delay: float,
         sys: the plant.
         n0: retained mode count, 1 <= n0 <= n_max.
         delay: input delay D >= 0.
-        poles: n0 desired closed-loop eigenvalues (Hurwitz for a usable
-            certificate; placement itself does not require it).
+        poles: n0 desired closed-loop eigenvalues.  Placement does not
+            require them to be Hurwitz, but the certificate does: for a
+            non-Hurwitz placement the design carries the placed gain and
+            spectrum with lyap = None.
         t0: ramp duration.
     """
     if not 1 <= n0 <= sys.n_max:
@@ -301,10 +294,15 @@ def design_predictor(sys: SpectralSystem, n0: int, delay: float,
             f"n0 must satisfy 1 <= n0 <= n_max = {sys.n_max}, got {n0}")
     if delay < 0:
         raise InvalidParameterError(f"delay must be nonnegative, got {delay}")
-    a_n0, b_n0, exp_da, gain, a_cl = _place_retained(sys, n0, delay, poles)
+    a_n0 = np.diag(sys.eigenvalues[:n0])
+    b_n0 = np.array(sys.input_coeffs[:n0], dtype=complex)
+    exp_da = diagonal_exponential(a_n0, -delay)
+    gain = place_poles(a_n0, exp_da @ b_n0, poles)
+    a_cl = a_n0 + exp_da @ b_n0 @ gain
+    hurwitz = float(np.linalg.eigvals(a_cl).real.max()) < 0
     return PredictorDesign(
         delay=float(delay), n0=n0, a_n0=a_n0, b_n0=b_n0, exp_da=exp_da,
-        gain=gain, a_cl=a_cl, lyap=solve_lyapunov(a_cl),
+        gain=gain, a_cl=a_cl, lyap=solve_lyapunov(a_cl) if hurwitz else None,
         desired_poles=_canonical_poles(poles),
         transition=TransitionSignal(t0=t0),
     )

@@ -478,9 +478,10 @@ def simulate(config: SimConfig, sys: SpectralSystem, design: PredictorDesign,
     x = complex(x0)
 
     n_steps = int(math.floor(config.t_end / dt + 1e-9))
-    rows = np.unique(np.append(
-        np.arange(0, n_steps + 1, config.record_stride), n_steps)) \
+    rows = np.arange(0, n_steps + 1, config.record_stride) \
         if n_steps > 0 else np.zeros(0, dtype=int)
+    if n_steps % config.record_stride:
+        rows = np.append(rows, n_steps)
     x_rec = np.zeros(rows.size, dtype=complex)
     c_rec = np.zeros((rows.size, n), dtype=complex)
 

@@ -234,3 +234,13 @@ class TestInitialSection:
     def test_coeff_profile_needs_list(self):
         with pytest.raises(ConfigError, match="coeffs"):
             sd.loads_config(ini_with(initial={"pde_profile": "coeffs"}))
+
+    def test_coeff_list_longer_than_modes_rejected(self):
+        coeffs = ", ".join(["1"] * 11)
+        with pytest.raises(ConfigError, match="longer than N_modes = 10"):
+            sd.loads_config(ini_with(initial={"pde_profile": "coeffs",
+                                              "coeffs": coeffs}))
+        # a full-length list is accepted
+        cfg = sd.loads_config(ini_with(initial={
+            "pde_profile": "coeffs", "coeffs": ", ".join(["1"] * 10)}))
+        assert len(cfg.initial.coeffs) == 10

@@ -191,6 +191,18 @@ class TestDesign:
         np.testing.assert_array_equal(des.gain, np.zeros((2, 2)))
         assert des.lyap is None
 
+    def test_non_hurwitz_poles_give_no_lyapunov_matrix(self, heat_sys):
+        des = sd.design_predictor(heat_sys, n0=2, delay=0.1,
+                                  poles=[1.0, 2.0], t0=0.2)
+        assert des.lyap is None
+        assert des.desired_poles == (1.0, 2.0)
+        np.testing.assert_allclose(np.sort(np.linalg.eigvals(des.a_cl).real),
+                                   [1.0, 2.0], atol=1e-6)
+        with pytest.raises(InvalidParameterError, match="no Lyapunov"):
+            sd.optimize_parameters(heat_sys, des)
+        with pytest.raises(InvalidParameterError, match="no Lyapunov"):
+            sd.compute_constants(heat_sys, des, 0.4131, 106.3290, 337.1938)
+
     def test_random_designs_satisfy_invariants(self):
         rng = np.random.default_rng(99)
         for _ in range(20):
