@@ -20,8 +20,11 @@ times) and in the four stage arctans.  Those maps are built once per run
 (`_RK4Step`); a step is then two small matrix-vector products and four
 scalar arctans.  The input that drives the plant, u(t - D), is fixed one
 delay ahead, so up to floor(D / dt) consecutive steps read no input row
-they reach themselves.  The loop therefore runs the steps in blocks of at
-most that many rows (and at most 32), then checks the block's states for
+they reach themselves.  The loop therefore advances the state by blocks of
+at most that many rows (and at most 32), one stepper call per block: a
+coupled block takes its steps one by one, while a plant-only block, whose
+step is diagonal in the modes, is one linear recurrence per mode, summed by
+a doubling scan.  After each block the loop checks its states for
 finiteness once, records its rows and solves all of its predictor rows as
 one block lower-triangular system (`_RowSolver`): the ramp scales the
 system's columns and a window cut at t = 0 only corrects the weight on row
@@ -240,7 +243,9 @@ class _RK4Step:
         s_new = R X + G a,   e . s_k = E_k X + sum_{j < k} T_kj a_j,
 
     so a step is one E X, four scalar arctans in sequence and one
-    [R G] (X, a).  A plant-only run has no arctans and no v: s_new = R X.
+    [R G] (X, a).  A plant-only run has no arctans and no v: s_new = R X,
+    and R is diagonal in the modes, so `advance` runs a block of its steps
+    as one scan per mode.
 
     The delayed inputs at the stage times t - D, t - D + dt/2 and t - D + dt
     are fixed 2-point interpolations (folded into R and E) of a B u history
@@ -317,6 +322,20 @@ class _RK4Step:
         self.v = self.work[dim + n_hist:n_x]
         self.a = self.work[n_x:]
 
+        # the most steps one `advance` takes: the steps read no row they
+        # reach, and the row solver takes at most _SOLVE_ROWS rows
+        self.block = min(self.ahead, _SOLVE_ROWS)
+        if not self.coupled:
+            # a plant-only op is diagonal in the modes: mode j steps as
+            # c_j <- rho_j c_j + sum_l h_lj bu[r + lo + l, j]
+            self.rho = self.op[modes, modes]
+            self.lag_w = self.op[modes, dim + np.arange(
+                self.hi - self.lo)[:, None] * n + modes - 1]
+            # rho^k for the doubling rounds k = 1, 2, 4, .. < block
+            self.squares = [self.rho]
+            while 1 << len(self.squares) < self.block:
+                self.squares.append(self.squares[-1] ** 2)
+
     def __call__(self, bu: np.ndarray, r: int, v=None) -> None:
         """Step `state` from row r of the padded history bu to row r + 1.
 
@@ -333,6 +352,38 @@ class _RK4Step:
             self.a[:] = (a0, a1, a2,
                          cmath.atan(g3 + t30 * a0 + t31 * a1 + t32 * a2))
         self.state[:] = self.op @ self.work
+
+    def advance(self, bu: np.ndarray, a: int, b: int, v_half, out) -> None:
+        """Step `state` b times (b <= `block`) from row a of the padded
+        history bu; out[p] gets the state at row a + p + 1.
+
+        A coupled run takes one `__call__` per step, with v_half[2 r:2 r + 3]
+        the v values of the step from row r.  On a plant-only run the block
+        is one linear recurrence per mode, s_{p+1} = rho s_p + f_p, with the
+        forcing f_p read from the history rows the block already has; a
+        doubling scan sums it (Blelloch, CMU-CS-90-190, 1990).
+        """
+        if self.coupled:
+            for p, r in enumerate(range(a, a + b)):
+                self(bu, r, v_half[2 * r:2 * r + 3])
+                out[p] = self.state
+            return
+        s = a + self.lo
+        f = self.lag_w[0] * bu[s:s + b]
+        for lag, w in enumerate(self.lag_w[1:], 1):
+            f += w * bu[s + lag:s + lag + b]
+        f[0] += self.rho * self.state[1:]
+        # after the round with step k, f[p] sums rho^(p - q) f_q over the
+        # 2k latest q <= p; rho s_a rides in f_0
+        k = 1
+        for rho_k in self.squares:
+            if k >= b:
+                break
+            f[k:] += rho_k * f[:-k]
+            k *= 2
+        out[:b, 0] = self.state[0]
+        out[:b, 1:] = f
+        self.state[1:] = f[-1]
 
 
 def step(sys: SpectralSystem, design: PredictorDesign,
@@ -431,7 +482,8 @@ def simulate(config: SimConfig, sys: SpectralSystem, design: PredictorDesign,
     then the delayed input reads the zero history before t = 0.
 
     The steps run in blocks of min(floor(D / dt), 32) rows, none of which
-    reads an input row of its own block.  After a block's steps its states
+    reads an input row of its own block, with one stepper call per block
+    (on a plant-only run, a per-mode scan).  After a block its states
     are checked for finiteness, its recorded rows are copied, and its
     predictor rows are solved together as one block lower-triangular
     system, ramp rows and rows whose window reaches past t = 0 included.
@@ -489,7 +541,7 @@ def simulate(config: SimConfig, sys: SpectralSystem, design: PredictorDesign,
     # A block of steps reads no input row of its own, so it runs first and
     # the rows it reaches are solved together after it
     rk4 = _RK4Step(sys, design, fields, n, dt)
-    block = min(rk4.ahead, _SOLVE_ROWS)
+    block = rk4.block
     solve = _RowSolver(design, dt, rk4.bmat, block)
     u_hist = np.zeros((n_steps + 1, sys.input_dim), dtype=complex)
     z_hist = np.zeros((n_steps + 1, n0), dtype=complex)
@@ -503,9 +555,9 @@ def simulate(config: SimConfig, sys: SpectralSystem, design: PredictorDesign,
             (v_fn(k // 2 * dt + k % 2 * (dt / 2))
              for k in range(2 * n_steps + 1)), float, 2 * n_steps + 1)
 
-    # the stepper holds the state (x, c_1..c_n); reached copies it per step
-    state = rk4.state
-    state[0], state[1:] = x, coeffs
+    # the stepper holds the state (x, c_1..c_n); reached gets the states of
+    # a block
+    rk4.state[0], rk4.state[1:] = x, coeffs
     reached = np.zeros((block, n + 1), dtype=complex)
     k = 0
     if n_steps > 0:
@@ -517,10 +569,7 @@ def simulate(config: SimConfig, sys: SpectralSystem, design: PredictorDesign,
     with np.errstate(over="ignore", invalid="ignore"):
         for a in range(0, n_steps, block):
             end = min(a + block, n_steps)
-            for p, r in enumerate(range(a, end)):
-                rk4(bu, r, None if v_half is None
-                    else v_half[2 * r:2 * r + 3])
-                reached[p] = state
+            rk4.advance(bu, a, end - a, v_half, reached)
             new = reached[:end - a]
             if not np.isfinite(new).all():
                 bad = np.argmin(np.isfinite(new).all(axis=1))

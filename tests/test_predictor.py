@@ -181,6 +181,17 @@ class TestDesign:
     def test_lyapunov_extremes_ordered(self, design):
         assert 0 < design.lam_min_p <= design.lam_max_p
 
+    @pytest.mark.parametrize("kind", ["zero-gain", "non-hurwitz"])
+    def test_lyapunov_extremes_need_a_lyapunov_matrix(self, heat_sys, kind):
+        if kind == "zero-gain":
+            des = sd.zero_gain_design(heat_sys, n0=2, delay=0.1, t0=0.2)
+        else:
+            des = sd.design_predictor(heat_sys, n0=2, delay=0.1,
+                                      poles=[1.0, 2.0], t0=0.2)
+        for name in ("lam_min_p", "lam_max_p"):
+            with pytest.raises(InvalidParameterError, match="no Lyapunov"):
+                getattr(des, name)
+
     def test_wrong_pole_count(self, heat_sys):
         with pytest.raises(InvalidParameterError):
             sd.design_predictor(heat_sys, n0=2, delay=0.1, poles=[-3.0],
@@ -435,25 +446,37 @@ class TestBlockSolve:
         assert_rel_close(traj.z, z)
         assert_rel_close(traj.u, u)
 
-    @pytest.mark.parametrize("delay", [0.0015, 0.00205, 0.0125])
+    @pytest.mark.parametrize("delay,n_modes,reaction,n0", [
+        pytest.param(0.0015, 10, 2.5, 2, id="0.0015"),
+        pytest.param(0.00205, 10, 2.5, 2, id="0.00205"),
+        pytest.param(0.0125, 10, 2.5, 2, id="0.0125"),
+        pytest.param(0.0625, 40, 2.5, 2, id="40-modes-0.0625"),
+        pytest.param(0.1, 10, 6.0, 1, id="n0-1-two-unstable")])
     def test_simulate_matches_stepwise_loop(self, heat_sys, x0_coeffs,
-                                            delay):
+                                            delay, n_modes, reaction, n0):
         # one step and then that row's solve, row after row: the blocks of
-        # floor(D / dt) steps must give the same run
-        des = sd.design_predictor(heat_sys, 2, delay, [-3.0, -3.0], 0.2)
+        # min(floor(D / dt), 32) steps, each one scan per mode, must give
+        # the same run.  300 steps end in a short block; at 40 modes the
+        # window ends in a partial panel; with c = 6 and n0 = 1 the second
+        # mode grows uncontrolled, so its scan runs with |rho| > 1
+        sys_ = heat_sys if (n_modes, reaction) == (10, 2.5) else \
+            sd.build_heat_system(5.0, reaction, 2 * np.pi, n_modes)
+        y0 = x0_coeffs if n_modes == 10 else \
+            np.random.default_rng(5).normal(size=n_modes) / np.arange(
+                1, n_modes + 1)
+        des = sd.design_predictor(sys_, n0, delay, [-3.0] * n0, 0.2)
         dt, n_steps = 1e-3, 300
-        cfg = sd.SimConfig(dt=dt, t_end=n_steps * dt, n_modes=10,
+        cfg = sd.SimConfig(dt=dt, t_end=n_steps * dt, n_modes=n_modes,
                            disturbance="none")
-        traj = sd.simulate(cfg, heat_sys, des, None, x0=0.0,
-                           x0_coeffs=x0_coeffs)
+        traj = sd.simulate(cfg, sys_, des, None, x0=0.0, x0_coeffs=y0)
         phi = des.transition.phi(traj.t)
-        g = np.zeros((n_steps + 1, 2), dtype=complex)
-        u = np.zeros((n_steps + 1, heat_sys.input_dim), dtype=complex)
-        c = [np.asarray(x0_coeffs, dtype=complex)]
+        g = np.zeros((n_steps + 1, n0), dtype=complex)
+        u = np.zeros((n_steps + 1, sys_.input_dim), dtype=complex)
+        c = [np.asarray(y0, dtype=complex)]
         for i in range(1, n_steps + 1):
-            c.append(sd.step(heat_sys, des, None, u[:i], dt, 0.0, c[-1],
+            c.append(sd.step(sys_, des, None, u[:i], dt, 0.0, c[-1],
                              lambda t: 0.0)[1])
-            u[i] = per_row_solve(des, dt, g, i, c[-1][:2], phi[i])[1]
+            u[i] = per_row_solve(des, dt, g, i, c[-1][:n0], phi[i])[1]
         assert_rel_close(traj.coeffs, np.array(c))
         assert_rel_close(traj.u, u)
 

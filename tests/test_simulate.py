@@ -9,7 +9,7 @@ import pytest
 import sdcontrol as sd
 from sdcontrol.errors import (InsufficientDataError, InvalidParameterError,
                               SimulationDivergedError)
-from sdcontrol.simulate import _assert_real, _drift
+from sdcontrol.simulate import _assert_real, _drift, _RK4Step
 
 from conftest import COUPLINGS, closed_loop_ode, synthetic_system
 
@@ -420,6 +420,46 @@ class TestSimulate:
         with pytest.raises(InvalidParameterError, match="RK4"):
             sd.simulate(cfg, heat_sys, design, fields, x0=-2.0,
                         x0_coeffs=x0_coeffs)
+
+    @pytest.mark.parametrize("coupled", [False, True],
+                             ids=["plant-only", "coupled"])
+    def test_one_step_calls(self, monkeypatch, heat_sys, design, fields,
+                            x0_coeffs, coupled):
+        # a plant-only block is one scan per mode, with no per-step call;
+        # a coupled run still takes its steps one at a time
+        calls = []
+        one_step = _RK4Step.__call__
+
+        def counted(self, *args):
+            calls.append(args[1])
+            return one_step(self, *args)
+
+        monkeypatch.setattr(_RK4Step, "__call__", counted)
+        n_steps = 300
+        cfg = sd.SimConfig(dt=1e-3, t_end=n_steps * 1e-3, n_modes=10)
+        sd.simulate(cfg, heat_sys, design, fields if coupled else None,
+                    x0=-2.0, x0_coeffs=x0_coeffs)
+        assert calls == (list(range(n_steps)) if coupled else [])
+
+    def test_coupled_case_study_is_second_order(self, heat_sys, design,
+                                                fields, x0_coeffs):
+        # Richardson check against a dt = 1.25e-4 run on the common 4e-3
+        # grid: the trapezoid window and the 2-point delayed-input
+        # interpolation make the loop second order (observed 2.00, 2.02
+        # and 2.07 at dt = 2e-3, 1e-3 and 5e-4)
+        def run(dt):
+            cfg = sd.SimConfig(dt=dt, t_end=2.0, n_modes=10)
+            traj = sd.simulate(cfg, heat_sys, design, fields, x0=-2.0,
+                               x0_coeffs=x0_coeffs)
+            rows = slice(None, None, round(4e-3 / dt))
+            return traj.x[rows], traj.coeffs[rows], traj.u[rows]
+
+        ref = run(1.25e-4)
+        errors = [max(float(np.abs(got - want).max())
+                      for got, want in zip(run(dt), ref))
+                  for dt in (4e-3, 2e-3, 1e-3, 5e-4)]
+        orders = np.log2(np.array(errors[:-1]) / errors[1:])
+        assert (orders >= 1.9).all(), (errors, orders)
 
     def test_rk4_limit_of_the_fastest_mode(self):
         # 48 modes at dt = 1e-3: dt |lam_48| = 2.8775 > 2.785; the run used
