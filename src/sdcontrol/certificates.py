@@ -437,15 +437,9 @@ _REPORT_KEYS = ("beta", "gamma1", "gamma2", "C1", "C2g1", "C3g2", "C4", "C5",
 
 def render_certificate(bundle: CertificateBundle, margin: float) -> str:
     """Flat `name = value` report with a fixed key set and order."""
-    values = {
-        "beta": bundle.beta, "gamma1": bundle.gamma1, "gamma2": bundle.gamma2,
-        "C1": bundle.C1, "C2g1": bundle.C2g1, "C3g2": bundle.C3g2,
-        "C4": bundle.C4, "C5": bundle.C5, "C6": bundle.C6,
-        "kappa0": bundle.kappa0,
-        "small_gain_constant": bundle.small_gain_constant,
-        "margin": margin,
-    }
-    return "".join(f"{k} = {float(values[k])!r}\n" for k in _REPORT_KEYS)
+    return "".join(
+        f"{k} = {float(margin if k == 'margin' else getattr(bundle, k))!r}\n"
+        for k in _REPORT_KEYS)
 
 
 def parse_certificate(text: str) -> dict[str, float]:

@@ -413,44 +413,43 @@ class _RowSolver:
     """Predictor states and inputs of consecutive rows, solved in blocks.
 
     With w the constant window weights, row i's predictor state is
-    Z_i = Y_i + sum_j w[j] g[i - j] with g = B u and u_i = phi_i K Z_i.  A
-    window cut at t = 0, that of a row i < len(w) - 1, differs from that
-    table only in its weight on row 0: dt/2 exp((i dt - D) lam) in place
-    of w[i], and 0 for row 0 itself, so Z_0 = Y_0.  `cut` holds that
-    difference for each such row.
+    Z_i = Y_i + sum_j w[j] B u[i - j] and u_i = phi_i K Z_i, with the
+    design's B and K.  A window cut at t = 0, that of a row i < len(w) - 1,
+    differs from that table only in its weight on row 0: dt/2
+    exp((i dt - D) lam) in place of w[i], and 0 for row 0 itself, so
+    Z_0 = Y_0.  `cut` holds that difference, times B, for each such row.
 
-    A call solves the rows a + 1 .. a + b (a >= 0, b at most `rows`) from
-    their Y and phi and the history rows up to a, and writes each solved
-    row's history row bmat u_i; the first n0 columns of the history are g.
+    A call solves the rows a + 1 .. a + b (a >= 0, b <= _SOLVE_ROWS) from
+    their Y and phi and the input history rows 0 .. a; it writes nothing.
     Their Z satisfy one block lower-triangular system
 
-        (I - L Phi) Z = Y + older + cut g[0],
+        (I - L Phi) Z = Y + older + cut u[0],
 
     where L holds diag(w[j]) B K at distance j below the diagonal,
     Phi = diag(phi) scales its block columns (the ramp), and older is the
     window sum over the rows before the call.  Built once per (design, dt):
-    L for `rows` rows, the inverse of I - L, and the (n0, rows, window)
-    table of the older rows' weights, mode first; since the system is
-    lower triangular, the leading principal sub-blocks serve fewer rows.  A
-    call with phi = 1 throughout is then one batched matmul (a matrix
-    product per mode), one matvec and u = Z K^T; any other call solves its
-    I - L Phi once.
+    L for _SOLVE_ROWS rows, the inverse of I - L, and the table of the
+    older rows' weights times B, one matrix from the flattened u window to
+    the rows' Z; since the system is lower triangular, the leading
+    principal sub-blocks serve fewer rows.  A call with phi = 1 throughout
+    is then two matrix-vector products and u = Z K^T; any other call
+    solves its I - L Phi once.
     """
 
-    def __init__(self, design: PredictorDesign, dt: float, bmat: np.ndarray,
-                 rows: int):
-        self.design, self.bmat = design, bmat
-        n0, lam = design.n0, np.diag(design.a_n0)
+    def __init__(self, design: PredictorDesign, dt: float):
+        self.design = design
+        n0, m, lam = design.n0, design.input_dim, np.diag(design.a_n0)
+        rows, b_n0 = _SOLVE_ROWS, design.b_n0
         w = _window_weights(lam, design.delay, dt)
         # oldest slot first, to meet the history in its own order
-        self.past = w[:0:-1]
-        n_past = len(self.past)
+        past = w[:0:-1]
+        self.n_past = n_past = len(past)
         cut = dt / 2.0 * np.exp(np.outer(np.arange(n_past) * dt
                                          - design.delay, lam))
         cut[:1] = 0.0
-        self.cut = cut - w[:n_past]
+        self.cut = (cut - w[:n_past])[:, :, None] * b_n0
         # diag(w[j]) B K at the lags j < rows that the window reaches
-        wbk = (w[:rows, :, None] * design.b_n0) @ design.gain
+        wbk = (w[:rows, :, None] * b_n0) @ design.gain
         self.lower = np.zeros((rows * n0, rows * n0), dtype=complex)
         blocks = self.lower.reshape(rows, n0, rows, n0)
         for j in range(len(wbk)):
@@ -458,32 +457,31 @@ class _RowSolver:
             blocks[p, :, p - j] = wbk[j]
         self.inv = np.linalg.inv(np.eye(rows * n0) - self.lower)
         # row p of a call weights the k-th of the n_past rows before it by
-        # past[k - p]; the rows k < p lie outside its window.  Mode first,
-        # so that each mode's window sums are one matrix product
-        self.older = np.zeros((n0, rows, n_past), dtype=complex)
+        # past[k - p] B; the rows k < p lie outside its window
+        older = np.zeros((rows, n0, n_past, m), dtype=complex)
         for p in range(min(rows, n_past)):
-            self.older[:, p, p:] = self.past[:n_past - p].T
+            older[p, :, p:] = past[:n_past - p].T[:, :, None] \
+                * b_n0[:, None, :]
+        self.older = older.reshape(rows * n0, n_past * m)
 
     def __call__(self, hist: np.ndarray, a: int, y: np.ndarray,
                  phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(Z, u) of the rows a + 1 .. a + len(y); writes their hist rows."""
-        n0, n_past = self.design.n0, len(self.past)
+        """(Z, u) of the rows a + 1 .. a + len(y) from the u history hist."""
+        n0, m = self.design.n0, self.design.input_dim
         b, c = len(y), a + 1
-        k, lo = b * n0, max(c - n_past, 0)
+        k, lo = b * n0, max(c - self.n_past, 0)
         # history rows before t = 0 are zero: the window starts at row lo
-        rhs = y + (self.older[:, :b, lo - c + n_past:]
-                   @ hist[lo:c, :n0].T[:, :, None])[:, :, 0].T
+        rhs = y + (self.older[:k, (lo - c + self.n_past) * m:]
+                   @ hist[lo:c].ravel()).reshape(b, n0)
         cut = self.cut[c:c + b]
-        rhs[:len(cut)] += cut * hist[0, :n0]
+        rhs[:len(cut)] += cut @ hist[0]
         if (phi == 1.0).all():
             z = self.inv[:k, :k] @ rhs.ravel()
         else:
             z = np.linalg.solve(np.eye(k) - self.lower[:k, :k]
                                 * np.repeat(phi, n0), rhs.ravel())
         z = z.reshape(b, n0)
-        u = z @ self.design.gain.T * phi[:, None]
-        hist[c:c + b] = u @ self.bmat.T
-        return z, u
+        return z, z @ self.design.gain.T * phi[:, None]
 
 
 def invert_artstein(design: PredictorDesign, times: np.ndarray, y_path,
@@ -534,13 +532,11 @@ def invert_artstein(design: PredictorDesign, times: np.ndarray, y_path,
             f"got shape {phi_vals.shape}")
     phi_vals = np.broadcast_to(phi_vals, times.shape)
 
-    solve = _RowSolver(design, dt, design.b_n0, _SOLVE_ROWS)
-    g = np.zeros((times.size, design.n0), dtype=complex)
+    solve = _RowSolver(design, dt)
     v = np.zeros((times.size, design.input_dim), dtype=complex)
     # row 0's window is empty, so Z_0 = Y_0
     v[0] = phi_vals[0] * (design.gain @ y[0])
-    g[0] = design.b_n0 @ v[0]
     for a in range(0, times.size - 1, _SOLVE_ROWS):
         block = slice(a + 1, a + 1 + _SOLVE_ROWS)
-        v[block] = solve(g, a, y[block], phi_vals[block])[1]
+        v[block] = solve(v, a, y[block], phi_vals[block])[1]
     return v

@@ -9,10 +9,12 @@ modal coefficients of the plant:
 
 with u = phi(t) K Z(t) fed by the predictor state.  Time stepping is
 classical fixed-step RK4.  Inputs and predictor states are kept as plain
-arrays indexed by step (row i at time i dt, zero before t = 0); delayed
-inputs at the stage times are fixed 2-point interpolations of that history,
-and the predictor integral uses trapezoid weights that are constant on the
-grid.  Its endpoint weight makes each new input implicit.
+arrays indexed by step (row i at time i dt, zero before t = 0).  The input
+u itself is the one input history: the stepper and the predictor read its
+rows, with B folded into their constant tables.  Delayed inputs at the
+stage times are fixed 2-point interpolations of that history, and the
+predictor integral uses trapezoid weights that are constant on the grid.
+Its endpoint weight makes each new input implicit.
 
 The drift is linear in the state apart from one scalar arctan, so an RK4
 step is linear in its inputs (state, delayed-input rows, v at the stage
@@ -235,7 +237,7 @@ class _RK4Step:
     The drift is s' = M s + arctan(e . s) t2 + F(t): M holds -a1, the
     sensing row, a2 theta1 and the eigenvalues, e = (0, (d2/L) eta2),
     t2 = (0, b2 theta2), and F = (c1 v, B u(t - D) + c2 v theta3).  One step
-    is therefore linear in the step inputs X = (s, the B u history rows the
+    is therefore linear in the step inputs X = (s, the u history rows the
     three stage lags read, v at the three stage times) and in the four
     stage values a_k = arctan(e . s_k).  Running the four-stage recursion
     once on matrices gives
@@ -248,20 +250,22 @@ class _RK4Step:
     as one scan per mode.
 
     The delayed inputs at the stage times t - D, t - D + dt/2 and t - D + dt
-    are fixed 2-point interpolations (folded into R and E) of a B u history
-    that starts with `pad` zero rows: row k of the history sits at index
-    pad + k.  The state lives in `state`, a view of the work vector
-    (X, a); load it before the first step.
+    are fixed 2-point interpolations of the input history u, which starts
+    with `pad` zero rows: row k of the history sits at index pad + k.  The
+    interpolation weights and B are folded into R and E, so X holds the
+    m-wide u rows themselves.  The state lives in `state`, a view of the
+    work vector (X, a); load it before the first step.
     """
 
     def __init__(self, sys: SpectralSystem, design: PredictorDesign,
                  fields: CouplingFields | None, n: int, dt: float):
-        self.bmat = sys.input_coeffs[:n]
+        b_n = sys.input_coeffs[:n]
+        m = b_n.shape[1]
         self.coupled = fields is not None
         lags = [_split_steps(design.delay / dt - lead)
                 for lead in (0.0, 0.5, 1.0)]
         self.pad = lags[0][0] + 1
-        # a lag (k, f) reads f bu[r + k - 1] + (1 - f) bu[r + k]; the step
+        # a lag (k, f) reads B (f u[r + k - 1] + (1 - f) u[r + k]); the step
         # reads the history rows r + lo .. r + hi - 1
         lags = [(self.pad - q, f) for q, f in lags]
         self.lo = min(k - (f > 0) for k, f in lags)
@@ -269,7 +273,7 @@ class _RK4Step:
         # the step from row r reads no row after r + hi - 1 - pad, so the
         # steps from rows a .. a + ahead - 1 read no row after a
         self.ahead = self.pad - self.hi + 2
-        dim, n_hist = n + 1, (self.hi - self.lo) * n
+        dim, n_hist = n + 1, (self.hi - self.lo) * m
         n_x = dim + n_hist + (3 if self.coupled else 0)
         width = n_x + (4 if self.coupled else 0)
 
@@ -291,7 +295,6 @@ class _RK4Step:
         # k1 + 2 k2 + 2 k3 + k4
         s1 = np.eye(dim, width, dtype=complex)
         acc = np.zeros_like(s1)
-        modes = np.arange(1, dim)
         args = []
         for stage, (h, j, weight) in enumerate(
                 ((0.0, 0, 1.0), (dt / 2, 1, 2.0), (dt / 2, 1, 2.0),
@@ -300,10 +303,10 @@ class _RK4Step:
             args.append(e_row @ s_k)
             k_k = mat @ s_k
             k, f = lags[j]
-            col = dim + (k - self.lo) * n + modes - 1
-            k_k[modes, col] += 1.0 - f
+            col = dim + (k - self.lo) * m
+            k_k[1:, col:col + m] += (1.0 - f) * b_n
             if f:
-                k_k[modes, col - n] += f
+                k_k[1:, col - m:col] += f * b_n
             if self.coupled:
                 k_k[:, dim + n_hist + j] += cv
                 k_k[:, n_x + stage] += t2
@@ -326,22 +329,24 @@ class _RK4Step:
         # reach, and the row solver takes at most _SOLVE_ROWS rows
         self.block = min(self.ahead, _SOLVE_ROWS)
         if not self.coupled:
-            # a plant-only op is diagonal in the modes: mode j steps as
-            # c_j <- rho_j c_j + sum_l h_lj bu[r + lo + l, j]
-            self.rho = self.op[modes, modes]
-            self.lag_w = self.op[modes, dim + np.arange(
-                self.hi - self.lo)[:, None] * n + modes - 1]
+            # a plant-only op is diagonal in the modes: the modes step as
+            # c <- rho c + sum_l u[r + lo + l] H_l, with H_l = lag_w[l]
+            # of shape (m, n)
+            self.rho = np.diag(self.op)[1:]
+            lag_w = self.op[1:, dim:dim + n_hist].reshape(n, -1, m)
+            self.lag_w = lag_w.transpose(1, 2, 0).copy()
             # rho^k for the doubling rounds k = 1, 2, 4, .. < block
             self.squares = [self.rho]
             while 1 << len(self.squares) < self.block:
                 self.squares.append(self.squares[-1] ** 2)
 
-    def __call__(self, bu: np.ndarray, r: int, v=None) -> None:
-        """Step `state` from row r of the padded history bu to row r + 1.
+    def __call__(self, u: np.ndarray, r: int, v=None) -> None:
+        """Step `state` from row r of the padded input history u to row
+        r + 1.
 
         A coupled step takes v at its three stage times in `v`.
         """
-        self.hist[:] = bu[r + self.lo:r + self.hi].ravel()
+        self.hist[:] = u[r + self.lo:r + self.hi].ravel()
         if self.coupled:
             self.v[:] = v
             g0, g1, g2, g3 = (self.e_op @ self.inputs).tolist()
@@ -353,9 +358,9 @@ class _RK4Step:
                          cmath.atan(g3 + t30 * a0 + t31 * a1 + t32 * a2))
         self.state[:] = self.op @ self.work
 
-    def advance(self, bu: np.ndarray, a: int, b: int, v_half, out) -> None:
+    def advance(self, u: np.ndarray, a: int, b: int, v_half, out) -> None:
         """Step `state` b times (b <= `block`) from row a of the padded
-        history bu; out[p] gets the state at row a + p + 1.
+        input history u; out[p] gets the state at row a + p + 1.
 
         A coupled run takes one `__call__` per step, with v_half[2 r:2 r + 3]
         the v values of the step from row r.  On a plant-only run the block
@@ -365,13 +370,13 @@ class _RK4Step:
         """
         if self.coupled:
             for p, r in enumerate(range(a, a + b)):
-                self(bu, r, v_half[2 * r:2 * r + 3])
+                self(u, r, v_half[2 * r:2 * r + 3])
                 out[p] = self.state
             return
         s = a + self.lo
-        f = self.lag_w[0] * bu[s:s + b]
+        f = u[s:s + b] @ self.lag_w[0]
         for lag, w in enumerate(self.lag_w[1:], 1):
-            f += w * bu[s + lag:s + lag + b]
+            f += u[s + lag:s + lag + b] @ w
         f[0] += self.rho * self.state[1:]
         # after the round with step k, f[p] sums rho^(p - q) f_q over the
         # 2k latest q <= p; rho s_a rides in f_0
@@ -415,12 +420,11 @@ def step(sys: SpectralSystem, design: PredictorDesign,
             f"u_history must have {sys.input_dim} columns, got {u.shape[1]}")
     rk4 = _RK4Step(sys, design, fields, n, dt)
     r = len(u) - 1
-    first = max(r - rk4.pad, 0)  # the oldest row a lag reaches
-    bu = np.zeros((rk4.pad + r + 1, n), dtype=complex)
-    bu[rk4.pad + first:] = np.asarray(u[first:], dtype=complex) @ rk4.bmat.T
+    padded = np.zeros((rk4.pad + r + 1, u.shape[1]), dtype=complex)
+    padded[rk4.pad:] = u
     rk4.state[0], rk4.state[1:] = x, coeffs
     t = r * dt
-    rk4(bu, r, (v_fn(t), v_fn(t + dt / 2), v_fn(t + dt)) if rk4.coupled
+    rk4(padded, r, (v_fn(t), v_fn(t + dt / 2), v_fn(t + dt)) if rk4.coupled
         else None)
     return complex(rk4.state[0]), rk4.state[1:].copy()
 
@@ -537,15 +541,16 @@ def simulate(config: SimConfig, sys: SpectralSystem, design: PredictorDesign,
     x_rec = np.zeros(rows.size, dtype=complex)
     c_rec = np.zeros((rows.size, n), dtype=complex)
 
-    # histories indexed by step; bu holds B u after the stepper's zero pad.
-    # A block of steps reads no input row of its own, so it runs first and
-    # the rows it reaches are solved together after it
+    # histories indexed by step; u_hist, the one input history, is the
+    # view of u_pad past the stepper's zero pad.  A block of steps reads no
+    # input row of its own, so it runs first and the rows it reaches are
+    # solved together after it
     rk4 = _RK4Step(sys, design, fields, n, dt)
     block = rk4.block
-    solve = _RowSolver(design, dt, rk4.bmat, block)
-    u_hist = np.zeros((n_steps + 1, sys.input_dim), dtype=complex)
+    solve = _RowSolver(design, dt)
+    u_pad = np.zeros((rk4.pad + n_steps + 1, sys.input_dim), dtype=complex)
+    u_hist = u_pad[rk4.pad:]
     z_hist = np.zeros((n_steps + 1, n0), dtype=complex)
-    bu = np.zeros((rk4.pad + n_steps + 1, n), dtype=complex)
     phi = design.transition.phi(np.arange(n_steps + 1) * dt)
     # v once at each half-step time k dt / 2: the step from row r reads
     # v_half[2 r:2 r + 3], and row i's own value is v_half[2 i]
@@ -569,21 +574,19 @@ def simulate(config: SimConfig, sys: SpectralSystem, design: PredictorDesign,
     with np.errstate(over="ignore", invalid="ignore"):
         for a in range(0, n_steps, block):
             end = min(a + block, n_steps)
-            rk4.advance(bu, a, end - a, v_half, reached)
+            rk4.advance(u_pad, a, end - a, v_half, reached)
             new = reached[:end - a]
             if not np.isfinite(new).all():
                 bad = np.argmin(np.isfinite(new).all(axis=1))
                 raise SimulationDivergedError(
                     f"state became non-finite at t = {(a + 1 + bad) * dt:.6g}")
             z_hist[a + 1:end + 1], u_hist[a + 1:end + 1] = solve(
-                bu[rk4.pad:], a, new[:, 1:n0 + 1], phi[a + 1:end + 1])
+                u_hist, a, new[:, 1:n0 + 1], phi[a + 1:end + 1])
             k_end = int(np.searchsorted(rows, end, side="right"))
             taken = new[rows[k:k_end] - a - 1]
             x_rec[k:k_end], c_rec[k:k_end] = taken[:, 0], taken[:, 1:]
             k = k_end
 
-    # only the step-indexed histories and the recorded states are read now
-    del bu, solve
     t = rows * dt
     nx_rec, nd_rec, v_rec = (np.zeros(rows.size) for _ in range(3))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -665,18 +668,13 @@ def write_csv(traj: Trajectory, path) -> None:
 
     Values carry 12 significant digits; rows end with a bare newline.
     """
-    n = traj.coeffs.shape[1] if traj.coeffs.ndim == 2 else 0
-    m = traj.u.shape[1] if traj.u.ndim == 2 else 0
     header = (["t", "x", "normX", "V"]
-              + [f"u{j + 1}" for j in range(m)]
+              + [f"u{j + 1}" for j in range(traj.u.shape[1])]
               + ["normd"]
-              + [f"c{k + 1}" for k in range(n)])
-    u_real = _assert_real(traj.u, "recorded input") if traj.u.size else \
-        np.zeros((0, m))
-    c_real = _assert_real(traj.coeffs, "recorded coefficients") if \
-        traj.coeffs.size else np.zeros((0, n))
-    columns = [traj.t, traj.x, traj.norm_x, traj.V, u_real, traj.norm_d,
-               c_real]
+              + [f"c{k + 1}" for k in range(traj.coeffs.shape[1])])
+    columns = [traj.t, traj.x, traj.norm_x, traj.V,
+               _assert_real(traj.u, "recorded input"), traj.norm_d,
+               _assert_real(traj.coeffs, "recorded coefficients")]
     row_format = ",".join(["%" + _CSV_PRECISION] * len(header)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")

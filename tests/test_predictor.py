@@ -290,8 +290,8 @@ class TestArtsteinState:
 
 def solve_row_200(design, y, phi):
     """(Z, u) of row 200 after 200 zero rows, from the row solver."""
-    hist = np.zeros((300, design.n0), dtype=complex)
-    z, u = _RowSolver(design, 1e-3, design.b_n0, 1)(
+    hist = np.zeros((300, design.input_dim), dtype=complex)
+    z, u = _RowSolver(design, 1e-3)(
         hist, 199, np.atleast_2d(y), np.array([phi]))
     return z[0], u[0]
 
@@ -419,13 +419,16 @@ class TestBlockSolve:
 
     @pytest.mark.parametrize("case", [
         "delay-0.0625", "delay-0.1237-coupled", "one-row-blocks", "n0-1",
-        "complex-pair"])
+        "complex-pair", "mismatched-plant"])
     def test_simulate_matches_per_row_solve(self, heat_sys, fields,
                                             x0_coeffs, case):
         # t_end = 1 is 1000 steps: the last block of 32 rows has 8; the
-        # ramp ends inside a block; D = 1.5 dt gives blocks of one row
+        # ramp ends inside a block; D = 1.5 dt gives blocks of one row.  The
+        # predictor is built from the design's model, so with the plant's
+        # diffusivity off (5.2 against 5.0) every window row must still
+        # take the design's B
         sys_, n0, delay, poles, f = heat_sys, 2, 0.1, [-3.0, -3.0], None
-        y0 = x0_coeffs
+        y0, plant = x0_coeffs, None
         if case == "delay-0.0625":
             delay = 0.0625
         elif case == "delay-0.1237-coupled":
@@ -434,13 +437,16 @@ class TestBlockSolve:
             delay = 0.0015
         elif case == "n0-1":
             n0, poles = 1, [-3.0]
+        elif case == "mismatched-plant":
+            plant = sd.build_heat_system(5.2, 2.5, 2 * np.pi, 10)
         else:
             sys_ = synthetic_system([0.5 + 2j, 0.5 - 2j, -3.0, -6.0])
             poles, y0 = [-2 + 1j, -2 - 1j], np.array([0.3 - 0.4j, 0.3 + 0.4j,
                                                      0.1, -0.2])
         des = sd.design_predictor(sys_, n0, delay, poles, 0.2)
         cfg = sd.SimConfig(dt=1e-3, t_end=1.0, n_modes=y0.size)
-        traj = sd.simulate(cfg, sys_, des, f, x0=-2.0, x0_coeffs=y0)
+        traj = sd.simulate(cfg, sys_ if plant is None else plant, des, f,
+                           x0=-2.0, x0_coeffs=y0)
         z, u = per_row_inputs(des, 1e-3, traj.coeffs[:, :n0],
                               des.transition.phi(traj.t))
         assert_rel_close(traj.z, z)
@@ -508,15 +514,15 @@ class TestBlockSolve:
         des = sd.zero_gain_design(heat_sys, 2, delay, 0.2)
         rk4 = _RK4Step(heat_sys, des, None, 10, 1e-3)
         assert rk4.ahead == ahead
-        a = 150
+        a, m = 150, heat_sys.input_dim
         rng = np.random.default_rng(3)
-        bu = np.full((rk4.pad + a + ahead + 2, 10), np.nan, dtype=complex)
-        bu[:rk4.pad + a + 1] = rng.normal(size=(rk4.pad + a + 1, 10))
+        u = np.full((rk4.pad + a + ahead + 2, m), np.nan, dtype=complex)
+        u[:rk4.pad + a + 1] = rng.normal(size=(rk4.pad + a + 1, m))
         rk4.state[:] = rng.normal(size=11)
         for r in range(a, a + ahead):
-            rk4(bu, r)
+            rk4(u, r)
         assert np.isfinite(rk4.state).all()
-        rk4(bu, a + ahead)
+        rk4(u, a + ahead)
         assert not np.isfinite(rk4.state).any()
 
 

@@ -385,11 +385,15 @@ class TestSimulate:
         np.testing.assert_allclose(sorted(times), np.arange(101) * 5e-4,
                                    rtol=0.0, atol=1e-15)
 
-    def test_empty_horizon(self, heat_sys, design, fields):
+    def test_empty_horizon(self, heat_sys, design, fields, tmp_path):
         cfg = sd.SimConfig(dt=1e-3, t_end=0.0, n_modes=10)
         traj = sd.simulate(cfg, heat_sys, design, fields, x0=1.0,
                            x0_coeffs=np.ones(10))
         assert len(traj) == 0
+        sd.write_csv(traj, tmp_path / "empty.csv")
+        assert (tmp_path / "empty.csv").read_text() == ",".join(
+            ["t", "x", "normX", "V", "u1", "u2", "normd"]
+            + [f"c{k}" for k in range(1, 11)]) + "\n"
 
     def test_parameter_validation(self, heat_sys, design, fields):
         with pytest.raises(InvalidParameterError, match="n_modes"):
