@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Sweep the input delay and track the certificate constants.
 
-For each delay the predictor gain is re-synthesized (same poles), the
-certificate weights are re-optimized, and one line of constants is printed.
+The plant, the retained modes, the poles, the ramp and the coupling are
+the built-in case study's.  For each delay the predictor gain is
+re-synthesized, the certificate weights are re-optimized, and one line of
+constants is printed.
 Illustrates how the certified gain C4*sqrt(C6/(2*kappa0)) and the
 interconnection margin degrade with the delay.
 """
@@ -15,7 +17,8 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from sdcontrol import (build_heat_system, coupling_constants, design_predictor,
+from sdcontrol import (build_heat_system, case_study_run_config,
+                       coupling_constants, design_predictor,
                        optimize_parameters, small_gain_margin)
 from sdcontrol.errors import ToolkitError
 
@@ -28,16 +31,17 @@ def main():
     ap.add_argument("--csv", default=None, help="optional output CSV path")
     args = ap.parse_args()
 
-    sys_ = build_heat_system(a=5.0, c=2.5, L=2 * np.pi, n_max=10)
-    coupling = coupling_constants(a1=1.5, b1=0.5, c1=0.2, a2=0.7, b2=0.55,
-                                  c2=10.0, d2=0.45, L=2 * np.pi)
+    cfg = case_study_run_config()
+    plant, ctl = cfg.plant, cfg.control
+    sys_ = build_heat_system(plant.a, plant.c, plant.L, plant.n_max)
+    coupling = coupling_constants(**cfg.coupling.gains(), L=plant.L)
 
     rows = []
     print(f"{'D':>8} {'|K|':>10} {'kappa0':>10} {'sg_const':>10} {'margin':>10}")
     for delay in np.linspace(args.d_min, args.d_max, args.steps):
         try:
-            design = design_predictor(sys_, n0=2, delay=float(delay),
-                                      poles=[-3.0, -3.0], t0=0.2)
+            design = design_predictor(sys_, cfg.truncation.n0, float(delay),
+                                      ctl.poles, ctl.t0)
             bundle = optimize_parameters(sys_, design)
         except ToolkitError as exc:
             print(f"{delay:8.3f}  failed: {exc}")

@@ -3,42 +3,40 @@
 
 The synthesis fixes K = q*k with a deterministic direction q; this script
 maps how the optimized certified gain depends on the direction angle for
-the two-input case study, which shows the floor of the achievable
-small-gain constant over the whole rank-one family.
+the two-input case study (its plant, delay, ramp and poles), which shows
+the floor of the achievable small-gain constant over the whole rank-one
+family.
 """
 
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from sdcontrol import build_heat_system, optimize_parameters
+from sdcontrol import (build_heat_system, case_study_run_config,
+                       optimize_parameters, place_poles, solve_lyapunov,
+                       zero_gain_design)
 from sdcontrol.errors import ToolkitError
-from sdcontrol.predictor import (PredictorDesign, TransitionSignal,
-                                 _ackermann, diagonal_exponential,
-                                 solve_lyapunov)
 
 
-def rank_one_design(sys_, theta, poles, delay=0.1, t0=0.2):
-    """Design with an explicit direction angle instead of the default seed."""
-    n0 = len(poles)
-    lam = sys_.eigenvalues[:n0]
-    b_n0 = sys_.input_coeffs[:n0]
-    exp_da = diagonal_exponential(np.diag(lam), -delay)
-    q = np.array([math.cos(theta), math.sin(theta)])
-    bq = (exp_da @ b_n0) @ q
-    k = _ackermann(lam, bq, np.sort_complex(np.asarray(poles, dtype=complex)))
-    gain = np.outer(q, k)
-    a_cl = np.diag(lam) + exp_da @ b_n0 @ gain
-    return PredictorDesign(
-        delay=delay, n0=n0, a_n0=np.diag(lam), b_n0=b_n0, exp_da=exp_da,
-        gain=gain, a_cl=a_cl, lyap=solve_lyapunov(a_cl),
-        desired_poles=np.sort_complex(np.asarray(poles, dtype=complex)),
-        transition=TransitionSignal(t0))
+def rank_one_design(sys_, theta, poles, delay, t0):
+    """Design with an explicit direction angle instead of the default seed.
+
+    k places the poles on the single-input pair (A, exp(-D A) B q), so
+    K = q k places them on (A, exp(-D A) B).
+    """
+    base = zero_gain_design(sys_, len(poles), delay, t0)
+    b_eff = base.exp_da @ base.b_n0
+    q = np.array([[math.cos(theta)], [math.sin(theta)]])
+    gain = q @ place_poles(base.a_n0, b_eff @ q, poles)
+    a_cl = base.a_n0 + b_eff @ gain
+    return replace(base, gain=gain, a_cl=a_cl, lyap=solve_lyapunov(a_cl),
+                   desired_poles=tuple(poles))
 
 
 def main():
@@ -48,13 +46,16 @@ def main():
     ap.add_argument("--steps", type=int, default=17)
     args = ap.parse_args()
 
-    sys_ = build_heat_system(a=5.0, c=2.5, L=2 * np.pi, n_max=10)
+    cfg = case_study_run_config()
+    plant, ctl = cfg.plant, cfg.control
+    sys_ = build_heat_system(plant.a, plant.c, plant.L, plant.n_max)
     print(f"{'theta_deg':>10} {'|K|':>10} {'sg_const':>12}")
     best = (None, math.inf)
     for deg in np.linspace(args.theta_min, args.theta_max, args.steps):
         theta = math.radians(float(deg))
         try:
-            design = rank_one_design(sys_, theta, [-3.0, -3.0])
+            design = rank_one_design(sys_, theta, ctl.poles, ctl.delay,
+                                     ctl.t0)
             bundle = optimize_parameters(sys_, design)
         except (ToolkitError, np.linalg.LinAlgError) as exc:
             print(f"{deg:10.2f}  failed: {exc}")

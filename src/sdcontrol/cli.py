@@ -7,11 +7,12 @@ interconnection margin) and simulate (the closed loop) in that order, up
 to its own stage, on one plant.  Only the command's own stage writes
 artifacts and sets the exit code; case-study writes those of every stage.
 Exit codes (each error's ``exit_code``): 0 success, 1 configuration
-error, 2 violated plant assumption, 3 gain synthesis failure (including
-an uncontrollable retained block and non-Hurwitz poles), 4 infeasible
-certificate (or nonpositive interconnection margin), 5 diverged
-simulation.  Verbosity is controlled by the SDC_LOG environment variable
-(error, info, debug).
+error (a run file that `load_config` rejects: a missing, unknown,
+malformed, non-finite or inconsistent key or section), 2 violated plant
+assumption, 3 gain synthesis failure (including an uncontrollable
+retained block and non-Hurwitz poles), 4 infeasible certificate (or
+nonpositive interconnection margin), 5 diverged simulation.  Verbosity is
+controlled by the SDC_LOG environment variable (error, info, debug).
 """
 
 from __future__ import annotations
@@ -131,14 +132,9 @@ def _write_design(out_dir: Path, design, open_loop: bool) -> None:
     log.info("design written to %s", out_dir / "design.txt")
 
 
-def _coupling_from_config(cfg: RunConfig):
-    c = cfg.coupling
-    return coupling_constants(c.a1, c.b1, c.c1, c.a2, c.b2, c.c2, c.d2,
-                              cfg.plant.L)
-
-
 def _write_certificate(cfg: RunConfig, out_dir: Path, bundle) -> int:
-    margin = small_gain_margin(bundle, _coupling_from_config(cfg))
+    coupling = coupling_constants(**cfg.coupling.gains(), L=cfg.plant.L)
+    margin = small_gain_margin(bundle, coupling)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "certificate.txt").write_text(render_certificate(bundle, margin))
     log.info("certificate written to %s", out_dir / "certificate.txt")
@@ -165,14 +161,12 @@ def _initial_state(cfg: RunConfig, sys_, n_modes: int):
 
 def _run_simulation(cfg: RunConfig, sys_, design, bundle,
                     no_disturbance: bool):
-    coup = cfg.coupling
     n_modes = cfg.simulation.n_modes
-    disturbance = "none" if no_disturbance else coup.disturbance
-    a2 = 0.0 if no_disturbance else coup.a2
-    b2 = 0.0 if no_disturbance else coup.b2
-    fields = case_study_fields(sys_, n_modes, a1=coup.a1, b1=coup.b1,
-                               c1=coup.c1, a2=a2, b2=b2, c2=coup.c2,
-                               d2=coup.d2)
+    disturbance = "none" if no_disturbance else cfg.coupling.disturbance
+    gains = cfg.coupling.gains()
+    if no_disturbance:
+        gains.update(a2=0.0, b2=0.0)
+    fields = case_study_fields(sys_, n_modes, **gains)
     sim_cfg = SimConfig(dt=cfg.simulation.dt, t_end=cfg.simulation.t_end,
                         n_modes=n_modes,
                         record_stride=cfg.simulation.record_stride,

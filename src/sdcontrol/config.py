@@ -1,14 +1,21 @@
 """INI-style run configuration: parsing, validation, case-study defaults.
 
 A run file has the sections [plant], [truncation], [control],
-[certificate], [coupling], [simulation] and optionally [initial]; every
-load error names the offending section and key.
+[certificate], [coupling], [simulation] and optionally [initial].  Each
+section is a dataclass below, and each of its fields declares one key
+once: its type, its default (a field without one is a required key), and
+through `_key` its INI name where that differs from the field name and
+its single-key rule.  One reader converts every value by its declared
+type, rejects non-finite numbers and unknown keys and sections, and
+applies the rules; `_config_from_parser` adds the checks that span keys.
+Every load error names the offending section and key.  A ';' after
+whitespace starts an inline comment.
 """
 
-from __future__ import annotations
-
+import cmath
 import configparser
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, dataclass, field, fields
 
 from .errors import ConfigError
 
@@ -19,24 +26,40 @@ __all__ = [
     "case_study_run_config",
 ]
 
+# single-key rules: (test, what a value failing it must be); a NaN fails
+# every test, though the reader rejects non-finite numbers before the rules
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
+_AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1")
+
+
+def _one_of(*choices):
+    return (lambda v: v in choices, "must be " + ", ".join(
+        map(repr, choices[:-1])) + f" or {choices[-1]!r}")
+
+
+def _key(default=MISSING, *, ini=None, rule=None):
+    """A field whose INI key is spelled `ini`, or that has a rule."""
+    return field(default=default, metadata={"ini": ini, "rule": rule})
+
 
 @dataclass(frozen=True)
 class PlantConfig:
-    a: float
+    a: float = _key(rule=_POSITIVE)
     c: float
-    L: float
-    n_max: int
+    L: float = _key(rule=_POSITIVE)
+    n_max: int = _key(ini="N_max", rule=_AT_LEAST_1)
 
 
 @dataclass(frozen=True)
 class TruncationConfig:
-    n0: int
+    n0: int = _key(ini="N0", rule=_NONNEGATIVE)
 
 
 @dataclass(frozen=True)
 class ControlConfig:
-    delay: float
-    t0: float
+    delay: float = _key(ini="D", rule=_POSITIVE)
+    t0: float = _key(rule=_POSITIVE)
     poles: tuple[complex, ...]
 
 
@@ -50,29 +73,34 @@ class CertificateConfig:
 
 @dataclass(frozen=True)
 class CouplingConfig:
-    a1: float = 1.5
+    a1: float = _key(1.5, rule=_POSITIVE)
     b1: float = 0.5
     c1: float = 0.2
     a2: float = 0.7
     b2: float = 0.55
     c2: float = 10.0
     d2: float = 0.45
-    disturbance: str = "case-study"
+    disturbance: str = _key("case-study", rule=_one_of("none", "case-study"))
+
+    def gains(self) -> dict[str, float]:
+        """The seven gains, keyed as coupling_constants takes them."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "disturbance"}
 
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    dt: float = 1e-3
-    t_end: float = 10.0
-    n_modes: int = 10
-    record_stride: int = 1
+    dt: float = _key(1e-3, rule=_POSITIVE)
+    t_end: float = _key(10.0, ini="T_end", rule=_NONNEGATIVE)
+    n_modes: int = _key(10, ini="N_modes")
+    record_stride: int = _key(1, rule=_AT_LEAST_1)
     output: str = "trajectory.csv"
 
 
 @dataclass(frozen=True)
 class InitialConfig:
     x0: float = 0.0
-    pde_profile: str = "zero"  # zero | cubic | coeffs
+    pde_profile: str = _key("zero", rule=_one_of("zero", "cubic", "coeffs"))
     coeffs: tuple[float, ...] = ()
 
 
@@ -87,148 +115,110 @@ class RunConfig:
     initial: InitialConfig = field(default_factory=InitialConfig)
 
 
-class _SectionReader:
-    def __init__(self, parser: configparser.ConfigParser, section: str):
-        self.section = section
-        self.present = parser.has_section(section)
-        self._parser = parser
+_BOOLEANS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+             **dict.fromkeys(("0", "false", "no", "off"), False)}
 
-    def _raw(self, key: str, required: bool, default):
-        if not self.present or not self._parser.has_option(self.section, key):
-            if required:
-                raise ConfigError(
-                    f"missing key '{key}' in section [{self.section}]")
-            return default
-        return self._parser.get(self.section, key)
-
-    def _convert(self, key: str, raw: str, conv, kind: str):
-        try:
-            return conv(raw)
-        except ValueError as exc:
-            raise ConfigError(
-                f"key '{key}' in section [{self.section}] is not a valid "
-                f"{kind}: {raw!r}") from exc
-
-    def get_float(self, key, default=None, required=False):
-        raw = self._raw(key, required, default)
-        return raw if raw is default else self._convert(key, raw, float, "number")
-
-    def get_int(self, key, default=None, required=False):
-        raw = self._raw(key, required, default)
-        return raw if raw is default else self._convert(key, raw, int, "integer")
-
-    def get_bool(self, key, default=None, required=False):
-        raw = self._raw(key, required, default)
-        if raw is default:
-            return raw
-        lowered = str(raw).strip().lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(
-            f"key '{key}' in section [{self.section}] is not a valid boolean: {raw!r}")
-
-    def get_str(self, key, default=None, required=False):
-        raw = self._raw(key, required, default)
-        return raw if raw is default else str(raw).strip()
-
-    def get_complex_list(self, key, required=False):
-        raw = self._raw(key, required, None)
-        if raw is None:
-            return None
-        items = [s.strip() for s in str(raw).split(",") if s.strip()]
-        return tuple(self._convert(key, s, complex, "complex number")
-                     for s in items)
-
-    def get_float_list(self, key, default=()):
-        raw = self._raw(key, False, None)
-        if raw is None:
-            return tuple(default)
-        items = [s.strip() for s in str(raw).split(",") if s.strip()]
-        return tuple(self._convert(key, s, float, "number") for s in items)
+# the parser of each declared value type, and the kind that errors name
+_PARSERS = {float: (float, "number"), int: (int, "integer"),
+            complex: (complex, "complex number"),
+            bool: (lambda raw: _BOOLEANS[raw.lower()], "boolean"),
+            str: (str.strip, "string")}
 
 
-def _positive(value, what: str):
-    if value <= 0:
-        raise ConfigError(f"{what} must be positive, got {value}")
+def _convert(where: str, typ, raw: str):
+    """raw as a value of the declared type; a tuple is a comma list."""
+    args = typing.get_args(typ)
+    if typing.get_origin(typ) is tuple:
+        return tuple(_convert(where, args[0], s.strip())
+                     for s in raw.split(",") if s.strip())
+    parse, kind = _PARSERS[args[0] if args else typ]  # float | None: float
+    try:
+        value = parse(raw)
+    except (ValueError, KeyError) as exc:
+        raise ConfigError(f"{where} is not a valid {kind}: {raw!r}") from exc
+    if isinstance(value, (float, complex)) and not cmath.isfinite(value):
+        raise ConfigError(f"{where} is not a finite {kind}: {raw!r}")
     return value
+
+
+def _read_section(parser: configparser.ConfigParser, name: str, cls):
+    """Section [name] as a `cls`, with cls's defaults for absent keys."""
+    present = parser.has_section(name)
+    declared = {f.metadata.get("ini") or f.name: f for f in fields(cls)}
+    if present:
+        known = {key.lower() for key in declared}  # configparser lowercases
+        for key in parser.options(name):
+            if key not in known:
+                raise ConfigError(f"unknown key '{key}' in section [{name}]")
+    values = {}
+    for key, f in declared.items():
+        where = f"key '{key}' in section [{name}]"
+        if parser.has_option(name, key):
+            value = _convert(where, f.type, parser.get(name, key))
+            rule = f.metadata.get("rule")
+            if rule and not rule[0](value):
+                raise ConfigError(f"{name} {key} {rule[1]}, got {value!r}")
+            values[f.name] = value
+        elif f.default is MISSING:
+            raise ConfigError(f"missing {where}" if present
+                              else f"missing section [{name}]")
+    return cls(**values)
 
 
 def load_config(path) -> RunConfig:
     """Parse and validate a run configuration file.
 
     Raises:
-        ConfigError: missing file, missing key, bad value, or an
-            inconsistent combination (for example dt >= delay).
+        ConfigError: missing file, missing or unknown section or key, bad
+            or non-finite value, or an inconsistent combination (for
+            example dt >= delay).
     """
-    parser = configparser.ConfigParser()
     try:
         with open(path) as fh:
-            parser.read_file(fh)
-    except OSError as exc:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except configparser.Error as exc:
-        raise ConfigError(f"malformed config file {path}: {exc}") from exc
-    return _config_from_parser(parser)
+    return _load(text, f"file {path}")
 
 
 def loads_config(text: str) -> RunConfig:
     """Parse and validate a run configuration from a string."""
-    parser = configparser.ConfigParser()
+    return _load(text, "text")
+
+
+def _load(text: str, source: str) -> RunConfig:
+    # values are literal: with '%' interpolation a '%' in a value raised
+    # configparser's own error, past the ConfigError handling
+    parser = configparser.ConfigParser(interpolation=None,
+                                       inline_comment_prefixes=(";",))
     try:
         parser.read_string(text)
     except configparser.Error as exc:
-        raise ConfigError(f"malformed config text: {exc}") from exc
+        raise ConfigError(f"malformed config {source}: {exc}") from exc
     return _config_from_parser(parser)
 
 
 def _config_from_parser(parser: configparser.ConfigParser) -> RunConfig:
-    plant_r = _SectionReader(parser, "plant")
-    if not plant_r.present:
-        raise ConfigError("missing section [plant]")
-    plant = PlantConfig(
-        a=_positive(plant_r.get_float("a", required=True), "plant a"),
-        c=plant_r.get_float("c", required=True),
-        L=_positive(plant_r.get_float("L", required=True), "plant L"),
-        n_max=plant_r.get_int("N_max", required=True),
-    )
-    if plant.n_max < 1:
-        raise ConfigError(f"plant N_max must be at least 1, got {plant.n_max}")
+    sections = {f.name: f.type for f in fields(RunConfig)}
+    for name in parser.sections():
+        if name not in sections:
+            raise ConfigError(f"unknown section [{name}]")
+    cfg = RunConfig(**{name: _read_section(parser, name, cls)
+                       for name, cls in sections.items()})
 
-    trunc_r = _SectionReader(parser, "truncation")
-    if not trunc_r.present:
-        raise ConfigError("missing section [truncation]")
-    truncation = TruncationConfig(n0=trunc_r.get_int("N0", required=True))
-    if truncation.n0 < 0:
-        raise ConfigError(f"truncation N0 must be nonnegative, got {truncation.n0}")
-    if truncation.n0 >= plant.n_max:
+    # the rules below span keys; each key's own rule is declared above
+    n0, n_max = cfg.truncation.n0, cfg.plant.n_max
+    if n0 >= n_max:
+        raise ConfigError(f"truncation N0 = {n0} must be below N_max = {n_max}")
+    poles = cfg.control.poles
+    if n0 > 0 and len(poles) != n0:
         raise ConfigError(
-            f"truncation N0 = {truncation.n0} must be below N_max = {plant.n_max}")
-
-    ctrl_r = _SectionReader(parser, "control")
-    if not ctrl_r.present:
-        raise ConfigError("missing section [control]")
-    poles = ctrl_r.get_complex_list("poles", required=True)
-    control = ControlConfig(
-        delay=_positive(ctrl_r.get_float("D", required=True), "control D"),
-        t0=_positive(ctrl_r.get_float("t0", required=True), "control t0"),
-        poles=poles,
-    )
-    if truncation.n0 > 0 and len(poles) != truncation.n0:
-        raise ConfigError(
-            f"control poles must list exactly N0 = {truncation.n0} values, "
+            f"control poles must list exactly N0 = {n0} values, "
             f"got {len(poles)}")
 
-    cert_r = _SectionReader(parser, "certificate")
-    certificate = CertificateConfig(
-        optimize=cert_r.get_bool("optimize", default=True),
-        beta=cert_r.get_float("beta"),
-        gamma1=cert_r.get_float("gamma1"),
-        gamma2=cert_r.get_float("gamma2"),
-    )
-    overrides = (certificate.beta, certificate.gamma1, certificate.gamma2)
-    if not certificate.optimize:
+    cert = cfg.certificate
+    overrides = (cert.beta, cert.gamma1, cert.gamma2)
+    if not cert.optimize:
         if any(v is None for v in overrides):
             raise ConfigError(
                 "certificate optimize = false requires beta, gamma1 and gamma2")
@@ -239,70 +229,26 @@ def _config_from_parser(parser: configparser.ConfigParser) -> RunConfig:
             "certificate weights need optimize = false with all of beta, "
             "gamma1, gamma2")
 
-    coup_r = _SectionReader(parser, "coupling")
-    coupling = CouplingConfig(
-        a1=coup_r.get_float("a1", default=1.5),
-        b1=coup_r.get_float("b1", default=0.5),
-        c1=coup_r.get_float("c1", default=0.2),
-        a2=coup_r.get_float("a2", default=0.7),
-        b2=coup_r.get_float("b2", default=0.55),
-        c2=coup_r.get_float("c2", default=10.0),
-        d2=coup_r.get_float("d2", default=0.45),
-        disturbance=coup_r.get_str("disturbance", default="case-study"),
-    )
-    if coupling.a1 <= 0:
-        raise ConfigError(f"coupling a1 must be positive, got {coupling.a1}")
-    if coupling.disturbance not in ("none", "case-study"):
+    sim = cfg.simulation
+    if sim.n_modes < max(1, n0):
         raise ConfigError(
-            f"coupling disturbance must be 'none' or 'case-study', "
-            f"got {coupling.disturbance!r}")
+            f"simulation N_modes = {sim.n_modes} must cover N0 = {n0}")
+    if sim.n_modes > n_max:
+        raise ConfigError(
+            f"simulation N_modes = {sim.n_modes} exceeds plant "
+            f"N_max = {n_max}")
+    if sim.dt >= cfg.control.delay:
+        raise ConfigError(
+            f"simulation dt = {sim.dt} must be smaller than the "
+            f"control delay D = {cfg.control.delay}")
 
-    sim_r = _SectionReader(parser, "simulation")
-    simulation = SimulationConfig(
-        dt=_positive(sim_r.get_float("dt", default=1e-3), "simulation dt"),
-        t_end=sim_r.get_float("T_end", default=10.0),
-        n_modes=sim_r.get_int("N_modes", default=10),
-        record_stride=sim_r.get_int("record_stride", default=1),
-        output=sim_r.get_str("output", default="trajectory.csv"),
-    )
-    if simulation.t_end < 0:
-        raise ConfigError(f"simulation T_end must be nonnegative, got "
-                          f"{simulation.t_end}")
-    if simulation.n_modes < max(1, truncation.n0):
-        raise ConfigError(
-            f"simulation N_modes = {simulation.n_modes} must cover N0 = "
-            f"{truncation.n0}")
-    if simulation.n_modes > plant.n_max:
-        raise ConfigError(
-            f"simulation N_modes = {simulation.n_modes} exceeds plant "
-            f"N_max = {plant.n_max}")
-    if simulation.record_stride < 1:
-        raise ConfigError("simulation record_stride must be at least 1")
-    if simulation.dt >= control.delay:
-        raise ConfigError(
-            f"simulation dt = {simulation.dt} must be smaller than the "
-            f"control delay D = {control.delay}")
-
-    init_r = _SectionReader(parser, "initial")
-    initial = InitialConfig(
-        x0=init_r.get_float("x0", default=0.0),
-        pde_profile=init_r.get_str("pde_profile", default="zero"),
-        coeffs=init_r.get_float_list("coeffs"),
-    )
-    if initial.pde_profile not in ("zero", "cubic", "coeffs"):
-        raise ConfigError(
-            f"initial pde_profile must be zero, cubic or coeffs, "
-            f"got {initial.pde_profile!r}")
-    if initial.pde_profile == "coeffs" and not initial.coeffs:
+    init = cfg.initial
+    if init.pde_profile == "coeffs" and not init.coeffs:
         raise ConfigError("initial pde_profile = coeffs requires a coeffs list")
-    if initial.pde_profile == "coeffs" and \
-            len(initial.coeffs) > simulation.n_modes:
+    if init.pde_profile == "coeffs" and len(init.coeffs) > sim.n_modes:
         raise ConfigError(f"initial coeffs list longer than N_modes = "
-                          f"{simulation.n_modes}")
-
-    return RunConfig(plant=plant, truncation=truncation, control=control,
-                     certificate=certificate, coupling=coupling,
-                     simulation=simulation, initial=initial)
+                          f"{sim.n_modes}")
+    return cfg
 
 
 CASE_STUDY_INI = """\

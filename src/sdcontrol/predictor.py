@@ -46,8 +46,9 @@ class TransitionSignal:
     t0: float
 
     def __post_init__(self):
-        if self.t0 <= 0:
-            raise InvalidParameterError(f"t0 must be positive, got {self.t0}")
+        if not 0 < self.t0 < math.inf:  # NaN fails as well
+            raise InvalidParameterError(
+                f"t0 must be positive and finite, got {self.t0}")
 
     def phi(self, t):
         s = np.clip(np.asarray(t, dtype=float) / self.t0, 0.0, 1.0)
@@ -284,6 +285,19 @@ class PredictorDesign:
         return float(self._lyap_eigenvalues().max())
 
 
+def _retained_block(sys: SpectralSystem, n0: int, delay: float):
+    """A, B and exp(-D A) of the first n0 modes, after the argument checks."""
+    if not 1 <= n0 <= sys.n_max:
+        raise InvalidParameterError(
+            f"n0 must satisfy 1 <= n0 <= n_max = {sys.n_max}, got {n0}")
+    if not 0 <= delay < math.inf:  # NaN fails as well
+        raise InvalidParameterError(
+            f"delay must be nonnegative and finite, got {delay}")
+    a_n0 = np.diag(sys.eigenvalues[:n0])
+    return (a_n0, np.array(sys.input_coeffs[:n0], dtype=complex),
+            diagonal_exponential(a_n0, -delay))
+
+
 def design_predictor(sys: SpectralSystem, n0: int, delay: float,
                      poles: Sequence[complex], t0: float) -> PredictorDesign:
     """Full synthesis: gain placement plus Lyapunov certificate matrix.
@@ -291,21 +305,14 @@ def design_predictor(sys: SpectralSystem, n0: int, delay: float,
     Args:
         sys: the plant.
         n0: retained mode count, 1 <= n0 <= n_max.
-        delay: input delay D >= 0.
+        delay: input delay D >= 0, finite.
         poles: n0 desired closed-loop eigenvalues.  Placement does not
             require them to be Hurwitz, but the certificate does: for a
             non-Hurwitz placement the design carries the placed gain and
             spectrum with lyap = None.
         t0: ramp duration.
     """
-    if not 1 <= n0 <= sys.n_max:
-        raise InvalidParameterError(
-            f"n0 must satisfy 1 <= n0 <= n_max = {sys.n_max}, got {n0}")
-    if delay < 0:
-        raise InvalidParameterError(f"delay must be nonnegative, got {delay}")
-    a_n0 = np.diag(sys.eigenvalues[:n0])
-    b_n0 = np.array(sys.input_coeffs[:n0], dtype=complex)
-    exp_da = diagonal_exponential(a_n0, -delay)
+    a_n0, b_n0, exp_da = _retained_block(sys, n0, delay)
     gain = place_poles(a_n0, exp_da @ b_n0, poles)
     a_cl = a_n0 + exp_da @ b_n0 @ gain
     hurwitz = float(np.linalg.eigvals(a_cl).real.max()) < 0
@@ -320,14 +327,9 @@ def design_predictor(sys: SpectralSystem, n0: int, delay: float,
 def zero_gain_design(sys: SpectralSystem, n0: int, delay: float,
                      t0: float) -> PredictorDesign:
     """Open-loop design with K = 0 (no certificate matrix)."""
-    if not 1 <= n0 <= sys.n_max:
-        raise InvalidParameterError(
-            f"n0 must satisfy 1 <= n0 <= n_max = {sys.n_max}, got {n0}")
-    a_n0 = np.diag(sys.eigenvalues[:n0])
-    b_n0 = np.array(sys.input_coeffs[:n0], dtype=complex)
+    a_n0, b_n0, exp_da = _retained_block(sys, n0, delay)
     return PredictorDesign(
-        delay=float(delay), n0=n0, a_n0=a_n0, b_n0=b_n0,
-        exp_da=diagonal_exponential(a_n0, -delay),
+        delay=float(delay), n0=n0, a_n0=a_n0, b_n0=b_n0, exp_da=exp_da,
         gain=np.zeros((sys.input_dim, n0), dtype=complex),
         a_cl=a_n0, lyap=None, desired_poles=None,
         transition=TransitionSignal(t0=t0),

@@ -102,10 +102,13 @@ class SimConfig:
     disturbance: str | Callable[[float], float] = "case-study"
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise InvalidParameterError(f"dt must be positive, got {self.dt}")
-        if self.t_end < 0:
-            raise InvalidParameterError(f"t_end must be nonnegative, got {self.t_end}")
+        # written so that NaN fails as well
+        if not 0 < self.dt < math.inf:
+            raise InvalidParameterError(
+                f"dt must be positive and finite, got {self.dt}")
+        if not 0 <= self.t_end < math.inf:
+            raise InvalidParameterError(
+                f"t_end must be nonnegative and finite, got {self.t_end}")
         if self.n_modes < 1:
             raise InvalidParameterError("n_modes must be at least 1")
         if self.record_stride < 1:
@@ -171,10 +174,9 @@ def _profile_real(sys: SpectralSystem, fn, n_modes: int) -> np.ndarray:
     return coeffs.real
 
 
-def case_study_fields(sys: SpectralSystem, n_modes: int,
-                      a1: float = 1.5, b1: float = 0.5, c1: float = 0.2,
-                      a2: float = 0.7, b2: float = 0.55, c2: float = 10.0,
-                      d2: float = 0.45) -> CouplingFields:
+def case_study_fields(sys: SpectralSystem, n_modes: int, a1: float,
+                      b1: float, c1: float, a2: float, b2: float, c2: float,
+                      d2: float) -> CouplingFields:
     """Projected interconnection of the built-in case study.
 
     Uses the unit-norm profiles sqrt(6 xi (L - xi)) / L^{3/2} (sensing and

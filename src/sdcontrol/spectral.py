@@ -137,19 +137,25 @@ def build_heat_system(a: float, c: float, L: float,
         input_coeffs[n-1] = a n pi sqrt(2/L^3) * (1, (-1)^{n+1}).
 
     Args:
-        a: diffusivity, must be positive.
-        c: reaction coefficient.
-        L: domain length, must be positive.
+        a: diffusivity, positive and finite.
+        c: reaction coefficient, finite.
+        L: domain length, positive and finite.
         n_max: number of retained modes, at least 1.
 
     Returns:
         SpectralSystem with frame bounds 1 (orthonormal basis) and the
         sine-basis evaluator attached.
     """
-    if a <= 0:
-        raise InvalidParameterError(f"diffusivity a must be positive, got {a}")
-    if L <= 0:
-        raise InvalidParameterError(f"domain length L must be positive, got {L}")
+    # written so that NaN fails as well
+    if not 0 < a < np.inf:
+        raise InvalidParameterError(
+            f"diffusivity a must be positive and finite, got {a}")
+    if not np.isfinite(c):
+        raise InvalidParameterError(
+            f"reaction coefficient c must be finite, got {c}")
+    if not 0 < L < np.inf:
+        raise InvalidParameterError(
+            f"domain length L must be positive and finite, got {L}")
     if n_max < 1:
         raise InvalidParameterError(f"n_max must be at least 1, got {n_max}")
 

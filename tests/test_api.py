@@ -1,8 +1,12 @@
-"""The public names and the README's Library example."""
+"""The public names, the README's examples and the public constructors'
+input checks."""
 
 import importlib
+import math
 import re
 from pathlib import Path
+
+import pytest
 
 import sdcontrol as sd
 
@@ -57,3 +61,30 @@ def test_readme_library_example_runs():
                         re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md (Library)", "exec"), {})
+
+
+def test_readme_config_block_is_the_case_study():
+    # the annotated file README presents as the case-study config, inline
+    # comments included
+    blocks = re.findall(r"```ini\n(.*?)```",
+                        readme_section("## Configuration file"), re.S)
+    assert len(blocks) == 1
+    assert sd.loads_config(blocks[0]) == sd.case_study_run_config()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", [
+    lambda sys_, v: sd.SimConfig(dt=v),
+    lambda sys_, v: sd.SimConfig(t_end=v),
+    lambda sys_, v: sd.TransitionSignal(v),
+    lambda sys_, v: sd.design_predictor(sys_, 2, v, [-3.0, -3.0], 0.2),
+    lambda sys_, v: sd.zero_gain_design(sys_, 2, v, 0.2),
+    lambda sys_, v: sd.build_heat_system(v, 2.5, 1.0),
+    lambda sys_, v: sd.build_heat_system(5.0, v, 1.0),
+    lambda sys_, v: sd.build_heat_system(5.0, 2.5, v),
+], ids=["SimConfig.dt", "SimConfig.t_end", "TransitionSignal.t0",
+        "design_predictor.delay", "zero_gain_design.delay",
+        "build_heat_system.a", "build_heat_system.c", "build_heat_system.L"])
+def test_constructors_reject_non_finite(heat_sys, call, bad):
+    with pytest.raises(sd.InvalidParameterError, match="finite"):
+        call(heat_sys, bad)

@@ -279,6 +279,11 @@ EXIT_MATRIX = {
                                             "beta": 0.5, "gamma1": 1.0,
                                             "gamma2": 1.0}},
                            [(0, []), (0, DESIGN_FILES), (4, []), (4, [])]),
+    # rejected when the file is loaded, before any stage runs
+    "D=nan": ({"control": {"D": "nan"}}, [(1, [])] * 4),
+    "dt=inf": ({"simulation": {"dt": "inf"}}, [(1, [])] * 4),
+    "key T_ned": ({"simulation": {"T_ned": 0.5}}, [(1, [])] * 4),
+    "section [intial]": ({"intial": {"x0": -2.0}}, [(1, [])] * 4),
 }
 
 

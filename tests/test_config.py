@@ -73,6 +73,12 @@ class TestCaseStudyDefaults:
         path.write_text(CASE_STUDY_INI)
         assert sd.load_config(path) == sd.loads_config(CASE_STUDY_INI)
 
+    def test_undecodable_file(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_bytes(b"[plant]\na = \xff\n")  # not UTF-8
+        with pytest.raises(ConfigError):
+            sd.load_config(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             sd.load_config(tmp_path / "absent.ini")
@@ -244,3 +250,44 @@ class TestInitialSection:
         cfg = sd.loads_config(ini_with(initial={
             "pde_profile": "coeffs", "coeffs": ", ".join(["1"] * 10)}))
         assert len(cfg.initial.coeffs) == 10
+
+
+class TestReader:
+    def test_dataclass_defaults_are_the_case_study(self):
+        # the defaults are the one copy of these numbers outside the INI
+        # text
+        text = ini_with(certificate=None, coupling=None, simulation=None)
+        assert sd.loads_config(text) == sd.case_study_run_config()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("control", "D", "nan"), ("control", "t0", "inf"),
+        ("simulation", "T_end", "inf"), ("simulation", "dt", "-inf"),
+        ("coupling", "a2", "nan"), ("plant", "c", "nan"),
+        ("initial", "coeffs", "1.0, nan"), ("control", "poles", "-3, nanj"),
+    ])
+    def test_non_finite_rejected(self, section, key, value):
+        text = ini_with(**{section: {key: value}})
+        with pytest.raises(ConfigError, match=rf"'{key}' in section "
+                                              rf"\[{section}\] is not a finite"):
+            sd.loads_config(text)
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(ConfigError, match=r"unknown key 't_ned' in "
+                                              r"section \[simulation\]"):
+            sd.loads_config(ini_with(simulation={"T_ned": 0.5}))
+
+    def test_unknown_section_rejected(self):
+        with pytest.raises(ConfigError, match=r"unknown section \[intial\]"):
+            sd.loads_config(ini_with(intial={"x0": -2.0}))
+
+    def test_values_are_literal(self):
+        text = CASE_STUDY_INI.replace("trajectory.csv", "run%1.csv")
+        cfg = sd.loads_config(text)
+        assert cfg.simulation.output == "run%1.csv"
+
+    def test_inline_comments(self, tmp_path):
+        text = CASE_STUDY_INI.replace("D = 0.1", "D = 0.1   ; input delay")
+        path = tmp_path / "run.ini"
+        path.write_text(text)
+        assert sd.load_config(path) == sd.loads_config(text) == \
+            sd.case_study_run_config()

@@ -47,6 +47,16 @@ def test_gain_direction_scan(tmp_path):
     assert len(lines) == 4
 
 
+def test_gain_direction_scan_symmetric_direction(tmp_path):
+    # at 45 deg the collapsed input misses mode 2, so the placement itself
+    # reports the uncontrollable pair
+    proc = run_script("gain_direction_scan.py", "--theta-min", "45",
+                      "--theta-max", "45", "--steps", "1", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1:] == [
+        "     45.00  failed: the pair (A, B) is not controllable"]
+
+
 def test_run_case_study(tmp_path):
     out = tmp_path / "out"
     proc = run_script("run_case_study.py", "--t-end", "0.3", "--out",
