@@ -28,7 +28,8 @@ from .errors import (
     InfeasibleCertificateError,
     InvalidParameterError,
 )
-from .predictor import PredictorDesign, _lagged, _window_weights
+from .predictor import (PredictorDesign, _history_pad, _lagged,
+                        _window_weights)
 from .spectral import SpectralSystem, check_truncation
 
 __all__ = [
@@ -204,25 +205,26 @@ def _lyapunov_rows(sys: SpectralSystem, design: PredictorDesign,
                    u_delay: np.ndarray) -> np.ndarray:
     """The functional of evaluate_V at ascending rows of one history.
 
-    x_coeffs and u_delay hold each row's modal state and delayed input.
-    The integral terms of all rows are one convolution of phi Z* P Z with
-    the constant trapezoid weights.  Only the history rows the windows
-    reach are read.
+    z_history is padded (row k at _history_pad(D, dt) + k); x_coeffs and
+    u_delay hold each row's modal state and delayed input.  The integral
+    terms of all rows are one convolution of phi Z* P Z with the constant
+    trapezoid weights.  Only the history rows the windows reach are read.
     """
     p = design.lyap
     delay = design.delay
     phi = design.transition.phi
+    pad = _history_pad(delay, dt)
     w = _window_weights(0.0, delay, dt)[:, 0]
-    lo = max(int(rows[0]) - (len(w) - 1), 0)
-    z = z_history[lo:int(rows[-1]) + 1]
+    lo = int(rows[0]) - (len(w) - 1)
+    z = z_history[pad + lo:pad + int(rows[-1]) + 1]
     local = rows - lo
     quad = np.einsum("ij,jk,ik->i", z.conj(), p, z).real
     s = phi(np.arange(lo, lo + len(z)) * dt) * quad
     # a window cut at t = 0 differs from the constant one only on node 0
     # (see predictor._RowSolver), where phi(0) = 0, so the constant weights
-    # serve every row
+    # serve every row; phi is 0 on the pad
     integral = np.convolve(s, w)[local]
-    z_del = _lagged(z_history, rows, delay / dt)
+    z_del = _lagged(z_history, pad + rows, delay / dt)
     term_del = phi(rows * dt - delay) \
         * np.einsum("ij,jk,ik->i", z_del.conj(), p, z_del).real
 
@@ -268,6 +270,7 @@ def evaluate_V(sys: SpectralSystem, design: PredictorDesign,
         raise InvalidParameterError(
             f"z_history must have {design.n0} columns, got {z_hist.shape[1]}")
     row = np.array([len(z_hist) - 1])
+    z_hist = np.pad(z_hist, ((_history_pad(design.delay, dt), 0), (0, 0)))
     return float(_lyapunov_rows(sys, design, bundle, z_hist, dt, row,
                                 coeffs[None], u_delay[None])[0])
 

@@ -31,6 +31,7 @@ __all__ = [
 _POSITIVE = (lambda v: v > 0, "must be positive")
 _NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
 _AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1")
+_OPEN_UNIT = (lambda v: 0 < v < 1, "must lie in (0, 1)")
 
 
 def _one_of(*choices):
@@ -66,9 +67,9 @@ class ControlConfig:
 @dataclass(frozen=True)
 class CertificateConfig:
     optimize: bool = True
-    beta: float | None = None
-    gamma1: float | None = None
-    gamma2: float | None = None
+    beta: float | None = _key(None, rule=_OPEN_UNIT)
+    gamma1: float | None = _key(None, rule=_POSITIVE)
+    gamma2: float | None = _key(None, rule=_POSITIVE)
 
 
 @dataclass(frozen=True)
@@ -188,9 +189,12 @@ def loads_config(text: str) -> RunConfig:
 
 def _load(text: str, source: str) -> RunConfig:
     # values are literal: with '%' interpolation a '%' in a value raised
-    # configparser's own error, past the ConfigError handling
+    # configparser's own error, past the ConfigError handling.  No header
+    # can name the section "", so [DEFAULT] is an ordinary, unknown
+    # section rather than keys copied into every section
     parser = configparser.ConfigParser(interpolation=None,
-                                       inline_comment_prefixes=(";",))
+                                       inline_comment_prefixes=(";",),
+                                       default_section="")
     try:
         parser.read_string(text)
     except configparser.Error as exc:

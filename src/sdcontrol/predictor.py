@@ -165,9 +165,14 @@ def place_poles(a: np.ndarray, b_tilde: np.ndarray,
         bq = b_tilde @ q.astype(complex)
         if float(np.abs(bq).min()) <= 1e-9 * max(1.0, float(np.abs(bq).max())):
             continue
-        k = _ackermann(lam, bq, poles)
-        gain = np.outer(q, k)
-        achieved = _canonical_poles(np.linalg.eigvals(a + b_tilde @ gain))
+        # poles far beyond the spectrum overflow the gain or the loop
+        with np.errstate(over="ignore", invalid="ignore"):
+            gain = np.outer(q, _ackermann(lam, bq, poles))
+            a_cl = a + b_tilde @ gain
+        if not np.isfinite(a_cl).all():
+            raise SynthesisFailureError(
+                "the placed gain is not finite: the poles are too far out")
+        achieved = _canonical_poles(np.linalg.eigvals(a_cl))
         err = max(abs(p - q_) for p, q_ in zip(poles, achieved))
         if err <= 1e-6 * max(1.0, max(abs(p) for p in poles)):
             if real_data:
@@ -380,27 +385,24 @@ def _window_weights(lam, delay: float, dt: float,
     return w
 
 
-def _interpolate(hist: np.ndarray, k, f: float) -> np.ndarray:
-    """A history's value f rows (0 <= f < 1) before row k.
+def _history_pad(delay: float, dt: float) -> int:
+    """Zero rows ahead of t = 0 in every history: row k sits at pad + k.
 
-    Linear interpolation between rows k - 1 and k; k may be an index array.
+    No reader looks back more than one delay, which the 2-point
+    interpolation of a partial step makes floor(D / dt) + 1 rows.
     """
-    return hist[k] if not f else f * hist[k - 1] + (1.0 - f) * hist[k]
+    return _split_steps(delay / dt)[0] + 1
 
 
-def _lagged(hist: np.ndarray, rows: np.ndarray, steps: float) -> np.ndarray:
-    """A history's values `steps` rows before each of the ascending `rows`.
+def _lagged(hist: np.ndarray, idx, steps: float) -> np.ndarray:
+    """A padded history's values `steps` rows before the indices idx.
 
-    Linear interpolation between rows; the history is zero before row 0.
-    Only the span of rows the lags reach is read.
+    Linear interpolation between rows; idx may be an index array.  The
+    history's zero pad holds the values before t = 0.
     """
     q, f = _split_steps(steps)
-    lo = int(rows[0]) - q - 1
-    span = hist[max(lo, 0):max(int(rows[-1]) - q + 1, 0)]
-    padded = np.concatenate(
-        [np.zeros((max(-lo, 0),) + hist.shape[1:], dtype=hist.dtype), span])
-    # padded row p holds history row lo + p
-    return _interpolate(padded, rows - lo - q, f)
+    k = idx - q
+    return hist[k] if not f else f * hist[k - 1] + (1.0 - f) * hist[k]
 
 
 # the most rows one block solve takes, and so the most steps a simulate
@@ -422,7 +424,8 @@ class _RowSolver:
     Z_0 = Y_0.  `cut` holds that difference, times B, for each such row.
 
     A call solves the rows a + 1 .. a + b (a >= 0, b <= _SOLVE_ROWS) from
-    their Y and phi and the input history rows 0 .. a; it writes nothing.
+    their Y and phi and the input history rows up to a, in the padded
+    layout of `_history_pad`; it writes nothing.
     Their Z satisfy one block lower-triangular system
 
         (I - L Phi) Z = Y + older + cut u[0],
@@ -440,6 +443,7 @@ class _RowSolver:
 
     def __init__(self, design: PredictorDesign, dt: float):
         self.design = design
+        self.pad = _history_pad(design.delay, dt)
         n0, m, lam = design.n0, design.input_dim, np.diag(design.a_n0)
         rows, b_n0 = _SOLVE_ROWS, design.b_n0
         w = _window_weights(lam, design.delay, dt)
@@ -468,15 +472,13 @@ class _RowSolver:
 
     def __call__(self, hist: np.ndarray, a: int, y: np.ndarray,
                  phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(Z, u) of the rows a + 1 .. a + len(y) from the u history hist."""
-        n0, m = self.design.n0, self.design.input_dim
-        b, c = len(y), a + 1
-        k, lo = b * n0, max(c - self.n_past, 0)
-        # history rows before t = 0 are zero: the window starts at row lo
-        rhs = y + (self.older[:k, (lo - c + self.n_past) * m:]
-                   @ hist[lo:c].ravel()).reshape(b, n0)
-        cut = self.cut[c:c + b]
-        rhs[:len(cut)] += cut @ hist[0]
+        """(Z, u) of the rows a + 1 .. a + len(y) from the padded history."""
+        n0 = self.design.n0
+        b, k, c = len(y), len(y) * n0, self.pad + a + 1
+        rhs = y + (self.older[:k] @ hist[c - self.n_past:c].ravel()
+                   ).reshape(b, n0)
+        cut = self.cut[a + 1:a + 1 + b]
+        rhs[:len(cut)] += cut @ hist[self.pad]
         if (phi == 1.0).all():
             z = self.inv[:k, :k] @ rhs.ravel()
         else:
@@ -535,10 +537,11 @@ def invert_artstein(design: PredictorDesign, times: np.ndarray, y_path,
     phi_vals = np.broadcast_to(phi_vals, times.shape)
 
     solve = _RowSolver(design, dt)
-    v = np.zeros((times.size, design.input_dim), dtype=complex)
+    hist = np.zeros((solve.pad + times.size, design.input_dim), dtype=complex)
+    v = hist[solve.pad:]
     # row 0's window is empty, so Z_0 = Y_0
     v[0] = phi_vals[0] * (design.gain @ y[0])
     for a in range(0, times.size - 1, _SOLVE_ROWS):
         block = slice(a + 1, a + 1 + _SOLVE_ROWS)
-        v[block] = solve(v, a, y[block], phi_vals[block])[1]
+        v[block] = solve(hist, a, y[block], phi_vals[block])[1]
     return v

@@ -8,13 +8,14 @@ modal coefficients of the plant:
     d    = a2 x theta1 + b2 arctan((d2/L) <eta2, X>) theta2 + c2 v theta3,
 
 with u = phi(t) K Z(t) fed by the predictor state.  Time stepping is
-classical fixed-step RK4.  Inputs and predictor states are kept as plain
-arrays indexed by step (row i at time i dt, zero before t = 0).  The input
-u itself is the one input history: the stepper and the predictor read its
-rows, with B folded into their constant tables.  Delayed inputs at the
-stage times are fixed 2-point interpolations of that history, and the
-predictor integral uses trapezoid weights that are constant on the grid.
-Its endpoint weight makes each new input implicit.
+classical fixed-step RK4.  The input u, the predictor state Z and the
+state are plain arrays indexed by step that share one zero pad ahead of
+t = 0 (`predictor._history_pad`): row i, at time i dt, sits at pad + i.
+The stepper and the predictor read u's rows, with B folded into their
+constant tables.  Delayed inputs at the stage times are fixed 2-point
+interpolations of that history, and the predictor integral uses trapezoid
+weights that are constant on the grid.  Its endpoint weight makes each new
+input implicit.
 
 The drift is linear in the state apart from one scalar arctan, so an RK4
 step is linear in its inputs (state, delayed-input rows, v at the stage
@@ -26,12 +27,13 @@ they reach themselves.  The loop therefore advances the state by blocks of
 at most that many rows (and at most 32), one stepper call per block: a
 coupled block takes its steps one by one, while a plant-only block, whose
 step is diagonal in the modes, is one linear recurrence per mode, summed by
-a doubling scan.  After each block the loop checks its states for
-finiteness once, records its rows and solves all of its predictor rows as
-one block lower-triangular system (`_RowSolver`): the ramp scales the
-system's columns and a window cut at t = 0 only corrects the weight on row
-0.  The recorded norms and V are computed after the loop, vectorized over
-blocks of recorded rows.
+a doubling scan; either way the block's states go straight into the state
+history.  After each block the loop checks its states for finiteness once
+and solves all of its predictor rows as one block lower-triangular system
+(`_RowSolver`): the ramp scales the system's columns and a window cut at
+t = 0 only corrects the weight on row 0.  The recorded rows are indexed
+out of the histories after the loop, and their norms and V are computed
+vectorized over blocks of them.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ from .errors import (
     InvalidParameterError,
     SimulationDivergedError,
 )
-from .predictor import (PredictorDesign, _lagged, _RowSolver, _SOLVE_ROWS,
-                        _split_steps)
+from .predictor import (PredictorDesign, _history_pad, _lagged, _RowSolver,
+                        _SOLVE_ROWS, _split_steps)
 from .spectral import SpectralSystem, project_profile
 
 __all__ = [
@@ -252,11 +254,12 @@ class _RK4Step:
     as one scan per mode.
 
     The delayed inputs at the stage times t - D, t - D + dt/2 and t - D + dt
-    are fixed 2-point interpolations of the input history u, which starts
-    with `pad` zero rows: row k of the history sits at index pad + k.  The
-    interpolation weights and B are folded into R and E, so X holds the
-    m-wide u rows themselves.  The state lives in `state`, a view of the
-    work vector (X, a); load it before the first step.
+    are fixed 2-point interpolations of the input history u, in the padded
+    layout of `_history_pad`: row k of the history sits at index pad + k.
+    The interpolation weights and B are folded into R and E, so X holds the
+    m-wide u rows themselves.  A single step (`__call__`) advances `state`,
+    a view of the work vector (X, a); `advance` reads and writes a block of
+    rows of a state history.
     """
 
     def __init__(self, sys: SpectralSystem, design: PredictorDesign,
@@ -266,7 +269,7 @@ class _RK4Step:
         self.coupled = fields is not None
         lags = [_split_steps(design.delay / dt - lead)
                 for lead in (0.0, 0.5, 1.0)]
-        self.pad = lags[0][0] + 1
+        self.pad = _history_pad(design.delay, dt)
         # a lag (k, f) reads B (f u[r + k - 1] + (1 - f) u[r + k]); the step
         # reads the history rows r + lo .. r + hi - 1
         lags = [(self.pad - q, f) for q, f in lags]
@@ -360,26 +363,29 @@ class _RK4Step:
                          cmath.atan(g3 + t30 * a0 + t31 * a1 + t32 * a2))
         self.state[:] = self.op @ self.work
 
-    def advance(self, u: np.ndarray, a: int, b: int, v_half, out) -> None:
-        """Step `state` b times (b <= `block`) from row a of the padded
-        input history u; out[p] gets the state at row a + p + 1.
+    def advance(self, u: np.ndarray, a: int, v_half, s: np.ndarray) -> None:
+        """Step s[0], the state at row a, into s[1:] (at most `block` rows)
+        from the padded input history u; s[p] gets the state at row a + p.
 
-        A coupled run takes one `__call__` per step, with v_half[2 r:2 r + 3]
-        the v values of the step from row r.  On a plant-only run the block
-        is one linear recurrence per mode, s_{p+1} = rho s_p + f_p, with the
-        forcing f_p read from the history rows the block already has; a
-        doubling scan sums it (Blelloch, CMU-CS-90-190, 1990).
+        A coupled block loads `state` once and takes one `__call__` per
+        step, with v_half[2 r:2 r + 3] the v values of the step from row r.
+        On a plant-only run the block is one linear recurrence per mode,
+        s_{p+1} = rho s_p + f_p, with the forcing f_p read from the history
+        rows the block already has; a doubling scan sums it (Blelloch,
+        CMU-CS-90-190, 1990).
         """
+        b = len(s) - 1
         if self.coupled:
-            for p, r in enumerate(range(a, a + b)):
+            self.state[:] = s[0]
+            for p, r in enumerate(range(a, a + b), 1):
                 self(u, r, v_half[2 * r:2 * r + 3])
-                out[p] = self.state
+                s[p] = self.state
             return
-        s = a + self.lo
-        f = u[s:s + b] @ self.lag_w[0]
+        lo = a + self.lo
+        f = u[lo:lo + b] @ self.lag_w[0]
         for lag, w in enumerate(self.lag_w[1:], 1):
-            f += u[s + lag:s + lag + b] @ w
-        f[0] += self.rho * self.state[1:]
+            f += u[lo + lag:lo + lag + b] @ w
+        f[0] += self.rho * s[0, 1:]
         # after the round with step k, f[p] sums rho^(p - q) f_q over the
         # 2k latest q <= p; rho s_a rides in f_0
         k = 1
@@ -388,9 +394,8 @@ class _RK4Step:
                 break
             f[k:] += rho_k * f[:-k]
             k *= 2
-        out[:b, 0] = self.state[0]
-        out[:b, 1:] = f
-        self.state[1:] = f[-1]
+        s[1:, 0] = s[0, 0]
+        s[1:, 1:] = f
 
 
 def step(sys: SpectralSystem, design: PredictorDesign,
@@ -422,8 +427,7 @@ def step(sys: SpectralSystem, design: PredictorDesign,
             f"u_history must have {sys.input_dim} columns, got {u.shape[1]}")
     rk4 = _RK4Step(sys, design, fields, n, dt)
     r = len(u) - 1
-    padded = np.zeros((rk4.pad + r + 1, u.shape[1]), dtype=complex)
-    padded[rk4.pad:] = u
+    padded = np.pad(u.astype(complex), ((rk4.pad, 0), (0, 0)))
     rk4.state[0], rk4.state[1:] = x, coeffs
     t = r * dt
     rk4(padded, r, (v_fn(t), v_fn(t + dt / 2), v_fn(t + dt)) if rk4.coupled
@@ -489,11 +493,12 @@ def simulate(config: SimConfig, sys: SpectralSystem, design: PredictorDesign,
 
     The steps run in blocks of min(floor(D / dt), 32) rows, none of which
     reads an input row of its own block, with one stepper call per block
-    (on a plant-only run, a per-mode scan).  After a block its states
-    are checked for finiteness, its recorded rows are copied, and its
-    predictor rows are solved together as one block lower-triangular
-    system, ramp rows and rows whose window reaches past t = 0 included.
-    v is evaluated once per grid time and once per half step.
+    (on a plant-only run, a per-mode scan), which writes the block's
+    states into the state history.  After a block its states are checked
+    for finiteness and its predictor rows are solved together as one
+    block lower-triangular system, ramp rows and rows whose window reaches
+    past t = 0 included.  The recorded rows are read out of the histories
+    at the end.  v is evaluated once per grid time and once per half step.
 
     Args:
         fields: interconnection, or None for a plant-only run.
@@ -533,26 +538,22 @@ def simulate(config: SimConfig, sys: SpectralSystem, design: PredictorDesign,
     coeffs = np.asarray(x0_coeffs, dtype=complex)
     if coeffs.shape != (n,):
         raise InvalidParameterError(f"x0_coeffs must have shape ({n},)")
-    x = complex(x0)
 
     n_steps = int(math.floor(config.t_end / dt + 1e-9))
-    rows = np.arange(0, n_steps + 1, config.record_stride) \
+    rows = np.append(np.arange(0, n_steps, config.record_stride), n_steps) \
         if n_steps > 0 else np.zeros(0, dtype=int)
-    if n_steps % config.record_stride:
-        rows = np.append(rows, n_steps)
-    x_rec = np.zeros(rows.size, dtype=complex)
-    c_rec = np.zeros((rows.size, n), dtype=complex)
 
-    # histories indexed by step; u_hist, the one input history, is the
-    # view of u_pad past the stepper's zero pad.  A block of steps reads no
+    # the input u, the predictor state Z and the state s = (x, c_1..c_n)
+    # share one zero pad: row k sits at pad + k.  A block of steps reads no
     # input row of its own, so it runs first and the rows it reaches are
     # solved together after it
+    pad = _history_pad(delay, dt)
     rk4 = _RK4Step(sys, design, fields, n, dt)
-    block = rk4.block
     solve = _RowSolver(design, dt)
-    u_pad = np.zeros((rk4.pad + n_steps + 1, sys.input_dim), dtype=complex)
-    u_hist = u_pad[rk4.pad:]
-    z_hist = np.zeros((n_steps + 1, n0), dtype=complex)
+    u_hist = np.zeros((pad + n_steps + 1, sys.input_dim), dtype=complex)
+    z_hist = np.zeros((pad + n_steps + 1, n0), dtype=complex)
+    s_hist = np.zeros((pad + n_steps + 1, n + 1), dtype=complex)
+    s_hist[pad, 0], s_hist[pad, 1:], z_hist[pad] = x0, coeffs, coeffs[:n0]
     phi = design.transition.phi(np.arange(n_steps + 1) * dt)
     # v once at each half-step time k dt / 2: the step from row r reads
     # v_half[2 r:2 r + 3], and row i's own value is v_half[2 i]
@@ -562,34 +563,23 @@ def simulate(config: SimConfig, sys: SpectralSystem, design: PredictorDesign,
             (v_fn(k // 2 * dt + k % 2 * (dt / 2))
              for k in range(2 * n_steps + 1)), float, 2 * n_steps + 1)
 
-    # the stepper holds the state (x, c_1..c_n); reached gets the states of
-    # a block
-    rk4.state[0], rk4.state[1:] = x, coeffs
-    reached = np.zeros((block, n + 1), dtype=complex)
-    k = 0
-    if n_steps > 0:
-        z_hist[0] = coeffs[:n0]
-        x_rec[0], c_rec[0] = x, coeffs
-        k = 1
     # a diverging state overflows on its way to inf; the finiteness check,
     # not numpy's warning, reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        for a in range(0, n_steps, block):
-            end = min(a + block, n_steps)
-            rk4.advance(u_pad, a, end - a, v_half, reached)
-            new = reached[:end - a]
-            if not np.isfinite(new).all():
-                bad = np.argmin(np.isfinite(new).all(axis=1))
+        for a in range(0, n_steps, rk4.block):
+            end = min(a + rk4.block, n_steps)
+            s = s_hist[pad + a:pad + end + 1]
+            rk4.advance(u_hist, a, v_half, s)
+            if not np.isfinite(s).all():
+                bad = np.argmin(np.isfinite(s).all(axis=1))
                 raise SimulationDivergedError(
-                    f"state became non-finite at t = {(a + 1 + bad) * dt:.6g}")
-            z_hist[a + 1:end + 1], u_hist[a + 1:end + 1] = solve(
-                u_hist, a, new[:, 1:n0 + 1], phi[a + 1:end + 1])
-            k_end = int(np.searchsorted(rows, end, side="right"))
-            taken = new[rows[k:k_end] - a - 1]
-            x_rec[k:k_end], c_rec[k:k_end] = taken[:, 0], taken[:, 1:]
-            k = k_end
+                    f"state became non-finite at t = {(a + bad) * dt:.6g}")
+            new = slice(pad + a + 1, pad + end + 1)
+            z_hist[new], u_hist[new] = solve(
+                u_hist, a, s[1:, 1:n0 + 1], phi[a + 1:end + 1])
 
     t = rows * dt
+    x_rec, c_rec = s_hist[pad + rows, 0], s_hist[pad + rows, 1:]
     nx_rec, nd_rec, v_rec = (np.zeros(rows.size) for _ in range(3))
     with np.errstate(over="ignore", invalid="ignore"):
         for a in range(0, rows.size, _BLOCK_ROWS):
@@ -603,7 +593,7 @@ def simulate(config: SimConfig, sys: SpectralSystem, design: PredictorDesign,
             if bundle is not None:
                 v_rec[blk] = _lyapunov_rows(
                     sys, design, bundle, z_hist, dt, rows[blk], c_rec[blk],
-                    _lagged(u_hist, rows[blk], delay / dt))
+                    _lagged(u_hist, pad + rows[blk], delay / dt))
     bad = ~(np.isfinite(nx_rec) & np.isfinite(nd_rec) & np.isfinite(v_rec))
     if bad.any():
         raise SimulationDivergedError(
@@ -612,8 +602,8 @@ def simulate(config: SimConfig, sys: SpectralSystem, design: PredictorDesign,
 
     return Trajectory(
         t=t, x=_assert_real(x_rec, "scalar state"), coeffs=c_rec,
-        norm_x=nx_rec, u=u_hist[rows], norm_d=nd_rec, V=v_rec,
-        z=z_hist[rows], dt=dt, delay=delay, t0=design.transition.t0, n0=n0,
+        norm_x=nx_rec, u=u_hist[pad + rows], norm_d=nd_rec, V=v_rec,
+        z=z_hist[pad + rows], dt=dt, delay=delay, t0=design.transition.t0, n0=n0,
         has_certificate=bundle is not None,
     )
 

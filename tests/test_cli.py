@@ -279,11 +279,17 @@ EXIT_MATRIX = {
                                             "beta": 0.5, "gamma1": 1.0,
                                             "gamma2": 1.0}},
                            [(0, []), (0, DESIGN_FILES), (4, []), (4, [])]),
+    # placement overflows: a synthesis failure, not numpy's LinAlgError
+    "poles -1e308": ({"control": {"poles": "-1e308, -1e308"}},
+                     [(0, []), (3, []), (3, []), (3, [])]),
     # rejected when the file is loaded, before any stage runs
     "D=nan": ({"control": {"D": "nan"}}, [(1, [])] * 4),
     "dt=inf": ({"simulation": {"dt": "inf"}}, [(1, [])] * 4),
     "key T_ned": ({"simulation": {"T_ned": 0.5}}, [(1, [])] * 4),
     "section [intial]": ({"intial": {"x0": -2.0}}, [(1, [])] * 4),
+    "beta=-1": ({"certificate": {"optimize": "false", "beta": -1.0,
+                                 "gamma1": 1.0, "gamma2": 1.0}},
+                [(1, [])] * 4),
 }
 
 
@@ -300,6 +306,8 @@ def run_commands(tmp_path, text):
 
 
 class TestExitCodeMatrix:
+    # a numpy warning on the way to an exit code is an unhandled fault
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("name", list(EXIT_MATRIX))
     def test_codes_and_artifacts(self, tmp_path, name):
         overrides, expected = EXIT_MATRIX[name]

@@ -2,6 +2,7 @@
 
 import configparser
 import io
+import re
 
 import numpy as np
 import pytest
@@ -159,6 +160,17 @@ class TestCertificateSection:
         assert cfg.certificate.gamma1 == 106.3290
         assert cfg.certificate.gamma2 == 337.1938
 
+    @pytest.mark.parametrize("key,value", [
+        ("beta", -1.0), ("beta", 0.0), ("beta", 1.0), ("gamma1", 0.0),
+        ("gamma2", -5.0)])
+    def test_weight_out_of_range_rejected(self, key, value):
+        rule = "lie in (0, 1)" if key == "beta" else "be positive"
+        weights = {"beta": 0.4, "gamma1": 100.0, "gamma2": 400.0, key: value}
+        with pytest.raises(ConfigError, match=re.escape(
+                f"certificate {key} must {rule}, got {value!r}")):
+            sd.loads_config(ini_with(certificate={"optimize": "false",
+                                                  **weights}))
+
     def test_weights_with_optimize_true_rejected(self):
         # all three weights with optimize = true would skip the optimizer
         with pytest.raises(ConfigError, match="all of beta"):
@@ -279,6 +291,12 @@ class TestReader:
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match=r"unknown section \[intial\]"):
             sd.loads_config(ini_with(intial={"x0": -2.0}))
+
+    def test_default_section_rejected(self):
+        # configparser would copy its keys into every section, and the
+        # error would blame [plant]
+        with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]"):
+            sd.loads_config("[DEFAULT]\nfoo = 1\n" + CASE_STUDY_INI)
 
     def test_values_are_literal(self):
         text = CASE_STUDY_INI.replace("trajectory.csv", "run%1.csv")

@@ -1,5 +1,7 @@
 """Gain synthesis, transition ramp, Artstein transform and its inversion."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,8 @@ from hypothesis import strategies as st
 
 import sdcontrol as sd
 from sdcontrol.errors import InvalidParameterError, SynthesisFailureError
-from sdcontrol.predictor import _lagged, _RowSolver, _window_weights
+from sdcontrol.predictor import (_history_pad, _lagged, _RowSolver,
+                                 _window_weights)
 from sdcontrol.simulate import _RK4Step
 from conftest import closed_loop_ode, random_design, synthetic_system
 
@@ -99,6 +102,13 @@ class TestPlacePoles:
     def test_scalar_ackermann(self):
         k = sd.place_poles(np.array([[2.0]]), np.array([[1.0]]), [-1.0])
         assert k[0, 0] == pytest.approx(-3.0, abs=1e-12)
+
+    def test_overflowing_poles_fail_synthesis(self, heat_sys):
+        # the Ackermann gain overflows; no numpy warning or LinAlgError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SynthesisFailureError, match="not finite"):
+                sd.design_predictor(heat_sys, 2, 0.1, (-1e308, -1e308), 0.2)
 
     def test_uncontrollable_pair(self):
         a = np.diag([1.0, 2.0]).astype(complex)
@@ -276,11 +286,13 @@ class TestArtsteinState:
     def test_lag_before_origin_reads_zeros(self):
         # every lagged time lies before t = 0, so every value is zero
         hist = np.arange(1.0, 301.0)[:, None] * np.array([1.0, -2.0])
+        pad = _history_pad(0.04025, 1e-3)
+        padded = np.pad(hist, ((pad, 0), (0, 0)))
         rows = np.array([0, 3, 17, 39])
-        np.testing.assert_array_equal(_lagged(hist, rows, 40.25),
+        np.testing.assert_array_equal(_lagged(padded, pad + rows, 40.25),
                                       np.zeros((4, 2)))
-        np.testing.assert_array_equal(_lagged(hist, np.array([40]), 40.25),
-                                      [0.75 * hist[0]])
+        np.testing.assert_array_equal(
+            _lagged(padded, pad + np.array([40]), 40.25), [0.75 * hist[0]])
 
     def test_zero_delay_identity(self):
         des = scalar_design(a=1.0, b=1.0, k=0.4, delay=0.0)
@@ -290,7 +302,8 @@ class TestArtsteinState:
 
 def solve_row_200(design, y, phi):
     """(Z, u) of row 200 after 200 zero rows, from the row solver."""
-    hist = np.zeros((300, design.input_dim), dtype=complex)
+    pad = _history_pad(design.delay, 1e-3)
+    hist = np.zeros((pad + 300, design.input_dim), dtype=complex)
     z, u = _RowSolver(design, 1e-3)(
         hist, 199, np.atleast_2d(y), np.array([phi]))
     return z[0], u[0]

@@ -360,18 +360,22 @@ class TestSimulate:
         np.testing.assert_allclose(strided.V, traj.V[shared], rtol=1e-14,
                                    atol=0.0)
 
-    def test_record_stride(self, heat_sys, design, fields):
+    @pytest.mark.parametrize("stride", [20, 7])
+    def test_record_stride(self, heat_sys, design, fields, stride):
         cfg = sd.SimConfig(dt=1e-3, t_end=0.1, n_modes=10,
-                           disturbance="none", record_stride=20)
+                           disturbance="none", record_stride=stride)
         traj = sd.simulate(cfg, heat_sys, design, fields, x0=1.0,
                            x0_coeffs=np.ones(10))
-        np.testing.assert_allclose(np.diff(traj.t)[1:], 0.02, rtol=1e-9)
-        # the recorded rows are those of the run that records every row
+        # the recorded rows are those of the run that records every row:
+        # every stride-th of the 100 steps, and the last one, which stride
+        # 7 does not reach, appended
         full = sd.simulate(dataclasses.replace(cfg, record_stride=1),
                            heat_sys, design, fields, x0=1.0,
                            x0_coeffs=np.ones(10))
-        np.testing.assert_array_equal(traj.coeffs, full.coeffs[::20])
-        np.testing.assert_array_equal(traj.x, full.x[::20])
+        rows = np.append(np.arange(0, 100, stride), 100)
+        for name in ("t", "x", "coeffs", "u", "z", "norm_x"):
+            np.testing.assert_array_equal(getattr(traj, name),
+                                          getattr(full, name)[rows], name)
 
     def test_disturbance_evaluated_once_per_stage_time(self, heat_sys,
                                                         design, fields):
