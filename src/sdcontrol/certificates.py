@@ -12,6 +12,10 @@ family C1..C6 and the decay rate kappa0 entering the closed-loop estimates
 where V is the weighted Lyapunov functional evaluated by evaluate_V.  The
 product C4 sqrt(C6 / (2 kappa0)) is the plant's disturbance-to-state gain;
 interconnection with Lipschitz couplings is certified by small_gain_margin.
+optimize_parameters minimizes that gain in closed form in gamma1 (a
+relative 1e-6 above its bound C1/lam_min(P)) and in beta (a quadratic's
+root, or where kappa0's alpha/2 cap starts to bind), then by a scalar
+search over gamma2.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,7 +46,6 @@ __all__ = [
     "small_gain_margin",
     "render_certificate",
     "parse_certificate",
-    "nelder_mead",
 ]
 
 
@@ -180,11 +183,7 @@ def _weighted_constants(base: _BaseConstants, m_r: float, m_R: float,
     c2g1 = gamma1 * lam_min_p - c1
     c3g2 = gamma2 * lam_min_p - norm_bk_sq / m_r
     c4 = math.sqrt(2.0 * m_R) + norm_bk / math.sqrt(c3g2)
-    kappa0 = 0.5 * min(
-        (1.0 - beta) / lam_max_p,
-        (1.0 - beta - c5 / gamma2) / lam_max_p,
-        alpha / 2.0,
-    )
+    kappa0 = 0.5 * min((1.0 - beta - c5 / gamma2) / lam_max_p, alpha / 2.0)
     c6 = (1.0 / m_r) * (
         2.0 * (m_r + norm_bk_sq) / (alpha * m_r)
         + (gamma1 * (1.0 + delay) + gamma2) * norm_p ** 2 / beta)
@@ -275,134 +274,74 @@ def evaluate_V(sys: SpectralSystem, design: PredictorDesign,
                                 coeffs[None], u_delay[None])[0])
 
 
-def nelder_mead(f: Callable[[np.ndarray], float], x0: np.ndarray,
-                step: float = 0.05, rel_tol: float = 1e-6,
-                max_iter: int = 2000) -> tuple[np.ndarray, float]:
-    """Derivative-free simplex descent with fixed classical coefficients.
-
-    Reflection 1, expansion 2, contraction 0.5, shrink 0.5.  The initial
-    simplex scales each coordinate of the start point by (1 + step).
-    Terminates when every vertex agrees with the best one to rel_tol per
-    coordinate (relative to max(1, |coordinate|)) or at the iteration cap,
-    returning the best vertex either way.  Fully deterministic.
-    """
-    # the simplex is a list of vertices, each a list of floats: on the
-    # search's 3 weights numpy's per-call overhead would cost more than the
-    # objective.  Every operation keeps the arithmetic order of the array
-    # form (the centroid adds the vertices in turn, then divides by n), so
-    # the iterates are the same bits.
-    x0 = np.asarray(x0, dtype=float).tolist()
-    n = len(x0)
-    simplex = [x0]
-    for i in range(n):
-        v = list(x0)
-        v[i] = v[i] * (1.0 + step) if v[i] != 0.0 else step
-        simplex.append(v)
-
-    def at(v: list) -> float:
-        return float(f(np.array(v)))
-
-    fvals = [at(v) for v in simplex]
-    for _ in range(max_iter):
-        order = sorted(range(n + 1), key=fvals.__getitem__)
-        simplex, fvals = [simplex[j] for j in order], [fvals[j] for j in order]
-        best = simplex[0]
-        scale = [max(1.0, abs(b)) for b in best]
-        spread = max(abs(c - b) / s for v in simplex
-                     for c, b, s in zip(v, best, scale))
-        if spread < rel_tol:
-            break
-        centroid = simplex[0]
-        for v in simplex[1:-1]:
-            centroid = [c + d for c, d in zip(centroid, v)]
-        centroid = [c / n for c in centroid]
-        worst, f_worst = simplex[-1], fvals[-1]
-        xr = [c + (c - w) for c, w in zip(centroid, worst)]
-        fr = at(xr)
-        if fr < fvals[0]:
-            xe = [c + 2.0 * (c - w) for c, w in zip(centroid, worst)]
-            fe = at(xe)
-            simplex[-1], fvals[-1] = (xe, fe) if fe < fr else (xr, fr)
-        elif fr < fvals[-2]:
-            simplex[-1], fvals[-1] = xr, fr
-        else:
-            if fr < f_worst:
-                xc = [c + 0.5 * (r - c) for c, r in zip(centroid, xr)]
-                fc = at(xc)
-                if fc <= fr:
-                    simplex[-1], fvals[-1] = xc, fc
-                    continue
-            else:
-                xc = [c - 0.5 * (c - w) for c, w in zip(centroid, worst)]
-                fc = at(xc)
-                if fc < f_worst:
-                    simplex[-1], fvals[-1] = xc, fc
-                    continue
-            simplex[1:] = [[b + 0.5 * (c - b) for b, c in zip(best, v)]
-                           for v in simplex[1:]]
-            fvals[1:] = [at(v) for v in simplex[1:]]
-
-    i_best = min(range(n + 1), key=fvals.__getitem__)
-    return np.array(simplex[i_best]), fvals[i_best]
-
-
-_BETA_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
-_GAMMA_MULTIPLIERS = (1.5, 3.0, 10.0)
-_N_STARTS = 3
+# the search's settings: gamma1's relative offset above its open bound, and
+# gamma2's log range (lo, lo * span], scan size and golden-section tolerance
+_GAMMA1_EPS = 1e-6
+_GAMMA2_SPAN = 1e6
+_GAMMA2_SCAN = 48
+_LOG_TOL = 1e-9
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def optimize_parameters(sys: SpectralSystem,
                         design: PredictorDesign) -> CertificateBundle:
     """Minimize the disturbance-to-state gain over (beta, gamma1, gamma2).
 
-    A coarse feasible-start scan (beta grid crossed with multiples of each
-    weight's feasibility lower bound) seeds three simplex descents, at
-    nelder_mead's defaults, on the penalized objective (infeasible points
-    score +inf); the best feasible bundle wins.  Deterministic: same
-    inputs give a bitwise-identical bundle.
+    The gain C4 sqrt(C6/(2 kappa0)) rises with gamma1, which enters only C6,
+    so gamma1 = (1 + 1e-6) C1/lam_min(P), just above its open bound.  At a
+    fixed gamma2, m_r C6 = a + g/beta and kappa0 = min(k - beta, cap) /
+    (2 lam_max(P)), with k = 1 - C5/gamma2 and cap = alpha lam_max(P)/2.
+    The gain falls with beta while the cap binds; beyond it, it is least
+    at the positive root beta* of a beta^2 + 2 g beta - g k = 0.  So beta =
+    max(beta*, k - cap), and only gamma2 is searched: a log scan over
+    (lo, 1e6 lo], lo = max(||BK||^2/(m_r lam_min(P)), C5), then golden
+    section on the best scan point's bracket.  Same inputs, same bits.
 
     Raises:
-        InfeasibleCertificateError: the scan finds no feasible start.
+        InfeasibleCertificateError: lo = 0 (a zero gain): no gamma2 is
+            admissible.
     """
     # computed once: each evaluation redoes only the weight arithmetic
     base = _base_constants(sys, design)
-    bundle_at = partial(_weighted_constants, base, sys.riesz_lower,
-                        sys.riesz_upper, design.delay)
-
-    def objective(x: np.ndarray) -> float:
-        b, g1, g2 = float(x[0]), float(x[1]), float(x[2])
-        if not (0.0 < b < 1.0) or g1 <= 0.0 or g2 <= 0.0:
-            return math.inf
-        try:
-            return bundle_at(b, g1, g2).small_gain_constant
-        except CertificateParameterError:
-            return math.inf
-
-    g1_min = base.c1 / base.lam_min_p
-    bk_bound = base.norm_bk_sq / (sys.riesz_lower * base.lam_min_p)
-
-    candidates = []
-    for beta in _BETA_GRID:
-        g2_min = max(bk_bound, base.c5 / (1.0 - beta))
-        for m1 in _GAMMA_MULTIPLIERS:
-            for m2 in _GAMMA_MULTIPLIERS:
-                x = np.array([beta, m1 * g1_min, m2 * g2_min])
-                fx = objective(x)
-                if math.isfinite(fx):
-                    candidates.append((fx, x))
-    if not candidates:
+    alpha, lam_min_p, lam_max_p, norm_bk_sq, c1, c5 = base
+    m_r = sys.riesz_lower
+    lo = max(norm_bk_sq / (m_r * lam_min_p), c5)
+    if not lo > 0.0:
         raise InfeasibleCertificateError(
-            "the feasible-start scan found no admissible weights")
-    candidates.sort(key=lambda c: c[0])
+            "a zero gain leaves no admissible gamma2")
+    bundle_at = partial(_weighted_constants, base, m_r, sys.riesz_upper,
+                        design.delay)
+    gamma1 = (1.0 + _GAMMA1_EPS) * c1 / lam_min_p
+    a = 2.0 * (m_r + norm_bk_sq) / (alpha * m_r)
+    cap = alpha * lam_max_p / 2.0
 
-    best_x, best_f = None, math.inf
-    for fx, x in candidates[:_N_STARTS]:
-        xs, fs = nelder_mead(objective, x)
-        if fs < best_f:
-            best_x, best_f = xs, fs
-    if best_x is None or not math.isfinite(best_f):
-        raise InfeasibleCertificateError("the weight search failed to converge")
-    return bundle_at(*map(float, best_x))
+    def at(log_gamma2: float) -> CertificateBundle:
+        gamma2 = math.exp(log_gamma2)
+        g = (gamma1 * (1.0 + design.delay) + gamma2) * lam_max_p ** 2
+        k = 1.0 - c5 / gamma2
+        # beta*, written without the cancellation of (-g + sqrt(.)) / a
+        root = g * k / (g + math.sqrt(g * g + a * g * k))
+        return bundle_at(max(root, k - cap), gamma1, gamma2)
+
+    xs = np.linspace(math.log(lo), math.log(lo * _GAMMA2_SPAN),
+                     _GAMMA2_SCAN + 1).tolist()
+    # xs[0] = log lo is the open bound: a bracket end, never evaluated
+    scan = [(at(x).small_gain_constant, x) for x in xs[1:]]
+    best = min(scan)
+    i = scan.index(best) + 1
+    lo_x, hi_x = xs[i - 1], xs[min(i + 1, _GAMMA2_SCAN)]
+    c, d = hi_x - _INV_PHI * (hi_x - lo_x), lo_x + _INV_PHI * (hi_x - lo_x)
+    fc, fd = at(c).small_gain_constant, at(d).small_gain_constant
+    while hi_x - lo_x > _LOG_TOL:
+        if fc < fd:
+            hi_x, d, fd = d, c, fc
+            c = hi_x - _INV_PHI * (hi_x - lo_x)
+            fc = at(c).small_gain_constant
+        else:
+            lo_x, c, fc = c, d, fd
+            d = lo_x + _INV_PHI * (hi_x - lo_x)
+            fd = at(d).small_gain_constant
+    return at(min(best, (fc, c), (fd, d))[1])
 
 
 def coupling_constants(a1: float, b1: float, c1: float, a2: float, b2: float,

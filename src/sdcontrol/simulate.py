@@ -579,7 +579,10 @@ def simulate(config: SimConfig, sys: SpectralSystem, design: PredictorDesign,
                 u_hist, a, s[1:, 1:n0 + 1], phi[a + 1:end + 1])
 
     t = rows * dt
-    x_rec, c_rec = s_hist[pad + rows, 0], s_hist[pad + rows, 1:]
+    # at stride 1 the recorded rows are views of the histories, not copies
+    take = slice(pad, pad + rows.size) if config.record_stride == 1 \
+        else pad + rows
+    x_rec, c_rec = s_hist[take, 0], s_hist[take, 1:]
     nx_rec, nd_rec, v_rec = (np.zeros(rows.size) for _ in range(3))
     with np.errstate(over="ignore", invalid="ignore"):
         for a in range(0, rows.size, _BLOCK_ROWS):
@@ -602,8 +605,8 @@ def simulate(config: SimConfig, sys: SpectralSystem, design: PredictorDesign,
 
     return Trajectory(
         t=t, x=_assert_real(x_rec, "scalar state"), coeffs=c_rec,
-        norm_x=nx_rec, u=u_hist[pad + rows], norm_d=nd_rec, V=v_rec,
-        z=z_hist[pad + rows], dt=dt, delay=delay, t0=design.transition.t0, n0=n0,
+        norm_x=nx_rec, u=u_hist[take], norm_d=nd_rec, V=v_rec,
+        z=z_hist[take], dt=dt, delay=delay, t0=design.transition.t0, n0=n0,
         has_certificate=bundle is not None,
     )
 

@@ -101,9 +101,9 @@ def closed_loop_ode(design, y0, t_end, dt):
     same trapezoid-endpoint implicit update the simulator uses, so the
     recorded (Y, u) pair is consistent with the inversion operator's
     quadrature.  The input history is a plain array read by its own index
-    arithmetic and integrated with np.trapezoid over explicit nodes, apart
-    from the library's window weights.  Returns (times, Y samples,
-    u samples).
+    arithmetic, and the window's trapezoid weights are built here from its
+    nodes, apart from the library's window weights.  Returns (times,
+    Y samples, u samples).
     """
     lam = np.diag(design.a_n0)
     b = design.b_n0
@@ -119,16 +119,24 @@ def closed_loop_ode(design, y0, t_end, dt):
     times = np.arange(nsteps + 1) * dt
     ys = np.zeros((nsteps + 1, n0), dtype=complex)
     us = np.zeros((nsteps + 1, m), dtype=complex)
-    ys[0] = y
-    us[0] = float(phi(0.0)) * (gain @ y)
 
     # the window [t1 - D, t1 - dt] of step i holds its two ends and the
-    # grid nodes j = i + 1 + q for q0 <= q <= -2, so its kernel
-    # exp((t1 - D - s) A) is the same at every step; so is the endpoint
-    # matrix once the ramp is done
+    # grid nodes j = i + 1 + q for q0 <= q <= -2, so its nodes relative to
+    # t1, its kernel exp((t1 - D - s) A) and its trapezoid weights are the
+    # same at every step; so is the endpoint matrix once the ramp is done.
+    # The last weight takes the endpoint term dt/2 of the implicit update
     q0 = math.floor(-delay / dt + 1e-9) + 1
-    kern = np.exp(np.outer(np.concatenate(
-        [[0.0], -delay - np.arange(q0, -1) * dt, [dt - delay]]), lam))
+    nodes = np.concatenate([[-delay], np.arange(q0, -1) * dt, [-dt]])
+    gaps = np.diff(nodes) / 2.0
+    weights = np.concatenate([gaps, [dt / 2.0]]) \
+        + np.concatenate([[0.0], gaps])
+    w_kern = weights[:, None] * np.exp(np.outer(-delay - nodes, lam))
+    # b u at each grid row, behind zero rows for the window before t = 0
+    pad = len(nodes)
+    bus = np.zeros((pad + nsteps + 1, n0), dtype=complex)
+    ys[0] = y
+    us[0] = float(phi(0.0)) * (gain @ y)
+    bus[pad] = b @ us[0]
     eye = np.eye(n0, dtype=complex)
     half_ebk = (dt / 2.0) * (edab @ gain)
     inv_on = np.linalg.inv(eye - half_ebk)
@@ -158,15 +166,13 @@ def closed_loop_ode(design, y0, t_end, dt):
         k4 = lam * (y + dt * k3) + bu1
         y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
-        # window [t1 - D, t1 - dt]: its ends plus the grid nodes inside
+        # window [t1 - D, t1 - dt]: its ends plus the grid nodes inside;
+        # its upper end is grid row i
         k0 = math.floor(lo / dt + 1e-9) + 1
-        k1 = math.ceil(hi / dt - 1e-9)
-        s = np.concatenate([[lo], np.arange(k0, k1) * dt, [hi]])
-        assert len(s) == len(kern), "window node count changed"
-        uw = np.vstack([u_lo, np.zeros((max(0, -k0), m)),
-                        us[max(k0, 0):k1], u_at(hi)])
-        known = np.trapezoid(kern * (uw @ b.T), s, axis=0)
-        known = known + (dt / 2.0) * kern[-1] * (b @ uw[-1])
+        assert (k0, math.ceil(hi / dt - 1e-9)) == (i + 1 + q0, i), \
+            "window nodes moved"
+        known = w_kern[0] * (b @ u_lo) + np.einsum(
+            "jk,jk->k", w_kern[1:], bus[pad + k0:pad + i + 1])
         phi1 = float(phi1s[i])
         if phi1 == 1.0:
             z = inv_on @ (y + known)
@@ -174,6 +180,7 @@ def closed_loop_ode(design, y0, t_end, dt):
             z = np.linalg.solve(eye - phi1 * half_ebk, y + known)
         ys[i + 1] = y
         us[i + 1] = phi1 * (gain @ z)
+        bus[pad + i + 1] = b @ us[i + 1]
     return times, ys, us
 
 

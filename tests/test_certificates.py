@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -294,57 +295,6 @@ class TestEvaluateV:
         assert v >= 0.0
 
 
-class TestNelderMead:
-    def test_quadratic_three_dim(self):
-        target = np.array([1.5, -2.0, 0.5])
-
-        def f(x):
-            return float(np.sum((x - target) ** 2))
-
-        x, fx = sd.nelder_mead(f, np.array([0.2, 0.2, 0.2]),
-                               rel_tol=1e-10, max_iter=5000)
-        assert np.max(np.abs(x - target)) < 1e-5
-        assert fx < 1e-10
-
-    def test_rosenbrock(self):
-        def f(x):
-            return float((1 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2)
-
-        x, fx = sd.nelder_mead(f, np.array([-1.2, 1.0]),
-                               rel_tol=1e-12, max_iter=5000)
-        assert fx < 1e-8
-        assert np.max(np.abs(x - 1.0)) < 1e-3
-
-    def test_deterministic(self):
-        def f(x):
-            return float(np.sum(x ** 2) + 0.3 * np.sin(5.0 * x[0]))
-
-        a = sd.nelder_mead(f, np.array([0.7, -0.4]))
-        b = sd.nelder_mead(f, np.array([0.7, -0.4]))
-        assert np.array_equal(a[0], b[0]) and a[1] == b[1]
-
-    def test_iteration_cap_returns_best_vertex(self):
-        calls = []
-
-        def f(x):
-            calls.append(1)
-            return float(np.sum(x ** 2))
-
-        x, fx = sd.nelder_mead(f, np.array([1.0, 1.0]), max_iter=0)
-        # no descent steps: only the 3 initial vertices were evaluated
-        assert len(calls) == 3
-        assert np.array_equal(x, np.array([1.0, 1.0]))
-        assert fx == 2.0
-
-    def test_zero_coordinate_gets_absolute_step(self):
-        def f(x):
-            return float((x[0] - 0.03) ** 2 + x[1] ** 2)
-
-        x, fx = sd.nelder_mead(f, np.array([0.0, 0.0]), step=0.05,
-                               rel_tol=1e-10, max_iter=2000)
-        assert abs(x[0] - 0.03) < 1e-6 and abs(x[1]) < 1e-6
-
-
 class TestOptimizer:
     def test_case_study_regression(self, bundle):
         assert 4.0 <= bundle.small_gain_constant <= 15.0
@@ -370,9 +320,16 @@ class TestOptimizer:
         assert 0 < bundle.beta < 1
         assert bundle.kappa0 > 0
 
+    def test_input_bound_factor(self, design, bundle):
+        # gamma1 enters only C6, so it sits just above its open bound, and
+        # ||u|| <= ||K|| / sqrt(C2g1) sqrt(V) keeps a usable factor
+        assert bundle.gamma1 == (1.0 + 1e-6) * bundle.C1 / bundle.lam_min_P
+        factor = np.linalg.norm(design.gain, 2) / math.sqrt(bundle.C2g1)
+        assert factor < 1e3
+
     def test_zero_gain_design_is_inadmissible(self):
         # poles equal to the open-loop spectrum give K = 0, so the gamma2
-        # lower bounds collapse to zero and the scan has nowhere to start
+        # lower bounds collapse to zero and leave no range to search
         sys_ = synthetic_system([-3.0, -4.0, -5.0],
                                 b=np.array([[1.0, 0.0], [0.0, 1.0],
                                             [0.3, 0.3]]))
@@ -416,8 +373,8 @@ class TestSearchInvariants:
     def test_case_study_search_pinned_bitwise(self, heat_sys, design,
                                               monkeypatch):
         # the case-study base, frozen so that no LAPACK result enters: from
-        # it on, the search is IEEE arithmetic and sqrt only, so the bundle
-        # is the same bits on every platform.  A change to the simplex
+        # it on, the search is IEEE arithmetic, sqrt and exp only, so the
+        # bundle is the same bits on every platform.  A change to the search
         # arithmetic (order of operations included) moves these bits.
         base = certificates._BaseConstants(*map(float.fromhex, (
             "0x1.1800000000000p+3", "0x1.1aaed42ec0e38p-3",
@@ -429,14 +386,92 @@ class TestSearchInvariants:
         assert (heat_sys.riesz_lower, heat_sys.riesz_upper,
                 design.delay) == (1.0, 1.0, 0.1)
         pinned = {
-            "beta": "0x1.906878481a206p-2",
-            "gamma1": "0x1.232239ed6069ap+6",
-            "gamma2": "0x1.5ebea31c387bdp+9",
-            "kappa0": "0x1.fa5f44a5baabcp-1",
-            "C6": "0x1.7824af9176774p+6",
-            "small_gain_constant": "0x1.b58f5fd72924cp+3",
+            "beta": "0x1.906877e08498dp-2",
+            "gamma1": "0x1.23224d01c2a56p+6",
+            "gamma2": "0x1.5ebea9168ff05p+9",
+            "kappa0": "0x1.fa5f4921f494dp-1",
+            "C6": "0x1.7824b7b54b30bp+6",
+            "small_gain_constant": "0x1.b58f61389c668p+3",
         }
         assert {k: getattr(b, k).hex() for k in pinned} == pinned
+
+
+def grid_gain(base, sys_, des, gamma1, x, t):
+    """C4 sqrt(C6 / (2 kappa0)) at log gamma2 = x and beta = t (1 - C5/gamma2),
+    written out on arrays from the paper's constants."""
+    alpha, lmin, lmax, bk2, c1, c5 = base
+    m_r, m_R = sys_.riesz_lower, sys_.riesz_upper
+    g2 = np.exp(x)
+    k = 1.0 - c5 / g2
+    beta = t * k
+    c4 = math.sqrt(2.0 * m_R) + math.sqrt(bk2) / np.sqrt(g2 * lmin - bk2 / m_r)
+    kappa0 = 0.5 * np.minimum((k - beta) / lmax, alpha / 2.0)
+    c6 = (2.0 * (m_r + bk2) / (alpha * m_r)
+          + (gamma1 * (1.0 + des.delay) + g2) * lmax ** 2 / beta) / m_r
+    return c4 * np.sqrt(c6 / (2.0 * kappa0))
+
+
+def grid_best(f, x_lo, x_hi, n=64, levels=4):
+    """Best value of f(x, t) over `levels` nested n x n grids: the first
+    spans (x_lo, x_hi] x (0, 1), each next one the two cells on each side
+    of the previous grid's best node."""
+    x0, x1, t0, t1 = x_lo, x_hi, 0.0, 1.0
+    best = math.inf
+    for _ in range(levels):
+        xs = np.linspace(x0, x1, n + 1)[1:]
+        ts = np.linspace(t0, t1, n + 2)[1:-1]
+        v = f(xs[:, None], ts[None, :])
+        i, j = np.unravel_index(np.argmin(v), v.shape)
+        best = min(best, float(v[i, j]))
+        dx, dt = (x1 - x0) / n, (t1 - t0) / (n + 1)
+        x0, x1 = max(x_lo, xs[i] - 2 * dx), min(x_hi, xs[i] + 2 * dx)
+        t0, t1 = max(0.0, ts[j] - 2 * dt), min(1.0, ts[j] + 2 * dt)
+    return best
+
+
+def seeded_heat_designs(seed=7, per_kind=3):
+    """Heat-plant designs with single, distinct, repeated and conjugate
+    poles and delays in [0.02, 0.5]."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for kind in ("single", "distinct", "repeated", "conjugate"):
+        for _ in range(per_kind):
+            delay = float(rng.uniform(0.02, 0.5))
+            if kind == "single":
+                c, poles = rng.uniform(1.5, 4.5), [rng.uniform(-6.0, -1.5)]
+            else:
+                c, p = rng.uniform(5.5, 10.5), rng.uniform(-5.0, -1.5)
+                gap = rng.uniform(0.5, 3.0)
+                poles = {"distinct": [p - gap, p], "repeated": [p, p],
+                         "conjugate": [complex(p, gap), complex(p, -gap)]
+                         }[kind]
+            sys_ = sd.build_heat_system(5.0, float(c), L, 10)
+            out.append((sys_, sd.design_predictor(
+                sys_, len(poles), delay, poles, 0.2)))
+    return out
+
+
+class TestSearchOracle:
+    """The search against a dense (beta, log gamma2) grid at its gamma1."""
+
+    def test_no_grid_point_beats_the_search(self):
+        binds = []
+        for sys_, des in seeded_heat_designs():
+            b = sd.optimize_parameters(sys_, des)
+            base = certificates._base_constants(sys_, des)
+            f = partial(grid_gain, base, sys_, des, b.gamma1)
+            # the grid's formula is the library's at the search's point
+            t = b.beta / (1.0 - b.C5 / b.gamma2)
+            assert f(math.log(b.gamma2), t) == pytest.approx(
+                b.small_gain_constant, rel=1e-12)
+            lo = max(base.norm_bk_sq / (sys_.riesz_lower * base.lam_min_p),
+                     base.c5)
+            best = grid_best(f, math.log(lo), math.log(lo * 1e6))
+            assert b.small_gain_constant <= (1.0 + 1e-9) * best
+            binds.append(b.kappa0 == pytest.approx(b.alpha / 4.0,
+                                                   rel=1e-12))
+        # both branches of beta = max(beta*, k - cap) are exercised
+        assert 0 < sum(binds) < len(binds)
 
 
 class TestCouplingConstants:
