@@ -9,7 +9,7 @@ family C1..C6 and the decay rate kappa0 entering the closed-loop estimates
     V(t)       <= exp(-2 kappa0 (t - D - t0)) V(D + t0)
                   + C6 / (2 kappa0) * sup ||d||^2,
 
-where V is the weighted Lyapunov functional evaluated by evaluate_V.  The
+where V is the weighted Lyapunov functional that simulate records.  The
 product C4 sqrt(C6 / (2 kappa0)) is the plant's disturbance-to-state gain;
 interconnection with Lipschitz couplings is certified by small_gain_margin.
 optimize_parameters minimizes that gain in closed form in gamma1 (a
@@ -40,7 +40,6 @@ __all__ = [
     "CertificateBundle",
     "CouplingConstants",
     "compute_constants",
-    "evaluate_V",
     "optimize_parameters",
     "coupling_constants",
     "small_gain_margin",
@@ -202,7 +201,11 @@ def _lyapunov_rows(sys: SpectralSystem, design: PredictorDesign,
                    bundle: CertificateBundle, z_history: np.ndarray,
                    dt: float, rows: np.ndarray, x_coeffs: np.ndarray,
                    u_delay: np.ndarray) -> np.ndarray:
-    """The functional of evaluate_V at ascending rows of one history.
+    """The weighted Lyapunov functional at ascending rows of one history:
+
+    V(t) = gamma1 [Z* P Z + int_{t-D}^t phi(s) Z(s)* P Z(s) ds]
+           + gamma2 phi(t - D) Z(t-D)* P Z(t-D)
+           + 1/2 sum_{k > n0} |c_k - <lifting u(t-D)>_k|^2.
 
     z_history is padded (row k at _history_pad(D, dt) + k); x_coeffs and
     u_delay hold each row's modal state and delayed input.  The integral
@@ -235,43 +238,6 @@ def _lyapunov_rows(sys: SpectralSystem, design: PredictorDesign,
          + bundle.gamma2 * term_del + tail_term)
     # quadratic forms with P > 0; clamp float dust
     return np.maximum(v, 0.0)
-
-
-def evaluate_V(sys: SpectralSystem, design: PredictorDesign,
-               bundle: CertificateBundle, z_history: np.ndarray, dt: float,
-               x_coeffs: np.ndarray, u_delay: np.ndarray) -> float:
-    """Weighted Lyapunov functional at the time t of the newest history row.
-
-    V = gamma1 [Z* P Z + int_{t-D}^t phi(s) Z(s)* P Z(s) ds]
-        + gamma2 phi(t - D) Z(t-D)* P Z(t-D)
-        + 1/2 sum_{k > n0} |c_k - <lifting u(t-D)>_k|^2.
-
-    Args:
-        z_history: predictor states at 0, dt, ..., t (row i at time i dt).
-        dt: the history's step.
-        x_coeffs: modal state (length >= n0).
-        u_delay: the delayed input u(t - D).
-    """
-    if design.lyap is None:
-        raise InvalidParameterError("design carries no Lyapunov matrix")
-    coeffs = np.atleast_1d(np.asarray(x_coeffs, dtype=complex))
-    if coeffs.size < design.n0 or coeffs.size > sys.n_max:
-        raise InvalidParameterError(
-            f"x_coeffs length must lie in [{design.n0}, {sys.n_max}]")
-    if dt <= 0:
-        raise InvalidParameterError(f"dt must be positive, got {dt}")
-    u_delay = np.asarray(u_delay, dtype=complex)
-    if u_delay.shape != (sys.input_dim,):
-        raise InvalidParameterError(
-            f"u_delay must have shape ({sys.input_dim},), got {u_delay.shape}")
-    z_hist = np.atleast_2d(np.asarray(z_history, dtype=complex))
-    if z_hist.shape[1] != design.n0:
-        raise InvalidParameterError(
-            f"z_history must have {design.n0} columns, got {z_hist.shape[1]}")
-    row = np.array([len(z_hist) - 1])
-    z_hist = np.pad(z_hist, ((_history_pad(design.delay, dt), 0), (0, 0)))
-    return float(_lyapunov_rows(sys, design, bundle, z_hist, dt, row,
-                                coeffs[None], u_delay[None])[0])
 
 
 # the search's settings: gamma1's relative offset above its open bound, and

@@ -54,10 +54,6 @@ class TransitionSignal:
         s = np.clip(np.asarray(t, dtype=float) / self.t0, 0.0, 1.0)
         return s ** 3 * (10.0 + s * (-15.0 + 6.0 * s))
 
-    def phi_dot(self, t):
-        s = np.clip(np.asarray(t, dtype=float) / self.t0, 0.0, 1.0)
-        return 30.0 * s ** 2 * (1.0 - s) ** 2 / self.t0
-
 
 def diagonal_exponential(a: np.ndarray, s: float) -> np.ndarray:
     """Entrywise matrix exponential exp(s * a) for a diagonal matrix."""
@@ -348,8 +344,7 @@ def _split_steps(x: float) -> tuple[int, float]:
     return j, (f if f > 1e-9 else 0.0)
 
 
-def _window_weights(lam, delay: float, dt: float,
-                    row: int | None = None) -> np.ndarray:
+def _window_weights(lam, delay: float, dt: float) -> np.ndarray:
     """Fixed quadrature weights of the predictor window on a uniform grid.
 
     Histories are plain arrays indexed by step: row i holds the signal at
@@ -362,17 +357,14 @@ def _window_weights(lam, delay: float, dt: float,
     When D / dt is not whole, the partial panel at the old end of the
     window takes g there by linear interpolation of the two oldest slots.
     The weights depend on neither i nor g, so one table serves every row
-    whose window lies in t >= 0.  For an earlier row (pass its index) the
-    window is cut at t = 0, with half weight on node 0.  lam = 0 gives the
-    plain trapezoid weights.
+    whose window lies in t >= 0 (for a window cut at t = 0, see _RowSolver).
+    lam = 0 gives the plain trapezoid weights.
 
     Returns:
         (len(w), lam.size) array; w[j] multiplies the sample j steps back.
     """
     lam = np.atleast_1d(lam)
     q, r = _split_steps(delay / dt)
-    if row is not None and row < q + (r > 0):
-        q, r = row, 0.0
     trap = np.full(q + 1, float(dt))
     trap[[0, -1]] = dt / 2.0 if q else 0.0
     w = np.exp(np.outer(np.arange(q + 1) * dt - delay, lam)) * trap[:, None]
@@ -521,9 +513,9 @@ def invert_artstein(design: PredictorDesign, times: np.ndarray, y_path,
         y = np.stack([np.asarray(y_path(t), dtype=complex) for t in times])
     else:
         y = np.asarray(y_path, dtype=complex)
-    if y.shape != (times.size, design.n0):
+    if y.shape != (times.size, design.n0) or not np.isfinite(y).all():
         raise InvalidParameterError(
-            f"y_path must have shape ({times.size}, {design.n0})")
+            f"y_path must be finite, of shape ({times.size}, {design.n0})")
 
     if phi is None:
         phi = design.transition

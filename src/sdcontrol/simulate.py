@@ -59,7 +59,6 @@ __all__ = [
     "SimConfig",
     "CouplingFields",
     "Trajectory",
-    "step",
     "simulate",
     "decay_fit",
     "iss_envelope_check",
@@ -398,43 +397,6 @@ class _RK4Step:
         s[1:, 1:] = f
 
 
-def step(sys: SpectralSystem, design: PredictorDesign,
-         fields: CouplingFields | None, u_history: np.ndarray, dt: float,
-         x: complex, coeffs: np.ndarray,
-         v_fn: Callable[[float], float]) -> tuple[complex, np.ndarray]:
-    """One classical RK4 step of the coupled (x, modal) state.
-
-    The step starts at the time t = (len(u_history) - 1) dt of the newest
-    input row (row i at time i dt).  The delayed inputs at the stage times
-    t - D, t - D + dt/2 and t - D + dt are linear interpolations of that
-    history, which is zero before row 0 and needs dt <= D; the exogenous
-    input v is evaluated exactly at the stage times.
-    """
-    if dt > design.delay:
-        raise InvalidParameterError(
-            f"dt = {dt} must not exceed the delay {design.delay}")
-    coeffs = np.asarray(coeffs, dtype=complex)
-    n = coeffs.size
-    if not 1 <= n <= sys.n_max:
-        raise InvalidParameterError(
-            f"coeffs length must lie in [1, {sys.n_max}], got {n}")
-    if fields is not None and fields.n_modes != n:
-        raise InvalidParameterError(
-            f"fields cover {fields.n_modes} modes, coeffs has {n}")
-    u = np.atleast_2d(u_history)
-    if u.shape[1] != sys.input_dim:
-        raise InvalidParameterError(
-            f"u_history must have {sys.input_dim} columns, got {u.shape[1]}")
-    rk4 = _RK4Step(sys, design, fields, n, dt)
-    r = len(u) - 1
-    padded = np.pad(u.astype(complex), ((rk4.pad, 0), (0, 0)))
-    rk4.state[0], rk4.state[1:] = x, coeffs
-    t = r * dt
-    rk4(padded, r, (v_fn(t), v_fn(t + dt / 2), v_fn(t + dt)) if rk4.coupled
-        else None)
-    return complex(rk4.state[0]), rk4.state[1:].copy()
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Recorded closed-loop run.
@@ -508,8 +470,9 @@ def simulate(config: SimConfig, sys: SpectralSystem, design: PredictorDesign,
             recorded per row, otherwise the V column is zero.
 
     Raises:
-        InvalidParameterError: an argument is out of range, including a dt
-            outside the RK4 stability region of a decaying simulated mode.
+        InvalidParameterError: an argument is out of range, including a
+            non-finite initial state and a dt outside the RK4 stability
+            region of a decaying simulated mode.
         SimulationDivergedError: the state or a recorded norm left the
             finite range.
     """
@@ -538,6 +501,8 @@ def simulate(config: SimConfig, sys: SpectralSystem, design: PredictorDesign,
     coeffs = np.asarray(x0_coeffs, dtype=complex)
     if coeffs.shape != (n,):
         raise InvalidParameterError(f"x0_coeffs must have shape ({n},)")
+    if not (np.isfinite(x0) and np.isfinite(coeffs).all()):
+        raise InvalidParameterError("x0 and x0_coeffs must be finite")
 
     n_steps = int(math.floor(config.t_end / dt + 1e-9))
     rows = np.append(np.arange(0, n_steps, config.record_stride), n_steps) \

@@ -56,28 +56,32 @@ class TestTransition:
     def test_before_start(self):
         sig = sd.TransitionSignal(0.2)
         assert float(sig.phi(-1.0)) == 0.0
-        assert float(sig.phi_dot(-1.0)) == 0.0
+        assert float(sig.phi(-1.0 + 1e-3) - sig.phi(-1.0 - 1e-3)) == 0.0
 
     def test_at_transition_end(self):
         sig = sd.TransitionSignal(0.2)
-        phi, dphi = float(sig.phi(0.2)), float(sig.phi_dot(0.2))
-        assert phi == 1.0
-        assert dphi == 0.0
-        # left limit of the second derivative, extrapolated to h = 0 from
-        # one-sided difference quotients of the slope; the quotient is a
-        # cubic in h, so four nodes reproduce the limit exactly
-        h = 1e-3
-        est = []
-        for j in (1, 2, 3, 4):
-            dm = float(sig.phi_dot(0.2 - j * h))
-            est.append((dphi - dm) / (j * h))
-        second = 4 * est[0] - 6 * est[1] + 4 * est[2] - est[3]
+        assert float(sig.phi(0.2)) == 1.0
+        assert float(sig.phi(0.2 + 1e-3)) == 1.0
+        # left limits of the slope and of the second derivative,
+        # extrapolated to h = 0 from one-sided difference quotients:
+        # 1 - phi(t0 - h) is a quintic in h without constant term, so the
+        # slope quotient is a quartic (five nodes reproduce its limit
+        # exactly) and, the slope being 0, the second-derivative quotient a
+        # cubic (four nodes)
+        h = 1e-3 * np.arange(1, 6)
+        drop = 1.0 - sig.phi(0.2 - h)
+        dphi = np.array([5, -10, 10, -5, 1]) @ (drop / h)
+        second = np.array([4, -6, 4, -1]) @ (-2.0 * drop[:4] / h[:4] ** 2)
+        assert abs(dphi) < 1e-9
         assert abs(second) < 1e-6
 
     def test_monotone_with_bounded_slope(self):
         sig = sd.TransitionSignal(0.4)
         ts = np.linspace(-0.1, 0.6, 401)
-        phi, dphi = sig.phi(ts), sig.phi_dot(ts)
+        # central differences, exact to h^2 / 6 times the third derivative
+        h = 1e-4
+        phi = sig.phi(ts)
+        dphi = (sig.phi(ts + h) - sig.phi(ts - h)) / (2 * h)
         assert np.all(np.diff(phi) >= -1e-15)
         assert np.all(dphi >= 0.0)
         assert dphi.max() == pytest.approx(15.0 / (8.0 * 0.4), rel=1e-4)
@@ -236,10 +240,24 @@ class TestDesign:
             assert max(abs(achieved - des.desired_poles)) < 1e-6
 
 
+def row_weights(des, dt, i):
+    """Row i's own window weights, newest row first: the constant table, or
+    for a window that reaches past t = 0, the trapezoid on [0, t_i] with
+    half weight on both ends, times exp((j dt - D) lam)."""
+    lam = np.diag(des.a_n0)
+    w = _window_weights(lam, des.delay, dt)
+    if i >= len(w) - 1:
+        return w
+    trap = np.full(i + 1, dt)
+    trap[[0, -1]] = dt / 2.0 if i else 0.0
+    return np.exp(np.outer(np.arange(i + 1) * dt - des.delay, lam)) \
+        * trap[:, None]
+
+
 def window_integral(des, u_history, dt):
     """Z(t) - Y(t) at the newest input row: the window weights of that row
     summed against the newest rows of B u, newest first."""
-    w = _window_weights(np.diag(des.a_n0), des.delay, dt, len(u_history) - 1)
+    w = row_weights(des, dt, len(u_history) - 1)
     g = u_history[::-1][:len(w)] @ des.b_n0.T
     return np.einsum("jn,jn->n", w, g)
 
@@ -399,13 +417,20 @@ class TestInversion:
         with pytest.raises(InvalidParameterError):
             sd.invert_artstein(design, np.array([0.0, 0.1]),
                                np.zeros((3, 2)))
+        # a non-finite sample, as an array row or from a callable path
+        tt = np.arange(11) * 1e-3
+        y = np.zeros((11, 2))
+        y[3, 1] = np.nan
+        for path in (y, lambda t: np.array([0.0, np.inf if t > 0 else 0.0])):
+            with pytest.raises(InvalidParameterError, match="finite"):
+                sd.invert_artstein(design, tt, path)
 
 
 def per_row_solve(design, dt, g, i, y_i, phi_i):
     """(Z_i, u_i) from one endpoint solve with row i's own window weights
     over g[:i], the rows' B u; writes g[i].  The row-by-row reference of
     the block solve."""
-    w = _window_weights(np.diag(design.a_n0), design.delay, dt, i)
+    w = row_weights(design, dt, i)
     rhs = y_i + np.einsum("jn,jn->n", w[1:], g[:i][::-1][:len(w) - 1])
     wbk = (w[0][:, None] * design.b_n0) @ design.gain
     z = np.linalg.solve(np.eye(design.n0) - phi_i * wbk, rhs)
@@ -490,11 +515,15 @@ class TestBlockSolve:
         traj = sd.simulate(cfg, sys_, des, None, x0=0.0, x0_coeffs=y0)
         phi = des.transition.phi(traj.t)
         g = np.zeros((n_steps + 1, n0), dtype=complex)
-        u = np.zeros((n_steps + 1, sys_.input_dim), dtype=complex)
+        rk4 = _RK4Step(sys_, des, None, n_modes, dt)
+        u_pad = np.zeros((rk4.pad + n_steps + 1, sys_.input_dim),
+                         dtype=complex)
+        u = u_pad[rk4.pad:]
         c = [np.asarray(y0, dtype=complex)]
+        rk4.state[1:] = c[0]
         for i in range(1, n_steps + 1):
-            c.append(sd.step(sys_, des, None, u[:i], dt, 0.0, c[-1],
-                             lambda t: 0.0)[1])
+            rk4(u_pad, i - 1)
+            c.append(rk4.state[1:].copy())
             u[i] = per_row_solve(des, dt, g, i, c[-1][:n0], phi[i])[1]
         assert_rel_close(traj.coeffs, np.array(c))
         assert_rel_close(traj.u, u)
