@@ -19,8 +19,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from sdcontrol import (build_heat_system, case_study_run_config,
-                       optimize_parameters, place_poles, solve_lyapunov,
-                       zero_gain_design)
+                       optimize_parameters, place_poles, zero_gain_design)
 from sdcontrol.errors import ToolkitError
 
 
@@ -31,12 +30,9 @@ def rank_one_design(sys_, theta, poles, delay, t0):
     K = q k places them on (A, exp(-D A) B).
     """
     base = zero_gain_design(sys_, len(poles), delay, t0)
-    b_eff = base.exp_da @ base.b_n0
     q = np.array([[math.cos(theta)], [math.sin(theta)]])
-    gain = q @ place_poles(base.a_n0, b_eff @ q, poles)
-    a_cl = base.a_n0 + b_eff @ gain
-    return replace(base, gain=gain, a_cl=a_cl, lyap=solve_lyapunov(a_cl),
-                   desired_poles=tuple(poles))
+    return replace(base, gain=q @ place_poles(base.eigenvalues,
+                                              base.b_tilde @ q, poles))
 
 
 def main():

@@ -21,7 +21,7 @@ search over gamma2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import partial
 from typing import NamedTuple
 
@@ -87,6 +87,8 @@ class CouplingConstants:
     d3: float
 
     def __post_init__(self):
+        if not np.isfinite(astuple(self)).all():
+            raise InvalidParameterError("coupling constants must be finite")
         if self.ct0 < 1.0:
             raise InvalidParameterError("ct0 must be at least 1")
         for name in ("ct1", "ct2", "d1", "d2", "d3"):
@@ -98,8 +100,8 @@ class _BaseConstants(NamedTuple):
     """Weight-independent part of the certificate arithmetic."""
 
     alpha: float
-    lam_min_p: float
-    lam_max_p: float
+    lam_min_P: float
+    lam_max_P: float
     norm_bk_sq: float
     c1: float
     c5: float
@@ -114,10 +116,10 @@ def _base_constants(sys: SpectralSystem, design: PredictorDesign) -> _BaseConsta
     gain = np.asarray(design.gain, dtype=complex)
 
     eig_p = np.linalg.eigvalsh(design.lyap)
-    lam_min_p = float(eig_p.min())
-    lam_max_p = float(eig_p.max())
+    lam_min_P = float(eig_p.min())
+    lam_max_P = float(eig_p.max())
 
-    norm_a = float(np.abs(np.diag(design.a_n0)).max())
+    norm_a = float(np.abs(design.eigenvalues).max())
     norm_bk_trunc = float(np.linalg.svd(design.b_n0 @ gain, compute_uv=False)[0])
 
     # operator norm of the composite input map v -> B K v via the lifting Gram
@@ -134,7 +136,7 @@ def _base_constants(sys: SpectralSystem, design: PredictorDesign) -> _BaseConsta
         np.sum(sys.lifting_norm_AB ** 2 * row_norms_sq
                + sys.lifting_norm_B ** 2 * rowacl_norms_sq))
 
-    return _BaseConstants(alpha, lam_min_p, lam_max_p, norm_bk_sq, c1, c5)
+    return _BaseConstants(alpha, lam_min_P, lam_max_P, norm_bk_sq, c1, c5)
 
 
 def compute_constants(sys: SpectralSystem, design: PredictorDesign,
@@ -161,15 +163,15 @@ def _weighted_constants(base: _BaseConstants, m_r: float, m_R: float,
                         delay: float, beta: float, gamma1: float,
                         gamma2: float) -> CertificateBundle:
     """The weight-dependent part of compute_constants, on a precomputed base."""
-    alpha, lam_min_p, lam_max_p, norm_bk_sq, c1, c5 = base
-    norm_p = lam_max_p  # P is Hermitian positive definite
+    alpha, lam_min_P, lam_max_P, norm_bk_sq, c1, c5 = base
+    norm_p = lam_max_P  # P is Hermitian positive definite
     norm_bk = math.sqrt(norm_bk_sq)
 
-    if gamma1 <= c1 / lam_min_p:
+    if gamma1 <= c1 / lam_min_P:
         raise CertificateParameterError(
             f"gamma1 = {gamma1:.6g} must exceed C1/lam_min(P) = "
-            f"{c1 / lam_min_p:.6g}")
-    bound_bk = norm_bk_sq / (m_r * lam_min_p)
+            f"{c1 / lam_min_P:.6g}")
+    bound_bk = norm_bk_sq / (m_r * lam_min_P)
     if gamma2 <= bound_bk:
         raise CertificateParameterError(
             f"gamma2 = {gamma2:.6g} must exceed ||BK||^2/(m_r lam_min(P)) = "
@@ -179,10 +181,10 @@ def _weighted_constants(base: _BaseConstants, m_r: float, m_R: float,
         raise CertificateParameterError(
             f"gamma2 = {gamma2:.6g} must exceed C5/(1 - beta) = {bound_c5:.6g}")
 
-    c2g1 = gamma1 * lam_min_p - c1
-    c3g2 = gamma2 * lam_min_p - norm_bk_sq / m_r
+    c2g1 = gamma1 * lam_min_P - c1
+    c3g2 = gamma2 * lam_min_P - norm_bk_sq / m_r
     c4 = math.sqrt(2.0 * m_R) + norm_bk / math.sqrt(c3g2)
-    kappa0 = 0.5 * min((1.0 - beta - c5 / gamma2) / lam_max_p, alpha / 2.0)
+    kappa0 = 0.5 * min((1.0 - beta - c5 / gamma2) / lam_max_P, alpha / 2.0)
     c6 = (1.0 / m_r) * (
         2.0 * (m_r + norm_bk_sq) / (alpha * m_r)
         + (gamma1 * (1.0 + delay) + gamma2) * norm_p ** 2 / beta)
@@ -192,7 +194,7 @@ def _weighted_constants(base: _BaseConstants, m_r: float, m_R: float,
         beta=float(beta), gamma1=float(gamma1), gamma2=float(gamma2),
         C1=c1, C2g1=c2g1, C3g2=c3g2, C4=c4, C5=c5, C6=c6,
         kappa0=kappa0, small_gain_constant=sgc, alpha=alpha,
-        lam_min_P=lam_min_p, lam_max_P=lam_max_p, norm_P=norm_p,
+        lam_min_P=lam_min_P, lam_max_P=lam_max_P, norm_P=norm_p,
         norm_BK=norm_bk,
     )
 
@@ -269,21 +271,21 @@ def optimize_parameters(sys: SpectralSystem,
     """
     # computed once: each evaluation redoes only the weight arithmetic
     base = _base_constants(sys, design)
-    alpha, lam_min_p, lam_max_p, norm_bk_sq, c1, c5 = base
+    alpha, lam_min_P, lam_max_P, norm_bk_sq, c1, c5 = base
     m_r = sys.riesz_lower
-    lo = max(norm_bk_sq / (m_r * lam_min_p), c5)
+    lo = max(norm_bk_sq / (m_r * lam_min_P), c5)
     if not lo > 0.0:
         raise InfeasibleCertificateError(
             "a zero gain leaves no admissible gamma2")
     bundle_at = partial(_weighted_constants, base, m_r, sys.riesz_upper,
                         design.delay)
-    gamma1 = (1.0 + _GAMMA1_EPS) * c1 / lam_min_p
+    gamma1 = (1.0 + _GAMMA1_EPS) * c1 / lam_min_P
     a = 2.0 * (m_r + norm_bk_sq) / (alpha * m_r)
-    cap = alpha * lam_max_p / 2.0
+    cap = alpha * lam_max_P / 2.0
 
     def at(log_gamma2: float) -> CertificateBundle:
         gamma2 = math.exp(log_gamma2)
-        g = (gamma1 * (1.0 + design.delay) + gamma2) * lam_max_p ** 2
+        g = (gamma1 * (1.0 + design.delay) + gamma2) * lam_max_P ** 2
         k = 1.0 - c5 / gamma2
         # beta*, written without the cancellation of (-g + sqrt(.)) / a
         root = g * k / (g + math.sqrt(g * g + a * g * k))
@@ -318,6 +320,8 @@ def coupling_constants(a1: float, b1: float, c1: float, a2: float, b2: float,
     in-domain disturbance a2 x theta1 + b2 arctan((d2/L) <eta, X>) theta2 +
     c2 v theta3 with unit-norm profiles.
     """
+    if not np.isfinite([a1, b1, c1, a2, b2, c2, d2, L]).all():
+        raise InvalidParameterError("coupling gains and L must be finite")
     if a1 <= 0:
         raise InvalidParameterError(f"a1 must be positive, got {a1}")
     if L <= 0:

@@ -14,7 +14,7 @@ the ramp has completed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -25,7 +25,6 @@ from .spectral import SpectralSystem, pbh_controllable
 __all__ = [
     "TransitionSignal",
     "PredictorDesign",
-    "diagonal_exponential",
     "place_poles",
     "solve_lyapunov",
     "design_predictor",
@@ -53,17 +52,6 @@ class TransitionSignal:
     def phi(self, t):
         s = np.clip(np.asarray(t, dtype=float) / self.t0, 0.0, 1.0)
         return s ** 3 * (10.0 + s * (-15.0 + 6.0 * s))
-
-
-def diagonal_exponential(a: np.ndarray, s: float) -> np.ndarray:
-    """Entrywise matrix exponential exp(s * a) for a diagonal matrix."""
-    a = np.atleast_2d(np.asarray(a, dtype=complex))
-    if a.shape[0] != a.shape[1]:
-        raise InvalidParameterError("matrix must be square")
-    off = a - np.diag(np.diag(a))
-    if off.size and float(np.abs(off).max()) > 1e-12 * max(1.0, float(np.abs(a).max())):
-        raise InvalidParameterError("matrix must be diagonal")
-    return np.diag(np.exp(s * np.diag(a)))
 
 
 def _is_real(*arrays, tol: float = 1e-12) -> bool:
@@ -111,37 +99,39 @@ def _ackermann(lam: np.ndarray, b: np.ndarray, poles: Sequence[complex]) -> np.n
     return -(w * pvals)
 
 
-def place_poles(a: np.ndarray, b_tilde: np.ndarray,
+def place_poles(lam: np.ndarray, b_tilde: np.ndarray,
                 poles: Sequence[complex]) -> np.ndarray:
     """Pole placement for a diagonal pair through a rank-one gain.
 
     The gain has the form K = q k with a fixed direction q in input space
     and a single-input Ackermann row k, so the result is deterministic.  If
-    the collapsed pair (a, b_tilde q) is uncontrollable for the default
-    direction, a fixed sequence of perturbed directions is tried.
+    the collapsed pair (diag(lam), b_tilde q) is uncontrollable for the
+    default direction, a fixed sequence of perturbed directions is tried.
 
     Args:
-        a: diagonal state matrix (n, n).
+        lam: the n eigenvalues of the diagonal state matrix.
         b_tilde: effective input matrix (n, m).
-        poles: n desired closed-loop eigenvalues; with real data the set
-            must be closed under conjugation.
+        poles: n finite desired closed-loop eigenvalues; with real data the
+            set must be closed under conjugation.
 
     Returns:
-        K of shape (m, n) with spec(a + b_tilde @ K) = poles (within 1e-6).
+        K of shape (m, n) with spec(diag(lam) + b_tilde @ K) = poles
+        (within 1e-6).
     """
-    a = np.atleast_2d(np.asarray(a, dtype=complex))
+    lam = np.asarray(lam, dtype=complex)
     b_tilde = np.atleast_2d(np.asarray(b_tilde, dtype=complex))
-    n = a.shape[0]
-    if b_tilde.shape[0] != n:
-        raise InvalidParameterError("b_tilde must have one row per state")
+    n = lam.size
+    if lam.ndim != 1 or b_tilde.shape[0] != n:
+        raise InvalidParameterError(
+            "lam must be a vector and b_tilde must have one row per entry")
     m = b_tilde.shape[1]
-    diagonal_exponential(a, 0.0)  # rejects non-diagonal state matrices
-    lam = np.diag(a)
     if len(poles) != n:
         raise InvalidParameterError(f"need exactly {n} poles, got {len(poles)}")
+    if not np.isfinite(np.asarray(poles, dtype=complex)).all():
+        raise InvalidParameterError(f"poles must be finite, got {poles}")
     poles = _canonical_poles(poles)
 
-    real_data = _is_real(a, b_tilde)
+    real_data = _is_real(lam, b_tilde)
     if real_data:
         conj_set = _canonical_poles(np.conj(poles))
         if any(abs(p - q) > 1e-12 * max(1.0, abs(p))
@@ -164,7 +154,7 @@ def place_poles(a: np.ndarray, b_tilde: np.ndarray,
         # poles far beyond the spectrum overflow the gain or the loop
         with np.errstate(over="ignore", invalid="ignore"):
             gain = np.outer(q, _ackermann(lam, bq, poles))
-            a_cl = a + b_tilde @ gain
+            a_cl = np.diag(lam) + b_tilde @ gain
         if not np.isfinite(a_cl).all():
             raise SynthesisFailureError(
                 "the placed gain is not finite: the poles are too far out")
@@ -214,127 +204,91 @@ def solve_lyapunov(a_cl: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PredictorDesign:
-    """Everything needed to run and certify the delayed feedback loop.
+    """The delayed feedback loop of the retained modes: its inputs, and the
+    closed loop and Lyapunov matrix derived from them once.
 
     Attributes:
-        delay: input delay D >= 0.
-        n0: number of actively controlled modes.
-        a_n0: (n0, n0) diagonal block of retained eigenvalues.
-        b_n0: (n0, m) retained input gains.
-        exp_da: exp(-delay * a_n0).
+        eigenvalues: (n0,) retained eigenvalues; A = diag(eigenvalues).
+        b_n0: (n0, m) retained input gains B.
+        delay: input delay D >= 0, finite.
         gain: feedback gain K (m, n0); the applied input is phi(t) K Z(t).
-        a_cl: A + exp(-D A) B K.
-        lyap: Hermitian P > 0 with a_cl* P + P a_cl = -I, or None when
-            there is none: for a zero-gain (open-loop) design, and for a
-            placement whose a_cl is not Hurwitz.  The certificate needs it.
-        desired_poles: placement targets (canonically sorted), or None.
         transition: the feedback ramp.
+        a_cl: derived, A + exp(-D A) B K.
+        lyap: derived, Hermitian P > 0 with a_cl* P + P a_cl = -I, or None
+            when a_cl is not Hurwitz (as for a zero gain on an unstable
+            block).  The certificate needs it.
     """
 
-    delay: float
-    n0: int
-    a_n0: np.ndarray
+    eigenvalues: np.ndarray
     b_n0: np.ndarray
-    exp_da: np.ndarray
+    delay: float
     gain: np.ndarray
-    a_cl: np.ndarray
-    lyap: np.ndarray | None
-    desired_poles: tuple[complex, ...] | None
     transition: TransitionSignal
+    a_cl: np.ndarray = field(init=False)
+    lyap: np.ndarray | None = field(init=False)
 
     def __post_init__(self):
-        if self.delay < 0:
-            raise InvalidParameterError("delay must be nonnegative")
-        expected = self.a_n0 + self.exp_da @ self.b_n0 @ self.gain
-        if float(np.abs(expected - self.a_cl).max()) > 1e-9 * max(
-                1.0, float(np.abs(expected).max())):
-            raise InvalidParameterError("a_cl does not match A + exp(-DA) B K")
-        if self.lyap is not None:
-            eye = np.eye(self.n0)
-            res = float(np.abs(self.a_cl.conj().T @ self.lyap
-                               + self.lyap @ self.a_cl + eye).max())
-            if res > 1e-9:
-                raise InvalidParameterError(
-                    f"Lyapunov residual {res:.3e} exceeds 1e-9")
-        if self.desired_poles is not None:
-            achieved = _canonical_poles(np.linalg.eigvals(self.a_cl))
-            err = max(abs(p - q) for p, q in
-                      zip(_canonical_poles(self.desired_poles), achieved))
-            if err > 1e-6 * max(1.0, max(abs(p) for p in self.desired_poles)):
-                raise InvalidParameterError(
-                    "closed-loop spectrum does not match the desired poles")
+        lam, n0 = self.eigenvalues, np.size(self.eigenvalues)
+        m = np.shape(self.gain)[0] if np.ndim(self.gain) else -1
+        if [np.shape(lam), np.shape(self.b_n0), np.shape(self.gain)] \
+                != [(n0,), (n0, m), (m, n0)]:
+            raise InvalidParameterError(
+                "eigenvalues, b_n0 and gain must have shapes (n0,), (n0, m) "
+                "and (m, n0)")
+        if not 0 <= self.delay < math.inf:  # NaN fails as well
+            raise InvalidParameterError(
+                f"delay must be nonnegative and finite, got {self.delay}")
+        a_cl = np.diag(lam) + self.b_tilde @ self.gain
+        hurwitz = float(np.linalg.eigvals(a_cl).real.max()) < 0
+        object.__setattr__(self, "a_cl", a_cl)
+        object.__setattr__(self, "lyap",
+                           solve_lyapunov(a_cl) if hurwitz else None)
+
+    @property
+    def b_tilde(self) -> np.ndarray:
+        """exp(-D A) B, the input matrix of the predictor state."""
+        lam = np.asarray(self.eigenvalues, dtype=complex)
+        return np.exp(-self.delay * lam)[:, None] * self.b_n0
+
+    @property
+    def n0(self) -> int:
+        return int(np.size(self.eigenvalues))
 
     @property
     def input_dim(self) -> int:
         return int(self.b_n0.shape[1])
 
-    def _lyap_eigenvalues(self) -> np.ndarray:
-        if self.lyap is None:
-            raise InvalidParameterError(
-                "the design has no Lyapunov matrix (zero gain or a "
-                "non-Hurwitz placement)")
-        return np.linalg.eigvalsh(self.lyap)
 
-    @property
-    def lam_min_p(self) -> float:
-        """Smallest eigenvalue of lyap; InvalidParameterError without one."""
-        return float(self._lyap_eigenvalues().min())
-
-    @property
-    def lam_max_p(self) -> float:
-        """Largest eigenvalue of lyap; InvalidParameterError without one."""
-        return float(self._lyap_eigenvalues().max())
-
-
-def _retained_block(sys: SpectralSystem, n0: int, delay: float):
-    """A, B and exp(-D A) of the first n0 modes, after the argument checks."""
+def zero_gain_design(sys: SpectralSystem, n0: int, delay: float,
+                     t0: float) -> PredictorDesign:
+    """Open-loop design of the first n0 modes, with K = 0."""
     if not 1 <= n0 <= sys.n_max:
         raise InvalidParameterError(
             f"n0 must satisfy 1 <= n0 <= n_max = {sys.n_max}, got {n0}")
-    if not 0 <= delay < math.inf:  # NaN fails as well
-        raise InvalidParameterError(
-            f"delay must be nonnegative and finite, got {delay}")
-    a_n0 = np.diag(sys.eigenvalues[:n0])
-    return (a_n0, np.array(sys.input_coeffs[:n0], dtype=complex),
-            diagonal_exponential(a_n0, -delay))
+    return PredictorDesign(
+        eigenvalues=sys.eigenvalues[:n0],
+        b_n0=np.array(sys.input_coeffs[:n0], dtype=complex),
+        delay=float(delay), gain=np.zeros((sys.input_dim, n0), dtype=complex),
+        transition=TransitionSignal(t0=t0))
 
 
 def design_predictor(sys: SpectralSystem, n0: int, delay: float,
                      poles: Sequence[complex], t0: float) -> PredictorDesign:
-    """Full synthesis: gain placement plus Lyapunov certificate matrix.
+    """Full synthesis: the gain K placing spec(A + exp(-D A) B K) = poles.
 
     Args:
         sys: the plant.
         n0: retained mode count, 1 <= n0 <= n_max.
         delay: input delay D >= 0, finite.
-        poles: n0 desired closed-loop eigenvalues.  Placement does not
-            require them to be Hurwitz, but the certificate does: for a
-            non-Hurwitz placement the design carries the placed gain and
-            spectrum with lyap = None.
+        poles: n0 finite desired closed-loop eigenvalues.  Placement does
+            not require them to be Hurwitz, but the certificate does: for a
+            non-Hurwitz placement the design carries the placed gain with
+            lyap = None.
         t0: ramp duration.
     """
-    a_n0, b_n0, exp_da = _retained_block(sys, n0, delay)
-    gain = place_poles(a_n0, exp_da @ b_n0, poles)
-    a_cl = a_n0 + exp_da @ b_n0 @ gain
-    hurwitz = float(np.linalg.eigvals(a_cl).real.max()) < 0
-    return PredictorDesign(
-        delay=float(delay), n0=n0, a_n0=a_n0, b_n0=b_n0, exp_da=exp_da,
-        gain=gain, a_cl=a_cl, lyap=solve_lyapunov(a_cl) if hurwitz else None,
-        desired_poles=_canonical_poles(poles),
-        transition=TransitionSignal(t0=t0),
-    )
-
-
-def zero_gain_design(sys: SpectralSystem, n0: int, delay: float,
-                     t0: float) -> PredictorDesign:
-    """Open-loop design with K = 0 (no certificate matrix)."""
-    a_n0, b_n0, exp_da = _retained_block(sys, n0, delay)
-    return PredictorDesign(
-        delay=float(delay), n0=n0, a_n0=a_n0, b_n0=b_n0, exp_da=exp_da,
-        gain=np.zeros((sys.input_dim, n0), dtype=complex),
-        a_cl=a_n0, lyap=None, desired_poles=None,
-        transition=TransitionSignal(t0=t0),
-    )
+    base = zero_gain_design(sys, n0, delay, t0)
+    return replace(base,
+                   gain=place_poles(base.eigenvalues, base.b_tilde, poles))
 
 
 def _split_steps(x: float) -> tuple[int, float]:
@@ -436,7 +390,7 @@ class _RowSolver:
     def __init__(self, design: PredictorDesign, dt: float):
         self.design = design
         self.pad = _history_pad(design.delay, dt)
-        n0, m, lam = design.n0, design.input_dim, np.diag(design.a_n0)
+        n0, m, lam = design.n0, design.input_dim, design.eigenvalues
         rows, b_n0 = _SOLVE_ROWS, design.b_n0
         w = _window_weights(lam, design.delay, dt)
         # oldest slot first, to meet the history in its own order
@@ -505,8 +459,9 @@ def invert_artstein(design: PredictorDesign, times: np.ndarray, y_path,
     if times.ndim != 1 or times.size < 2:
         raise InvalidParameterError("times must contain at least two samples")
     dt = times[1] - times[0]
-    if dt <= 0 or float(np.abs(np.diff(times) - dt).max()) > 1e-9 * dt:
-        raise InvalidParameterError("times must be uniformly increasing")
+    if not (np.isfinite(times).all() and dt > 0
+            and float(np.abs(np.diff(times) - dt).max()) <= 1e-9 * dt):
+        raise InvalidParameterError("times must be a finite uniform grid")
     if abs(times[0]) > 1e-12:
         raise InvalidParameterError("the sample grid must start at t = 0")
     if callable(y_path):

@@ -146,6 +146,10 @@ class CouplingFields:
     theta3: np.ndarray
 
     def __post_init__(self):
+        if not np.isfinite([self.a1, self.b1, self.c1, self.a2, self.b2,
+                            self.c2, self.d2, self.domain_length]).all():
+            raise InvalidParameterError(
+                "coupling gains and domain_length must be finite")
         if self.a1 <= 0:
             raise InvalidParameterError(f"a1 must be positive, got {self.a1}")
         if self.domain_length <= 0:
@@ -153,8 +157,9 @@ class CouplingFields:
         n = np.atleast_1d(np.asarray(self.eta1, dtype=float)).size
         for name in ("eta1", "eta2", "theta1", "theta2", "theta3"):
             arr = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
-            if arr.shape != (n,):
-                raise InvalidParameterError("profile vectors must share one length")
+            if arr.shape != (n,) or not np.isfinite(arr).all():
+                raise InvalidParameterError(
+                    "profile vectors must be finite and share one length")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         # the profiles stacked once, in the dtype of the state they meet

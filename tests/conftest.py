@@ -105,10 +105,10 @@ def closed_loop_ode(design, y0, t_end, dt):
     nodes, apart from the library's window weights.  Returns (times,
     Y samples, u samples).
     """
-    lam = np.diag(design.a_n0)
+    lam = design.eigenvalues
     b = design.b_n0
     gain = design.gain
-    edab = design.exp_da @ b
+    edab = np.exp(-design.delay * lam)[:, None] * b
     delay = design.delay
     n0 = design.n0
     m = b.shape[1]
@@ -185,7 +185,8 @@ def closed_loop_ode(design, y0, t_end, dt):
 
 
 def random_design(rng, n0=None, m=None, delay=None):
-    """A random controllable diagonal plant wrapped in a predictor design."""
+    """A random controllable diagonal plant wrapped in a predictor design,
+    and the poles its gain places."""
     n0 = n0 or int(rng.integers(1, 4))
     m = m or int(rng.integers(1, 3))
     delay = delay or float(rng.uniform(0.05, 0.5))
@@ -195,12 +196,8 @@ def random_design(rng, n0=None, m=None, delay=None):
                 np.triu_indices(n0, 1)].min() > 0.1:
             break
     b = rng.uniform(0.5, 2.0, (n0, m)) * rng.choice([-1.0, 1.0], (n0, m))
-    a = np.diag(lam.astype(complex))
-    exp_da = sd.diagonal_exponential(a, -delay)
     poles = np.sort(rng.uniform(-4.0, -0.5, n0)).astype(complex)
-    gain = sd.place_poles(a, exp_da @ b, poles)
-    a_cl = a + exp_da @ b @ gain
+    gain = sd.place_poles(lam, np.exp(-delay * lam)[:, None] * b, poles)
     return sd.PredictorDesign(
-        delay=delay, n0=n0, a_n0=a, b_n0=b.astype(complex), exp_da=exp_da,
-        gain=gain, a_cl=a_cl, lyap=sd.solve_lyapunov(a_cl),
-        desired_poles=poles, transition=sd.TransitionSignal(0.2))
+        eigenvalues=lam, b_n0=b.astype(complex), delay=delay, gain=gain,
+        transition=sd.TransitionSignal(0.2)), poles

@@ -77,7 +77,7 @@ def test_criterion_04_artstein_round_trip(capsys):
     t_start = time.perf_counter()
     worst = 0.0
     for _ in range(20):
-        des = random_design(rng)
+        des, _ = random_design(rng)
         y0 = rng.uniform(-1.0, 1.0, des.n0)
         tt, ys, us = closed_loop_ode(des, y0, des.delay + 0.5, 1e-3)
         rec = sd.invert_artstein(des, tt, ys)

@@ -117,7 +117,8 @@ class TestFeasibilityBounds:
             assert b.small_gain_constant > 0
 
     def test_missing_lyapunov_matrix(self):
-        sys_, _ = scalar_reference()
+        # an unstable open loop: its A_cl = A is not Hurwitz, so no P
+        sys_ = synthetic_system([1.0, -3.0])
         open_loop = sd.zero_gain_design(sys_, n0=1, delay=0.1, t0=0.2)
         with pytest.raises(InvalidParameterError, match="Lyapunov"):
             sd.compute_constants(sys_, open_loop, 0.5, 10.0, 8.0)
@@ -451,7 +452,7 @@ class TestSearchOracle:
             t = b.beta / (1.0 - b.C5 / b.gamma2)
             assert f(math.log(b.gamma2), t) == pytest.approx(
                 b.small_gain_constant, rel=1e-12)
-            lo = max(base.norm_bk_sq / (sys_.riesz_lower * base.lam_min_p),
+            lo = max(base.norm_bk_sq / (sys_.riesz_lower * base.lam_min_P),
                      base.c5)
             best = grid_best(f, math.log(lo), math.log(lo * 1e6))
             assert b.small_gain_constant <= (1.0 + 1e-9) * best
@@ -484,6 +485,12 @@ class TestCouplingConstants:
             sd.coupling_constants(**dict(COUPLINGS, a1=0.0), L=L)
         with pytest.raises(InvalidParameterError, match="L"):
             sd.coupling_constants(**COUPLINGS, L=-1.0)
+        # a NaN gain would give a NaN margin, which no margin <= 0 test
+        # catches; an infinite L or a1 would zero ct1
+        for bad in ({"b1": math.nan}, {"a1": math.inf}, {"d2": -math.inf},
+                    {"L": math.inf}, {"L": math.nan}):
+            with pytest.raises(InvalidParameterError, match="finite"):
+                sd.coupling_constants(**{**COUPLINGS, "L": L, **bad})
 
     def test_direct_construction_validated(self):
         with pytest.raises(InvalidParameterError, match="ct0"):
@@ -492,6 +499,11 @@ class TestCouplingConstants:
         with pytest.raises(InvalidParameterError, match="d1"):
             sd.CouplingConstants(ct0=1.5, ct1=0.1, ct2=0.1,
                                  d1=-0.1, d2=0.1, d3=0.1)
+        for name in ("ct0", "ct1", "d3"):
+            with pytest.raises(InvalidParameterError, match="finite"):
+                sd.CouplingConstants(**{**dict(ct0=1.5, ct1=0.1, ct2=0.1,
+                                               d1=0.1, d2=0.1, d3=0.1),
+                                        name: math.nan})
 
     def test_interconnection_strength(self):
         cc = sd.coupling_constants(**COUPLINGS, L=L)

@@ -16,36 +16,10 @@ from conftest import closed_loop_ode, random_design, synthetic_system
 
 
 def scalar_design(a=0.0, b=1.0, k=0.7, delay=0.25, t0=0.2):
-    av = np.array([[a]], dtype=complex)
-    exp_da = sd.diagonal_exponential(av, -delay)
-    gain = np.array([[k]], dtype=complex)
     return sd.PredictorDesign(
-        delay=delay, n0=1, a_n0=av, b_n0=np.array([[b]], dtype=complex),
-        exp_da=exp_da, gain=gain,
-        a_cl=av + exp_da * b * k, lyap=None, desired_poles=None,
+        eigenvalues=np.array([a]), b_n0=np.array([[b]], dtype=complex),
+        delay=delay, gain=np.array([[k]], dtype=complex),
         transition=sd.TransitionSignal(t0))
-
-
-class TestDiagonalExponential:
-    def test_case_study_entries(self):
-        a = np.diag([1.25, -2.5]).astype(complex)
-        out = sd.diagonal_exponential(a, -0.1)
-        np.testing.assert_allclose(np.diag(out),
-                                   [np.exp(-0.125), np.exp(0.25)], rtol=1e-12)
-
-    def test_zero_is_identity(self):
-        a = np.diag([3.0, -7.0, 0.5]).astype(complex)
-        np.testing.assert_array_equal(sd.diagonal_exponential(a, 0.0),
-                                      np.eye(3, dtype=complex))
-
-    def test_euler_identity(self):
-        a = np.array([[1j * np.pi]])
-        out = sd.diagonal_exponential(a, 1.0)
-        assert out[0, 0] == pytest.approx(-1.0, abs=1e-12)
-
-    def test_offdiagonal_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            sd.diagonal_exponential(np.array([[1.0, 0.1], [0.0, 2.0]]), 1.0)
 
 
 class TestTransition:
@@ -99,12 +73,11 @@ class TestPlacePoles:
         assert np.linalg.matrix_rank(design.gain, tol=1e-9) == 1
 
     def test_already_placed_gives_zero_gain(self):
-        a = np.diag([-3.0, -4.0]).astype(complex)
-        k = sd.place_poles(a, np.eye(2), [-3.0, -4.0])
+        k = sd.place_poles(np.array([-3.0, -4.0]), np.eye(2), [-3.0, -4.0])
         np.testing.assert_allclose(k, np.zeros((2, 2)), atol=1e-12)
 
     def test_scalar_ackermann(self):
-        k = sd.place_poles(np.array([[2.0]]), np.array([[1.0]]), [-1.0])
+        k = sd.place_poles(np.array([2.0]), np.array([[1.0]]), [-1.0])
         assert k[0, 0] == pytest.approx(-3.0, abs=1e-12)
 
     def test_overflowing_poles_fail_synthesis(self, heat_sys):
@@ -113,40 +86,38 @@ class TestPlacePoles:
             warnings.simplefilter("error")
             with pytest.raises(SynthesisFailureError, match="not finite"):
                 sd.design_predictor(heat_sys, 2, 0.1, (-1e308, -1e308), 0.2)
+        # non-finite poles are an input error, not a synthesis failure
+        for poles in ([np.nan, -3.0], [-3.0 + np.inf * 1j, -3.0 - np.inf * 1j]):
+            with pytest.raises(InvalidParameterError, match="finite"):
+                sd.design_predictor(heat_sys, 2, 0.1, poles, 0.2)
 
     def test_uncontrollable_pair(self):
-        a = np.diag([1.0, 2.0]).astype(complex)
         b = np.array([[1.0], [0.0]])
         with pytest.raises(SynthesisFailureError):
-            sd.place_poles(a, b, [-1.0, -2.0])
+            sd.place_poles(np.array([1.0, 2.0]), b, [-1.0, -2.0])
 
     def test_repeated_plant_eigenvalues(self):
-        a = np.diag([1.0, 1.0]).astype(complex)
-        b = np.eye(2)
         with pytest.raises(SynthesisFailureError):
-            sd.place_poles(a, b, [-1.0, -2.0])
+            sd.place_poles(np.array([1.0, 1.0]), np.eye(2), [-1.0, -2.0])
 
     def test_real_system_needs_conjugate_poles(self):
-        a = np.diag([1.0, 2.0]).astype(complex)
-        b = np.ones((2, 1))
         with pytest.raises(InvalidParameterError):
-            sd.place_poles(a, b, [-1.0 + 1.0j, -2.0])
+            sd.place_poles(np.array([1.0, 2.0]), np.ones((2, 1)),
+                           [-1.0 + 1.0j, -2.0])
 
     def test_complex_conjugate_pair_placed(self):
-        a = np.diag([1.0, 2.0]).astype(complex)
-        b = np.ones((2, 1))
-        k = sd.place_poles(a, b, [-1.0 + 1.0j, -1.0 - 1.0j])
-        achieved = np.linalg.eigvals(a + b @ k)
+        lam, b = np.array([1.0, 2.0]), np.ones((2, 1))
+        k = sd.place_poles(lam, b, [-1.0 + 1.0j, -1.0 - 1.0j])
+        achieved = np.linalg.eigvals(np.diag(lam) + b @ k)
         np.testing.assert_allclose(sorted(achieved.imag), [-1.0, 1.0],
                                    atol=1e-8)
 
     @given(perm=st.permutations([-3.0, -1.0 + 0.5j, -1.0 - 0.5j]))
     @settings(max_examples=12, deadline=None)
     def test_pole_order_irrelevant(self, perm):
-        a = np.diag([0.5, -0.2, -1.0]).astype(complex)
-        b = np.ones((3, 1))
-        k_ref = sd.place_poles(a, b, [-3.0, -1.0 + 0.5j, -1.0 - 0.5j])
-        k = sd.place_poles(a, b, perm)
+        lam, b = np.array([0.5, -0.2, -1.0]), np.ones((3, 1))
+        k_ref = sd.place_poles(lam, b, [-3.0, -1.0 + 0.5j, -1.0 - 0.5j])
+        k = sd.place_poles(lam, b, perm)
         np.testing.assert_array_equal(k, k_ref)
 
     def test_hundred_random_pairs(self):
@@ -160,9 +131,8 @@ class TestPlacePoles:
                 lam = rng.uniform(-4.0, 1.5, n)
             b = rng.uniform(0.4, 2.0, (n, m)) * rng.choice([-1, 1], (n, m))
             poles = np.sort(rng.uniform(-5.0, -0.5, n))
-            a = np.diag(lam.astype(complex))
-            k = sd.place_poles(a, b, poles)
-            achieved = np.sort_complex(np.linalg.eigvals(a + b @ k))
+            k = sd.place_poles(lam, b, poles)
+            achieved = np.sort_complex(np.linalg.eigvals(np.diag(lam) + b @ k))
             assert max(abs(achieved - poles)) < 1e-6
 
 
@@ -188,12 +158,31 @@ class TestLyapunov:
 
 class TestDesign:
     def test_closed_loop_identity(self, design):
-        lhs = design.a_cl
-        rhs = design.a_n0 + design.exp_da @ design.b_n0 @ design.gain
-        np.testing.assert_array_equal(lhs, rhs)
+        lam, delay = design.eigenvalues, design.delay
+        rhs = np.diag(lam) + np.diag(np.exp(-delay * lam)) @ design.b_n0 \
+            @ design.gain
+        np.testing.assert_allclose(design.a_cl, rhs, rtol=1e-14, atol=1e-14)
 
-    def test_lyapunov_extremes_ordered(self, design):
-        assert 0 < design.lam_min_p <= design.lam_max_p
+    def test_inputs_checked(self):
+        good = dict(eigenvalues=np.array([1.0, 2.0]), b_n0=np.ones((2, 1)),
+                    delay=0.1, gain=np.ones((1, 2)),
+                    transition=sd.TransitionSignal(0.2))
+        assert sd.PredictorDesign(**good).n0 == 2
+        for bad in ({"eigenvalues": np.ones((2, 2))},
+                    {"eigenvalues": np.array([1.0])},
+                    {"b_n0": np.ones((3, 1))}, {"b_n0": np.ones(2)},
+                    {"gain": np.ones((2, 2))}, {"gain": np.ones(2)},
+                    {"delay": -0.1}, {"delay": np.nan}, {"delay": np.inf}):
+            with pytest.raises(InvalidParameterError):
+                sd.PredictorDesign(**{**good, **bad})
+        # the closed loop and P are derived, never passed in
+        for name in ("a_cl", "lyap"):
+            with pytest.raises(TypeError):
+                sd.PredictorDesign(**good, **{name: np.eye(2)})
+
+    def test_lyapunov_extremes_ordered(self, bundle):
+        # the certificate reads the extreme eigenvalues of P
+        assert 0 < bundle.lam_min_P <= bundle.lam_max_P
 
     @pytest.mark.parametrize("kind", ["zero-gain", "non-hurwitz"])
     def test_lyapunov_extremes_need_a_lyapunov_matrix(self, heat_sys, kind):
@@ -202,9 +191,9 @@ class TestDesign:
         else:
             des = sd.design_predictor(heat_sys, n0=2, delay=0.1,
                                       poles=[1.0, 2.0], t0=0.2)
-        for name in ("lam_min_p", "lam_max_p"):
-            with pytest.raises(InvalidParameterError, match="no Lyapunov"):
-                getattr(des, name)
+        assert des.lyap is None
+        with pytest.raises(InvalidParameterError, match="no Lyapunov"):
+            sd.optimize_parameters(heat_sys, des)
 
     def test_wrong_pole_count(self, heat_sys):
         with pytest.raises(InvalidParameterError):
@@ -215,12 +204,17 @@ class TestDesign:
         des = sd.zero_gain_design(heat_sys, n0=2, delay=0.1, t0=0.2)
         np.testing.assert_array_equal(des.gain, np.zeros((2, 2)))
         assert des.lyap is None
+        # P exists exactly when A_cl is Hurwitz, as for a zero gain on a
+        # stable block, where A_cl = A = diag(-3, -4)
+        des = sd.zero_gain_design(synthetic_system([-3.0, -4.0]), n0=2,
+                                  delay=0.1, t0=0.2)
+        np.testing.assert_allclose(des.lyap, np.diag([1 / 6, 1 / 8]),
+                                   rtol=1e-12)
 
     def test_non_hurwitz_poles_give_no_lyapunov_matrix(self, heat_sys):
         des = sd.design_predictor(heat_sys, n0=2, delay=0.1,
                                   poles=[1.0, 2.0], t0=0.2)
         assert des.lyap is None
-        assert des.desired_poles == (1.0, 2.0)
         np.testing.assert_allclose(np.sort(np.linalg.eigvals(des.a_cl).real),
                                    [1.0, 2.0], atol=1e-6)
         with pytest.raises(InvalidParameterError, match="no Lyapunov"):
@@ -231,20 +225,20 @@ class TestDesign:
     def test_random_designs_satisfy_invariants(self):
         rng = np.random.default_rng(99)
         for _ in range(20):
-            des = random_design(rng)
+            des, poles = random_design(rng)
             res = des.a_cl.conj().T @ des.lyap + des.lyap @ des.a_cl \
                 + np.eye(des.n0)
             assert np.linalg.norm(res, "fro") < 1e-9
             assert np.linalg.eigvalsh(des.lyap).min() > 0
             achieved = np.sort_complex(np.linalg.eigvals(des.a_cl))
-            assert max(abs(achieved - des.desired_poles)) < 1e-6
+            assert max(abs(achieved - poles)) < 1e-6
 
 
 def row_weights(des, dt, i):
     """Row i's own window weights, newest row first: the constant table, or
     for a window that reaches past t = 0, the trapezoid on [0, t_i] with
     half weight on both ends, times exp((j dt - D) lam)."""
-    lam = np.diag(des.a_n0)
+    lam = des.eigenvalues
     w = _window_weights(lam, des.delay, dt)
     if i >= len(w) - 1:
         return w
@@ -344,7 +338,7 @@ class TestControlInput:
     def test_unit_state_gives_gain_column(self, design):
         # Y chosen so that the endpoint solve after the ramp returns Z = e1
         e1 = np.array([1.0, 0.0])
-        w0 = _window_weights(np.diag(design.a_n0), design.delay, 1e-3)[0]
+        w0 = _window_weights(design.eigenvalues, design.delay, 1e-3)[0]
         y = e1 - w0 * (design.b_n0 @ design.gain[:, 0])
         z, u = solve_row_200(design, y, 1.0)
         np.testing.assert_allclose(z, e1, atol=1e-12)
@@ -383,7 +377,7 @@ class TestInversion:
     def test_round_trip_random_systems(self):
         rng = np.random.default_rng(5)
         for _ in range(3):
-            des = random_design(rng)
+            des, _ = random_design(rng)
             y0 = rng.uniform(-1, 1, des.n0)
             tt, ys, us = closed_loop_ode(des, y0, des.delay + 0.4, 1e-3)
             rec = sd.invert_artstein(des, tt, ys)
@@ -424,6 +418,10 @@ class TestInversion:
         for path in (y, lambda t: np.array([0.0, np.inf if t > 0 else 0.0])):
             with pytest.raises(InvalidParameterError, match="finite"):
                 sd.invert_artstein(design, tt, path)
+        # a non-finite time, which the uniformity test alone lets through
+        for bad in ([0.0, np.inf, np.inf], [0.0, 1e-3, np.nan]):
+            with pytest.raises(InvalidParameterError, match="times"):
+                sd.invert_artstein(design, np.array(bad), np.zeros((3, 2)))
 
 
 def per_row_solve(design, dt, g, i, y_i, phi_i):

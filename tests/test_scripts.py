@@ -1,10 +1,13 @@
 """The scripts in scripts/ run end to end with tiny arguments."""
 
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+
+import sdcontrol as sd
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -45,6 +48,25 @@ def test_gain_direction_scan(tmp_path):
     assert lines[3] == (f"best direction {best[0]:.2f} deg, "
                         f"small_gain_constant {best[2]:.4f}")
     assert len(lines) == 4
+
+
+def test_gain_direction_scan_library_direction(tmp_path):
+    # place_poles's first nudged direction, (1/sqrt2 + 0.1, 1/sqrt2), the
+    # one the case study takes: the script's rank-one design must certify
+    # the library design's small-gain constant
+    deg = math.degrees(math.atan2(math.sqrt(0.5), math.sqrt(0.5) + 0.1))
+    proc = run_script("gain_direction_scan.py", "--theta-min", repr(deg),
+                      "--theta-max", repr(deg), "--steps", "1", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    cfg = sd.case_study_run_config()
+    plant, ctl = cfg.plant, cfg.control
+    sys_ = sd.build_heat_system(plant.a, plant.c, plant.L, plant.n_max)
+    design = sd.design_predictor(sys_, cfg.truncation.n0, ctl.delay,
+                                 ctl.poles, ctl.t0)
+    sgc = sd.optimize_parameters(sys_, design).small_gain_constant
+    row = proc.stdout.splitlines()[1].split()
+    assert row[0] == f"{deg:.2f}"
+    assert row[2] == f"{sgc:.4f}"
 
 
 def test_gain_direction_scan_symmetric_direction(tmp_path):

@@ -116,6 +116,18 @@ class TestCouplings:
                      + cc.d3 * abs(v))
             assert np.linalg.norm(d) <= bound + 1e-12
 
+    def test_non_finite_fields_rejected(self, heat_sys):
+        # an input error, not a divergence of the run
+        for bad in ({"a1": math.nan}, {"b2": math.inf}, {"d2": -math.inf}):
+            with pytest.raises(InvalidParameterError, match="finite"):
+                sd.case_study_fields(heat_sys, 10, **{**COUPLINGS, **bad})
+        prof = np.ones(3)
+        for length, eta1 in ((math.inf, prof), (1.0, np.array([1, np.nan, 1]))):
+            with pytest.raises(InvalidParameterError, match="finite"):
+                sd.CouplingFields(**COUPLINGS, domain_length=length,
+                                  eta1=eta1, eta2=prof, theta1=prof,
+                                  theta2=prof, theta3=prof)
+
     def test_complex_output_rejected(self):
         fz = sd.decoupled_fields(2)
         f1, _ = _drift(fz, 1.0 + 2.0j, np.zeros(2), 0.0)
@@ -307,7 +319,7 @@ class TestSimulate:
                            disturbance="case-study")
         traj = sd.simulate(cfg, heat_sys, design, fields, x0=-2.0,
                            x0_coeffs=x0_coeffs, bundle=bundle)
-        lam = np.diag(design.a_n0)
+        lam = design.eigenvalues
         d = design.delay
         dt = traj.dt
         width = int(round(d / dt))
