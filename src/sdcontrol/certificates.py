@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -105,6 +104,9 @@ class _BaseConstants(NamedTuple):
     norm_bk_sq: float
     c1: float
     c5: float
+    m_r: float
+    m_R: float
+    delay: float
 
 
 def _base_constants(sys: SpectralSystem, design: PredictorDesign) -> _BaseConstants:
@@ -136,7 +138,8 @@ def _base_constants(sys: SpectralSystem, design: PredictorDesign) -> _BaseConsta
         np.sum(sys.lifting_norm_AB ** 2 * row_norms_sq
                + sys.lifting_norm_B ** 2 * rowacl_norms_sq))
 
-    return _BaseConstants(alpha, lam_min_P, lam_max_P, norm_bk_sq, c1, c5)
+    return _BaseConstants(alpha, lam_min_P, lam_max_P, norm_bk_sq, c1, c5,
+                          m_r, sys.riesz_upper, design.delay)
 
 
 def compute_constants(sys: SpectralSystem, design: PredictorDesign,
@@ -154,16 +157,14 @@ def compute_constants(sys: SpectralSystem, design: PredictorDesign,
     if gamma1 <= 0 or gamma2 <= 0:
         raise CertificateParameterError("gamma weights must be positive")
 
-    return _weighted_constants(_base_constants(sys, design), sys.riesz_lower,
-                               sys.riesz_upper, design.delay,
+    return _weighted_constants(_base_constants(sys, design),
                                beta, gamma1, gamma2)
 
 
-def _weighted_constants(base: _BaseConstants, m_r: float, m_R: float,
-                        delay: float, beta: float, gamma1: float,
+def _weighted_constants(base: _BaseConstants, beta: float, gamma1: float,
                         gamma2: float) -> CertificateBundle:
     """The weight-dependent part of compute_constants, on a precomputed base."""
-    alpha, lam_min_P, lam_max_P, norm_bk_sq, c1, c5 = base
+    alpha, lam_min_P, lam_max_P, norm_bk_sq, c1, c5, m_r, m_R, delay = base
     norm_p = lam_max_P  # P is Hermitian positive definite
     norm_bk = math.sqrt(norm_bk_sq)
 
@@ -271,25 +272,22 @@ def optimize_parameters(sys: SpectralSystem,
     """
     # computed once: each evaluation redoes only the weight arithmetic
     base = _base_constants(sys, design)
-    alpha, lam_min_P, lam_max_P, norm_bk_sq, c1, c5 = base
-    m_r = sys.riesz_lower
+    alpha, lam_min_P, lam_max_P, norm_bk_sq, c1, c5, m_r, _, delay = base
     lo = max(norm_bk_sq / (m_r * lam_min_P), c5)
     if not lo > 0.0:
         raise InfeasibleCertificateError(
             "a zero gain leaves no admissible gamma2")
-    bundle_at = partial(_weighted_constants, base, m_r, sys.riesz_upper,
-                        design.delay)
     gamma1 = (1.0 + _GAMMA1_EPS) * c1 / lam_min_P
     a = 2.0 * (m_r + norm_bk_sq) / (alpha * m_r)
     cap = alpha * lam_max_P / 2.0
 
     def at(log_gamma2: float) -> CertificateBundle:
         gamma2 = math.exp(log_gamma2)
-        g = (gamma1 * (1.0 + design.delay) + gamma2) * lam_max_P ** 2
+        g = (gamma1 * (1.0 + delay) + gamma2) * lam_max_P ** 2
         k = 1.0 - c5 / gamma2
         # beta*, written without the cancellation of (-g + sqrt(.)) / a
         root = g * k / (g + math.sqrt(g * g + a * g * k))
-        return bundle_at(max(root, k - cap), gamma1, gamma2)
+        return _weighted_constants(base, max(root, k - cap), gamma1, gamma2)
 
     xs = np.linspace(math.log(lo), math.log(lo * _GAMMA2_SPAN),
                      _GAMMA2_SCAN + 1).tolist()

@@ -202,7 +202,7 @@ def solve_lyapunov(a_cl: np.ndarray) -> np.ndarray:
     return p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PredictorDesign:
     """The delayed feedback loop of the retained modes: its inputs, and the
     closed loop and Lyapunov matrix derived from them once.
@@ -238,7 +238,11 @@ class PredictorDesign:
         if not 0 <= self.delay < math.inf:  # NaN fails as well
             raise InvalidParameterError(
                 f"delay must be nonnegative and finite, got {self.delay}")
-        a_cl = np.diag(lam) + self.b_tilde @ self.gain
+        with np.errstate(over="ignore", invalid="ignore"):
+            a_cl = np.diag(lam) + self.b_tilde @ self.gain
+        if not np.isfinite(a_cl).all():
+            raise InvalidParameterError(
+                f"exp(-D A) B K overflows: delay D = {self.delay} is too long")
         hurwitz = float(np.linalg.eigvals(a_cl).real.max()) < 0
         object.__setattr__(self, "a_cl", a_cl)
         object.__setattr__(self, "lyap",
@@ -378,13 +382,13 @@ class _RowSolver:
 
     where L holds diag(w[j]) B K at distance j below the diagonal,
     Phi = diag(phi) scales its block columns (the ramp), and older is the
-    window sum over the rows before the call.  Built once per (design, dt):
-    L for _SOLVE_ROWS rows, the inverse of I - L, and the table of the
-    older rows' weights times B, one matrix from the flattened u window to
-    the rows' Z; since the system is lower triangular, the leading
-    principal sub-blocks serve fewer rows.  A call with phi = 1 throughout
-    is then two matrix-vector products and u = Z K^T; any other call
-    solves its I - L Phi once.
+    window sum over the rows before the call.  Built once per (design, dt)
+    for _SOLVE_ROWS rows: one block-Toeplitz table of the weights times B
+    from the u rows the windows reach to the rows' Z, which gives older and
+    L, and the inverse of I - L; since the system is lower triangular, the
+    leading principal sub-blocks serve fewer rows.  A call with phi = 1
+    throughout is then two matrix-vector products and u = Z K^T; any other
+    call solves its I - L Phi once.
     """
 
     def __init__(self, design: PredictorDesign, dt: float):
@@ -393,28 +397,26 @@ class _RowSolver:
         n0, m, lam = design.n0, design.input_dim, design.eigenvalues
         rows, b_n0 = _SOLVE_ROWS, design.b_n0
         w = _window_weights(lam, design.delay, dt)
-        # oldest slot first, to meet the history in its own order
-        past = w[:0:-1]
-        self.n_past = n_past = len(past)
+        self.n_past = n_past = len(w) - 1
         cut = dt / 2.0 * np.exp(np.outer(np.arange(n_past) * dt
                                          - design.delay, lam))
         cut[:1] = 0.0
         self.cut = (cut - w[:n_past])[:, :, None] * b_n0
-        # diag(w[j]) B K at the lags j < rows that the window reaches
-        wbk = (w[:rows, :, None] * b_n0) @ design.gain
-        self.lower = np.zeros((rows * n0, rows * n0), dtype=complex)
-        blocks = self.lower.reshape(rows, n0, rows, n0)
-        for j in range(len(wbk)):
-            p = np.arange(j, rows)
-            blocks[p, :, p - j] = wbk[j]
+        # the window table from the u rows c - n_past .. c + rows - 1 to the
+        # block's Z, c its first row, gathered as (row, Z entry, column,
+        # u entry): row p weights column k by w[n_past + p - k] B, or by the
+        # appended zero outside the window.  older is its first n_past
+        # columns, and L the rest times K
+        p, k = np.ogrid[:rows, :n_past + rows]
+        lag = (n_past + p - k)[:, None]
+        lag[(lag < 0) | (lag > n_past)] = -1
+        wb = np.concatenate([w[:, :, None] * b_n0, np.zeros((1, n0, m))])
+        entry = np.arange(n0)[:, None]
+        self.older = wb.transpose(1, 0, 2)[entry, lag[..., :n_past]].reshape(
+            rows * n0, -1)
+        self.lower = (wb @ design.gain).transpose(1, 0, 2)[
+            entry, lag[..., n_past:]].reshape(rows * n0, -1)
         self.inv = np.linalg.inv(np.eye(rows * n0) - self.lower)
-        # row p of a call weights the k-th of the n_past rows before it by
-        # past[k - p] B; the rows k < p lie outside its window
-        older = np.zeros((rows, n0, n_past, m), dtype=complex)
-        for p in range(min(rows, n_past)):
-            older[p, :, p:] = past[:n_past - p].T[:, :, None] \
-                * b_n0[:, None, :]
-        self.older = older.reshape(rows * n0, n_past * m)
 
     def __call__(self, hist: np.ndarray, a: int, y: np.ndarray,
                  phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -447,10 +449,9 @@ def invert_artstein(design: PredictorDesign, times: np.ndarray, y_path,
     Args:
         design: the predictor design (supplies A, B, K, D).
         times: uniform, increasing sample grid starting at 0.
-        y_path: (len(times), n0) samples or a callable t -> Y(t).
-        phi: ramp override; a TransitionSignal or a plain callable t ->
-            phi(t) giving finite values of shape () or (len(times),).
-            Defaults to the design's ramp.
+        y_path: (len(times), n0) samples of Y.
+        phi: ramp override, a callable t -> phi(t) giving finite values of
+            shape () or (len(times),).  Defaults to the design's ramp.
 
     Returns:
         (len(times), m) input samples.
@@ -464,18 +465,13 @@ def invert_artstein(design: PredictorDesign, times: np.ndarray, y_path,
         raise InvalidParameterError("times must be a finite uniform grid")
     if abs(times[0]) > 1e-12:
         raise InvalidParameterError("the sample grid must start at t = 0")
-    if callable(y_path):
-        y = np.stack([np.asarray(y_path(t), dtype=complex) for t in times])
-    else:
-        y = np.asarray(y_path, dtype=complex)
+    y = np.asarray(y_path, dtype=complex)
     if y.shape != (times.size, design.n0) or not np.isfinite(y).all():
         raise InvalidParameterError(
             f"y_path must be finite, of shape ({times.size}, {design.n0})")
 
-    if phi is None:
-        phi = design.transition
-    phi_fn = phi.phi if isinstance(phi, TransitionSignal) else phi
-    phi_vals = np.asarray(phi_fn(times), dtype=float)
+    phi_vals = np.asarray(
+        (design.transition.phi if phi is None else phi)(times), dtype=float)
     if phi_vals.shape not in ((), times.shape) \
             or not np.isfinite(phi_vals).all():
         raise InvalidParameterError(

@@ -64,7 +64,6 @@ __all__ = [
     "iss_envelope_check",
     "write_csv",
     "case_study_fields",
-    "decoupled_fields",
     "case_study_disturbance",
     "case_study_initial_profile",
 ]
@@ -127,7 +126,7 @@ class SimConfig:
         return lambda t: 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CouplingFields:
     """Interconnection data: scalar gains plus projected spatial profiles."""
 
@@ -162,22 +161,10 @@ class CouplingFields:
                     "profile vectors must be finite and share one length")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        # the profiles stacked once, in the dtype of the state they meet
-        object.__setattr__(self, "_etas", np.vstack(
-            [self.eta1, self.eta2]).astype(complex))
-        object.__setattr__(self, "_thetas", np.vstack(
-            [self.theta1, self.theta2, self.theta3]).astype(complex))
 
     @property
     def n_modes(self) -> int:
         return int(self.eta1.size)
-
-
-def _profile_real(sys: SpectralSystem, fn, n_modes: int) -> np.ndarray:
-    coeffs = project_profile(sys, fn, n_modes)
-    if float(np.abs(coeffs.imag).max(initial=0.0)) > 1e-10:
-        raise InvalidParameterError("profile projection is not real")
-    return coeffs.real
 
 
 def case_study_fields(sys: SpectralSystem, n_modes: int, a1: float,
@@ -189,12 +176,11 @@ def case_study_fields(sys: SpectralSystem, n_modes: int, a1: float,
     feedback bump), sqrt(2 xi) / L and sqrt(2 (L - xi)) / L (ramps).
     """
     L = sys.domain_length
-    bump = _profile_real(
-        sys, lambda xi: np.sqrt(6.0 * xi * (L - xi)) / L ** 1.5, n_modes)
-    ramp_up = _profile_real(
-        sys, lambda xi: np.sqrt(2.0 * xi) / L, n_modes)
-    ramp_down = _profile_real(
-        sys, lambda xi: np.sqrt(2.0 * (L - xi)) / L, n_modes)
+    bump, ramp_up, ramp_down = (
+        _assert_real(project_profile(sys, fn, n_modes), "profile projection")
+        for fn in (lambda xi: np.sqrt(6.0 * xi * (L - xi)) / L ** 1.5,
+                   lambda xi: np.sqrt(2.0 * xi) / L,
+                   lambda xi: np.sqrt(2.0 * (L - xi)) / L))
     return CouplingFields(
         a1=a1, b1=b1, c1=c1, a2=a2, b2=b2, c2=c2, d2=d2,
         domain_length=L,
@@ -202,30 +188,19 @@ def case_study_fields(sys: SpectralSystem, n_modes: int, a1: float,
     )
 
 
-def decoupled_fields(n_modes: int, a1: float = 1.5,
-                     domain_length: float = 1.0) -> CouplingFields:
-    """Interconnection with all coupling gains zero (plant-only runs)."""
-    z = np.zeros(n_modes)
-    return CouplingFields(
-        a1=a1, b1=0.0, c1=0.0, a2=0.0, b2=0.0, c2=0.0, d2=0.0,
-        domain_length=domain_length,
-        eta1=z, eta2=z, theta1=z, theta2=z, theta3=z,
-    )
-
-
-def _drift(fields: CouplingFields, x, coeffs, v):
-    """Scalar drift f1 and modal disturbance f2 of the interconnection.
-
-    x, v and coeffs describe one state, or a batch: x and v of shape
-    (rows,) with coeffs of shape (rows, n).
-    """
-    inner1, inner2 = fields._etas @ coeffs.T
-    f1 = -fields.a1 * x + (fields.b1 / fields.domain_length) * inner1 \
-        + fields.c1 * v
-    bent = np.arctan((fields.d2 / fields.domain_length) * inner2)
-    f2 = np.array([fields.a2 * x, fields.b2 * bent, fields.c2 * v]).T \
-        @ fields._thetas
-    return f1, f2
+def _coupling_terms(fields: CouplingFields):
+    """(M, e, t2, cv): the interconnection adds M s + arctan(e . s) t2 + v cv
+    to the drift of s = (x, c_1..c_n), M holding -a1, the sensing row
+    (b1/L) eta1 and a2 theta1, with e = (0, (d2/L) eta2), t2 = (0, b2 theta2)
+    and cv = (c1, c2 theta3); its modal part is the disturbance d."""
+    ell = fields.domain_length
+    mat = np.zeros((fields.n_modes + 1,) * 2, dtype=complex)
+    mat[0, 0] = -fields.a1
+    mat[0, 1:] = fields.b1 / ell * fields.eta1
+    mat[1:, 0] = fields.a2 * fields.theta1
+    return (mat, np.concatenate([[0.0], fields.d2 / ell * fields.eta2]),
+            np.concatenate([[0.0], fields.b2 * fields.theta2]),
+            np.concatenate([[fields.c1], fields.c2 * fields.theta3]))
 
 
 def _assert_real(value, what: str, axis: int | None = None):
@@ -242,13 +217,12 @@ def _assert_real(value, what: str, axis: int | None = None):
 class _RK4Step:
     """RK4 step of the coupled state s = (x, c_1..c_n), set up once per run.
 
-    The drift is s' = M s + arctan(e . s) t2 + F(t): M holds -a1, the
-    sensing row, a2 theta1 and the eigenvalues, e = (0, (d2/L) eta2),
-    t2 = (0, b2 theta2), and F = (c1 v, B u(t - D) + c2 v theta3).  One step
-    is therefore linear in the step inputs X = (s, the u history rows the
-    three stage lags read, v at the three stage times) and in the four
-    stage values a_k = arctan(e . s_k).  Running the four-stage recursion
-    once on matrices gives
+    The drift is s' = M s + arctan(e . s) t2 + v cv + (0, B u(t - D)), with
+    the interconnection's terms (`_coupling_terms`) and the eigenvalues on
+    M's diagonal.  One step is therefore linear in the step inputs X = (s,
+    the u history rows the three stage lags read, v at the three stage
+    times) and in the four stage values a_k = arctan(e . s_k).  Running the
+    four-stage recursion once on matrices gives
 
         s_new = R X + G a,   e . s_k = E_k X + sum_{j < k} T_kj a_j,
 
@@ -287,16 +261,10 @@ class _RK4Step:
         width = n_x + (4 if self.coupled else 0)
 
         mat = np.zeros((dim, dim), dtype=complex)
-        mat[1:, 1:] = np.diag(sys.eigenvalues[:n])
         e_row = t2 = cv = np.zeros(dim, dtype=complex)
         if self.coupled:
-            ell = fields.domain_length
-            mat[0, 0] = -fields.a1
-            mat[0, 1:] = fields.b1 / ell * fields.eta1
-            mat[1:, 0] = fields.a2 * fields.theta1
-            e_row = np.concatenate([[0.0], fields.d2 / ell * fields.eta2])
-            t2 = np.concatenate([[0.0], fields.b2 * fields.theta2])
-            cv = np.concatenate([[fields.c1], fields.c2 * fields.theta3])
+            mat, e_row, t2, cv = _coupling_terms(fields)
+        mat[1:, 1:] += np.diag(sys.eigenvalues[:n])
 
         # the four stages on matrices, as maps of (X, a): s_k, its arctan
         # argument e . s_k and the slope k_k = M s_k + F_j + a_k t2, where
@@ -402,7 +370,7 @@ class _RK4Step:
         s[1:, 1:] = f
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Recorded closed-loop run.
 
@@ -552,15 +520,19 @@ def simulate(config: SimConfig, sys: SpectralSystem, design: PredictorDesign,
     # at stride 1 the recorded rows are views of the histories, not copies
     take = slice(pad, pad + rows.size) if config.record_stride == 1 \
         else pad + rows
-    x_rec, c_rec = s_hist[take, 0], s_hist[take, 1:]
+    s_rec = s_hist[take]
+    x_rec, c_rec = s_rec[:, 0], s_rec[:, 1:]
     nx_rec, nd_rec, v_rec = (np.zeros(rows.size) for _ in range(3))
+    if fields is not None:
+        mat, e_row, t2, cv = _coupling_terms(fields)
+        d_map = np.array([mat[1:, 0], t2[1:], cv[1:]])
     with np.errstate(over="ignore", invalid="ignore"):
         for a in range(0, rows.size, _BLOCK_ROWS):
             blk = slice(a, a + _BLOCK_ROWS)
             nx_rec[blk] = np.linalg.norm(c_rec[blk], axis=1)
             if fields is not None:
-                d = _drift(fields, x_rec[blk], c_rec[blk],
-                           v_half[2 * rows[blk]])[1]
+                d = np.column_stack([x_rec[blk], np.arctan(s_rec[blk] @ e_row),
+                                     v_half[2 * rows[blk]]]) @ d_map
                 nd_rec[blk] = np.linalg.norm(
                     _assert_real(d, "coupling term", axis=1), axis=1)
             if bundle is not None:

@@ -36,7 +36,7 @@ def _frozen_array(a, dtype=complex) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralSystem:
     """Diagonal plant in modal coordinates.
 

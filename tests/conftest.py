@@ -30,6 +30,14 @@ def synthetic_system(eigs, b=None, m_r=1.0, M_r=1.0):
         lifting_gram=np.eye(b.shape[1]), basis=None)
 
 
+def zero_gain_fields(n_modes, a1=1.5, domain_length=1.0):
+    """Interconnection with every coupling gain and profile zero."""
+    z = np.zeros(n_modes)
+    return sd.CouplingFields(a1=a1, b1=0.0, c1=0.0, a2=0.0, b2=0.0, c2=0.0,
+                             d2=0.0, domain_length=domain_length, eta1=z,
+                             eta2=z, theta1=z, theta2=z, theta3=z)
+
+
 @pytest.fixture(scope="session")
 def heat_sys():
     return sd.build_heat_system(**CASE)
@@ -87,8 +95,7 @@ def dzero_traj(heat_sys, design, x0_coeffs, bundle):
 @pytest.fixture(scope="session")
 def open_loop_traj(heat_sys, x0_coeffs):
     des0 = sd.zero_gain_design(heat_sys, n0=2, delay=0.1, t0=0.2)
-    fz = sd.decoupled_fields(10, a1=1.5,
-                             domain_length=heat_sys.domain_length)
+    fz = zero_gain_fields(10, domain_length=heat_sys.domain_length)
     cfg = sd.SimConfig(dt=1e-3, t_end=4.0, n_modes=10, disturbance="none")
     return sd.simulate(cfg, heat_sys, des0, fz, x0=-2.0,
                        x0_coeffs=x0_coeffs)

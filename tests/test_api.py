@@ -1,6 +1,7 @@
 """The public names, the README's examples and the public constructors'
 input checks."""
 
+import copy
 import importlib
 import math
 import re
@@ -88,3 +89,13 @@ def test_readme_config_block_is_the_case_study():
 def test_constructors_reject_non_finite(heat_sys, call, bad):
     with pytest.raises(sd.InvalidParameterError, match="finite"):
         call(heat_sys, bad)
+
+
+def test_array_dataclasses_compare_by_identity(heat_sys, design, fields,
+                                               open_loop_traj):
+    # field-wise == on their arrays used to raise "the truth value of an
+    # array is ambiguous"
+    for obj in (heat_sys, design, fields, open_loop_traj):
+        twin = copy.copy(obj)
+        assert obj == obj and obj != twin, type(obj).__name__
+        assert len({obj, twin}) == 2

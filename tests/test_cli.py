@@ -88,6 +88,16 @@ class TestDesign:
         assert "hurwitz: false" in report
         assert "not computed" in report
 
+    def test_overflowing_delay_exits_one(self, tmp_path, caplog):
+        # D = 400 overflows exp(-D lam) for lam = -2.5; the run used to end
+        # in numpy's LinAlgError
+        text = ini_with(control={"D": 400.0})
+        with caplog.at_level(logging.ERROR):
+            code, out = run_cli(tmp_path, "design", text=text)
+        assert code == 1
+        assert "D = 400" in caplog.text
+        assert not (out / "gain.csv").exists()
+
     def test_double_pole_at_zero_exits_three(self, tmp_path, caplog):
         # a double pole at 0 is placed but is not Hurwitz; the Kalman branch
         # is TestExitCodeMatrix::test_uncontrollable_retained_block

@@ -180,6 +180,19 @@ class TestDesign:
             with pytest.raises(TypeError):
                 sd.PredictorDesign(**good, **{name: np.eye(2)})
 
+    @pytest.mark.parametrize("build", [
+        lambda sys_, d: sd.design_predictor(sys_, 2, d, [-3.0, -3.0], 0.2),
+        lambda sys_, d: sd.zero_gain_design(sys_, 2, d, 0.2)],
+        ids=["design_predictor", "zero_gain_design"])
+    def test_overflowing_delay_rejected(self, heat_sys, build):
+        # exp(-D lam) overflows at D = 400 for the mode lam = -2.5; numpy's
+        # LinAlgError used to escape from eigvals.  RuntimeWarnings are
+        # errors here, so the check must also stay quiet
+        with pytest.raises(InvalidParameterError, match="D = 400"):
+            build(heat_sys, 400.0)
+        # exp(2.5 * 280) = exp(700) is still finite
+        assert sd.zero_gain_design(heat_sys, 2, 280.0, 0.2).delay == 280.0
+
     def test_lyapunov_extremes_ordered(self, bundle):
         # the certificate reads the extreme eigenvalues of P
         assert 0 < bundle.lam_min_P <= bundle.lam_max_P
@@ -383,15 +396,6 @@ class TestInversion:
             rec = sd.invert_artstein(des, tt, ys)
             assert np.abs(rec - us).max() < 1e-4
 
-    def test_callable_state_path(self):
-        des = scalar_design(k=0.3, delay=0.1)
-        tt = np.arange(0.0, 0.1, 1e-3)
-        u_fn = sd.invert_artstein(des, tt, lambda t: np.array([1.0]),
-                                  phi=lambda t: np.ones_like(t))
-        u_arr = sd.invert_artstein(des, tt, np.ones((tt.size, 1)),
-                                   phi=lambda t: np.ones_like(t))
-        np.testing.assert_allclose(u_fn, u_arr, atol=1e-14)
-
     @pytest.mark.parametrize("phi", [
         lambda t: np.ones((t.size, 1)),
         lambda t: np.ones(t.size - 1),
@@ -411,13 +415,12 @@ class TestInversion:
         with pytest.raises(InvalidParameterError):
             sd.invert_artstein(design, np.array([0.0, 0.1]),
                                np.zeros((3, 2)))
-        # a non-finite sample, as an array row or from a callable path
+        # a non-finite sample
         tt = np.arange(11) * 1e-3
         y = np.zeros((11, 2))
         y[3, 1] = np.nan
-        for path in (y, lambda t: np.array([0.0, np.inf if t > 0 else 0.0])):
-            with pytest.raises(InvalidParameterError, match="finite"):
-                sd.invert_artstein(design, tt, path)
+        with pytest.raises(InvalidParameterError, match="finite"):
+            sd.invert_artstein(design, tt, y)
         # a non-finite time, which the uniformity test alone lets through
         for bad in ([0.0, np.inf, np.inf], [0.0, 1e-3, np.nan]):
             with pytest.raises(InvalidParameterError, match="times"):

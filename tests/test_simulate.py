@@ -9,9 +9,10 @@ import pytest
 import sdcontrol as sd
 from sdcontrol.errors import (InsufficientDataError, InvalidParameterError,
                               SimulationDivergedError)
-from sdcontrol.simulate import _assert_real, _drift, _RK4Step
+from sdcontrol.simulate import _assert_real, _coupling_terms, _RK4Step
 
-from conftest import COUPLINGS, closed_loop_ode, synthetic_system
+from conftest import (COUPLINGS, closed_loop_ode, synthetic_system,
+                      zero_gain_fields)
 
 L = 2 * np.pi
 
@@ -46,6 +47,15 @@ def make_traj(t, norm_x, V=None, x=None, coeffs=None, u=None, norm_d=None,
         has_certificate=V is not None)
 
 
+def drift(fields, x, coeffs, v):
+    """The scalar drift f1 and the modal disturbance f2 at one state, from
+    the interconnection's terms as the library encodes them."""
+    mat, e_row, t2, cv = _coupling_terms(fields)
+    s = np.concatenate([[x], coeffs])
+    f = mat @ s + np.arctan(e_row @ s) * t2 + v * cv
+    return f[0], f[1:]
+
+
 class TestCaseStudyData:
     def test_disturbance_signal(self):
         assert sd.case_study_disturbance(0.0) == 0.0
@@ -70,10 +80,10 @@ class TestCaseStudyData:
             nrm = float(np.linalg.norm(getattr(fields, name)))
             assert 0.97 < nrm <= 1.0 + 1e-12
 
-    def test_decoupled_fields_are_inert(self):
-        fz = sd.decoupled_fields(4, a1=2.0, domain_length=3.0)
+    def test_zero_gain_fields_are_inert(self):
+        fz = zero_gain_fields(4, a1=2.0, domain_length=3.0)
         assert fz.n_modes == 4
-        f1, f2 = _drift(fz, 1.5, np.ones(4), 2.0)
+        f1, f2 = drift(fz, 1.5, np.ones(4), 2.0)
         assert f1 == pytest.approx(-3.0)
         assert np.all(f2 == 0.0)
 
@@ -82,24 +92,24 @@ class TestCouplings:
     """The drift f1 of the scalar subsystem and the modal disturbance f2."""
 
     def test_f1_pure_decay(self, fields):
-        f1, _ = _drift(fields, 1.0, np.zeros(10), 0.0)
+        f1, _ = drift(fields, 1.0, np.zeros(10), 0.0)
         assert f1 == pytest.approx(-1.5, rel=1e-15)
 
     def test_f1_sensing_term(self, fields):
         # X = eta1 makes the inner product the squared profile norm ~ 1
-        f1, _ = _drift(fields, 0.0, fields.eta1, 0.0)
+        f1, _ = drift(fields, 0.0, fields.eta1, 0.0)
         assert f1 == pytest.approx(0.5 / L, rel=1e-2)
 
     def test_f1_exogenous_term(self, fields):
-        f1, _ = _drift(fields, 0.0, np.zeros(10), 1.0)
+        f1, _ = drift(fields, 0.0, np.zeros(10), 1.0)
         assert f1 == pytest.approx(0.2, rel=1e-15)
 
     def test_f2_vanishes_at_origin(self, fields):
-        _, f2 = _drift(fields, 0.0, np.zeros(10), 0.0)
+        _, f2 = drift(fields, 0.0, np.zeros(10), 0.0)
         assert np.all(f2 == 0.0)
 
     def test_f2_scalar_injection(self, fields):
-        _, f2 = _drift(fields, 1.3, np.zeros(10), 0.0)
+        _, f2 = drift(fields, 1.3, np.zeros(10), 0.0)
         np.testing.assert_allclose(_assert_real(f2, "f2"),
                                    0.7 * 1.3 * fields.theta1, rtol=1e-14)
 
@@ -111,7 +121,7 @@ class TestCouplings:
             x = rng.uniform(-20.0, 20.0)
             coeffs = rng.uniform(-15.0, 15.0, size=10)
             v = rng.uniform(-4.0, 4.0)
-            d = _assert_real(_drift(fields, x, coeffs, v)[1], "f2")
+            d = _assert_real(drift(fields, x, coeffs, v)[1], "f2")
             bound = (cc.d1 * abs(x) + cc.d2 * np.linalg.norm(coeffs)
                      + cc.d3 * abs(v))
             assert np.linalg.norm(d) <= bound + 1e-12
@@ -129,8 +139,8 @@ class TestCouplings:
                                   theta2=prof, theta3=prof)
 
     def test_complex_output_rejected(self):
-        fz = sd.decoupled_fields(2)
-        f1, _ = _drift(fz, 1.0 + 2.0j, np.zeros(2), 0.0)
+        fz = zero_gain_fields(2)
+        f1, _ = drift(fz, 1.0 + 2.0j, np.zeros(2), 0.0)
         with pytest.raises(InvalidParameterError, match="imaginary"):
             _assert_real(f1, "f1")
 
@@ -149,7 +159,8 @@ class TestCouplings:
 
 
 def textbook_rk4(sys_, delay, fields, u_history, dt, x, coeffs, v_fn):
-    """Four-stage RK4 over _drift plus the delayed B u, written out.
+    """Four-stage RK4 over the interconnection plus the delayed B u,
+    written out from the fields' gains and profiles.
 
     The delayed input is read from u_history (row j at time j dt, zero
     before t = 0) by its own linear interpolation at each stage time.
@@ -172,7 +183,11 @@ def textbook_rk4(sys_, delay, fields, u_history, dt, x, coeffs, v_fn):
         dc = lam * c_ + bu_at(tau - delay)
         if fields is None:
             return 0.0, dc
-        f1, f2 = _drift(fields, x_, c_, v_fn(tau))
+        f, ell, v = fields, fields.domain_length, v_fn(tau)
+        f1 = -f.a1 * x_ + f.b1 / ell * (f.eta1 @ c_) + f.c1 * v
+        bent = np.arctan(f.d2 / ell * (f.eta2 @ c_))
+        f2 = f.a2 * x_ * f.theta1 + f.b2 * bent * f.theta2 \
+            + f.c2 * v * f.theta3
         return f1, dc + f2
 
     kx1, kc1 = deriv(t, x, coeffs)
@@ -257,7 +272,7 @@ class TestStep:
     def test_scalar_subsystem_decay(self):
         sys_ = synthetic_system([-1.0])
         des = sd.zero_gain_design(sys_, n0=1, delay=0.1, t0=0.2)
-        fz = sd.decoupled_fields(1, a1=1.5)
+        fz = zero_gain_fields(1, a1=1.5)
         x, _ = rk4_step(sys_, des, fz, np.zeros((1, 1)), 1e-3,
                         1.0, np.zeros(1, dtype=complex), lambda t: 0.0)
         assert x.real == pytest.approx(math.exp(-1.5e-3), abs=1e-12)
@@ -295,6 +310,26 @@ class TestSimulate:
             FROZEN_MAX_ABS_U, rel=1e-6)
         assert float(disturbed_traj.norm_d.max()) == pytest.approx(
             FROZEN_MAX_NORMD, rel=1e-6)
+
+    def test_recorded_disturbance_norm(self, heat_sys, design, fields,
+                                       x0_coeffs, disturbed_traj):
+        # ||d|| with d = a2 x theta1 + b2 arctan((d2/L) <eta2, X>) theta2
+        # + c2 v theta3, written out per recorded row; also at a stride
+        def norm_d(traj):
+            f, v = fields, np.array([sd.case_study_disturbance(t)
+                                     for t in traj.t])
+            bent = np.arctan(f.d2 / L * (traj.coeffs @ f.eta2))
+            d = (np.outer(f.a2 * traj.x, f.theta1)
+                 + np.outer(f.b2 * bent, f.theta2)
+                 + np.outer(f.c2 * v, f.theta3))
+            return np.linalg.norm(d, axis=1)
+
+        strided = sd.simulate(
+            sd.SimConfig(dt=1e-3, t_end=2.0, n_modes=10, record_stride=7),
+            heat_sys, design, fields, x0=-2.0, x0_coeffs=x0_coeffs)
+        for traj in (disturbed_traj, strided):
+            np.testing.assert_allclose(traj.norm_d, norm_d(traj),
+                                       rtol=1e-13, atol=0.0)
 
     def test_open_loop_first_mode_grows(self, open_loop_traj):
         c1 = open_loop_traj.coeffs[:, 0].real
@@ -419,7 +454,7 @@ class TestSimulate:
                         fields, x0=0.0, x0_coeffs=np.zeros(10))
         with pytest.raises(InvalidParameterError, match="fields cover"):
             sd.simulate(sd.SimConfig(n_modes=10), heat_sys, design,
-                        sd.decoupled_fields(3, domain_length=L),
+                        zero_gain_fields(3, domain_length=L),
                         x0=0.0, x0_coeffs=np.zeros(10))
         with pytest.raises(InvalidParameterError, match="x0_coeffs"):
             sd.simulate(sd.SimConfig(n_modes=10), heat_sys, design, fields,
