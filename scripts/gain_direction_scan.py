@@ -26,13 +26,14 @@ from sdcontrol.errors import ToolkitError
 def rank_one_design(sys_, theta, poles, delay, t0):
     """Design with an explicit direction angle instead of the default seed.
 
-    k places the poles on the single-input pair (A, exp(-D A) B q), so
-    K = q k places them on (A, exp(-D A) B).
+    k0 places the poles on the single-input pair (A, B q), so K = q k0
+    exp(D A) places them on (A, exp(-D A) B), as in design_predictor.
     """
     base = zero_gain_design(sys_, len(poles), delay, t0)
     q = np.array([[math.cos(theta)], [math.sin(theta)]])
-    return replace(base, gain=q @ place_poles(base.eigenvalues,
-                                              base.b_tilde @ q, poles))
+    lam = base.eigenvalues
+    return replace(base, gain=q @ place_poles(lam, base.b_n0 @ q, poles)
+                   * np.exp(delay * lam))
 
 
 def main():

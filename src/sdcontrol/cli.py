@@ -9,8 +9,8 @@ artifacts and sets the exit code; case-study writes those of every stage.
 Exit codes (each error's ``exit_code``): 0 success, 1 configuration
 error (a run file that `load_config` rejects: a missing, unknown,
 malformed, non-finite or inconsistent key or section), 2 violated plant
-assumption, 3 gain synthesis failure (including an uncontrollable
-retained block and non-Hurwitz poles), 4 infeasible certificate (or
+assumption, 3 gain synthesis failure (an uncontrollable retained block,
+non-Hurwitz poles or an ill-conditioned P), 4 infeasible certificate (or
 nonpositive interconnection margin), 5 diverged simulation.  Verbosity is
 controlled by the SDC_LOG environment variable (error, info, debug).
 """

@@ -20,7 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidParameterError, SynthesisFailureError
-from .spectral import SpectralSystem, pbh_controllable
+from .spectral import (SpectralSystem, _frozen_array, _group_close,
+                       pbh_controllable)
 
 __all__ = [
     "TransitionSignal",
@@ -99,39 +100,37 @@ def _ackermann(lam: np.ndarray, b: np.ndarray, poles: Sequence[complex]) -> np.n
     return -(w * pvals)
 
 
-def place_poles(lam: np.ndarray, b_tilde: np.ndarray,
+def place_poles(lam: np.ndarray, b: np.ndarray,
                 poles: Sequence[complex]) -> np.ndarray:
     """Pole placement for a diagonal pair through a rank-one gain.
 
     The gain has the form K = q k with a fixed direction q in input space
     and a single-input Ackermann row k, so the result is deterministic.  If
-    the collapsed pair (diag(lam), b_tilde q) is uncontrollable for the
-    default direction, a fixed sequence of perturbed directions is tried.
+    the collapsed pair (diag(lam), b q) is uncontrollable for the default
+    direction, a fixed sequence of perturbed directions is tried.
 
     Args:
         lam: the n eigenvalues of the diagonal state matrix.
-        b_tilde: effective input matrix (n, m).
+        b: input matrix (n, m) of the delay-free pair (see design_predictor).
         poles: n finite desired closed-loop eigenvalues; with real data the
             set must be closed under conjugation.
 
     Returns:
-        K of shape (m, n) with spec(diag(lam) + b_tilde @ K) = poles
-        (within 1e-6).
+        K of shape (m, n) with spec(diag(lam) + b @ K) = poles (within 1e-6).
     """
     lam = np.asarray(lam, dtype=complex)
-    b_tilde = np.atleast_2d(np.asarray(b_tilde, dtype=complex))
+    b = np.atleast_2d(np.asarray(b, dtype=complex))
     n = lam.size
-    if lam.ndim != 1 or b_tilde.shape[0] != n:
+    if lam.ndim != 1 or b.shape[0] != n:
         raise InvalidParameterError(
-            "lam must be a vector and b_tilde must have one row per entry")
-    m = b_tilde.shape[1]
+            "lam must be a vector and b must have one row per entry")
     if len(poles) != n:
         raise InvalidParameterError(f"need exactly {n} poles, got {len(poles)}")
     if not np.isfinite(np.asarray(poles, dtype=complex)).all():
         raise InvalidParameterError(f"poles must be finite, got {poles}")
     poles = _canonical_poles(poles)
 
-    real_data = _is_real(lam, b_tilde)
+    real_data = _is_real(lam, b)
     if real_data:
         conj_set = _canonical_poles(np.conj(poles))
         if any(abs(p - q) > 1e-12 * max(1.0, abs(p))
@@ -139,22 +138,21 @@ def place_poles(lam: np.ndarray, b_tilde: np.ndarray,
             raise InvalidParameterError(
                 "poles must be closed under conjugation for a real system")
 
-    if not pbh_controllable(lam, b_tilde):
+    if not pbh_controllable(lam, b):
         raise SynthesisFailureError("the pair (A, B) is not controllable")
     # a rank-one gain can only place simple spectra
-    if np.any(np.abs(np.subtract.outer(lam, lam) + np.eye(n)) <
-              1e-9 * np.maximum(1.0, np.abs(lam))[:, None]):
+    if len(_group_close(lam, 1e-9)) < n:
         raise SynthesisFailureError(
             "rank-one reduction requires pairwise distinct eigenvalues")
 
-    for q in _seed_directions(m):
-        bq = b_tilde @ q.astype(complex)
+    for q in _seed_directions(b.shape[1]):
+        bq = b @ q.astype(complex)
         if float(np.abs(bq).min()) <= 1e-9 * max(1.0, float(np.abs(bq).max())):
             continue
         # poles far beyond the spectrum overflow the gain or the loop
         with np.errstate(over="ignore", invalid="ignore"):
             gain = np.outer(q, _ackermann(lam, bq, poles))
-            a_cl = np.diag(lam) + b_tilde @ gain
+            a_cl = np.diag(lam) + b @ gain
         if not np.isfinite(a_cl).all():
             raise SynthesisFailureError(
                 "the placed gain is not finite: the poles are too far out")
@@ -172,11 +170,14 @@ def solve_lyapunov(a_cl: np.ndarray) -> np.ndarray:
     """Solve A* P + P A = -I for Hermitian positive definite P.
 
     Uses the Kronecker vectorization of the Sylvester form and then
-    symmetrizes; the residual must come back below 1e-9.
+    symmetrizes.  The residual must come back below 1e-12 ||A||_2 ||P||_2,
+    and lambda_min(P) above 1e6 eps ||P||_2: the certificate constants
+    divide by lambda_min(P), and this keeps six correct digits in it.
 
     Raises:
         InvalidParameterError: a_cl is not Hurwitz.
-        SynthesisFailureError: the linear solve is singular or inaccurate.
+        SynthesisFailureError: the solve is singular or inaccurate, or P is
+            ill-conditioned.
     """
     a_cl = np.atleast_2d(np.asarray(a_cl, dtype=complex))
     n = a_cl.shape[0]
@@ -193,19 +194,22 @@ def solve_lyapunov(a_cl: np.ndarray) -> np.ndarray:
         raise SynthesisFailureError(f"Lyapunov solve failed: {exc}") from exc
     p = vec.reshape((n, n), order="F")
     p = 0.5 * (p + p.conj().T)
-    residual = float(np.abs(a_cl.conj().T @ p + p @ a_cl + eye).max())
-    if residual > 1e-9:
+    lo, hi = np.linalg.eigvalsh(p)[[0, -1]]
+    if not lo > 1e6 * np.finfo(float).eps * hi:
         raise SynthesisFailureError(
-            f"Lyapunov residual {residual:.3e} exceeds 1e-9")
-    if float(np.linalg.eigvalsh(p).min()) <= 0.0:
-        raise SynthesisFailureError("Lyapunov solution is not positive definite")
+            "the Lyapunov matrix is ill-conditioned, cond(P) = "
+            f"{hi / lo if lo > 0 else math.inf:.3g}")
+    residual = float(np.abs(a_cl.conj().T @ p + p @ a_cl + eye).max())
+    if residual > 1e-12 * np.linalg.norm(a_cl, 2) * hi:
+        raise SynthesisFailureError(
+            f"Lyapunov residual {residual:.3e} exceeds 1e-12 ||A|| ||P||")
     return p
 
 
 @dataclass(frozen=True, eq=False)
 class PredictorDesign:
-    """The delayed feedback loop of the retained modes: its inputs, and the
-    closed loop and Lyapunov matrix derived from them once.
+    """The delayed feedback loop of the retained modes: its inputs, as
+    read-only copies, and the closed loop and Lyapunov matrix derived once.
 
     Attributes:
         eigenvalues: (n0,) retained eigenvalues; A = diag(eigenvalues).
@@ -228,10 +232,10 @@ class PredictorDesign:
     lyap: np.ndarray | None = field(init=False)
 
     def __post_init__(self):
-        lam, n0 = self.eigenvalues, np.size(self.eigenvalues)
-        m = np.shape(self.gain)[0] if np.ndim(self.gain) else -1
-        if [np.shape(lam), np.shape(self.b_n0), np.shape(self.gain)] \
-                != [(n0,), (n0, m), (m, n0)]:
+        lam, b, gain = (_frozen_array(getattr(self, name))
+                        for name in ("eigenvalues", "b_n0", "gain"))
+        n0, m = lam.size, (gain.shape[0] if gain.ndim else -1)
+        if [lam.shape, b.shape, gain.shape] != [(n0,), (n0, m), (m, n0)]:
             raise InvalidParameterError(
                 "eigenvalues, b_n0 and gain must have shapes (n0,), (n0, m) "
                 "and (m, n0)")
@@ -239,20 +243,19 @@ class PredictorDesign:
             raise InvalidParameterError(
                 f"delay must be nonnegative and finite, got {self.delay}")
         with np.errstate(over="ignore", invalid="ignore"):
-            a_cl = np.diag(lam) + self.b_tilde @ self.gain
+            a_cl = np.diag(lam) + np.exp(-self.delay * lam)[:, None] * b @ gain
         if not np.isfinite(a_cl).all():
             raise InvalidParameterError(
                 f"exp(-D A) B K overflows: delay D = {self.delay} is too long")
-        hurwitz = float(np.linalg.eigvals(a_cl).real.max()) < 0
-        object.__setattr__(self, "a_cl", a_cl)
-        object.__setattr__(self, "lyap",
-                           solve_lyapunov(a_cl) if hurwitz else None)
-
-    @property
-    def b_tilde(self) -> np.ndarray:
-        """exp(-D A) B, the input matrix of the predictor state."""
-        lam = np.asarray(self.eigenvalues, dtype=complex)
-        return np.exp(-self.delay * lam)[:, None] * self.b_n0
+        try:
+            lyap = (solve_lyapunov(a_cl)
+                    if np.linalg.eigvals(a_cl).real.max() < 0 else None)
+        except SynthesisFailureError as exc:
+            raise SynthesisFailureError(
+                f"delay D = {self.delay}: {exc}") from None
+        for name, value in zip(("eigenvalues", "b_n0", "gain", "a_cl", "lyap"),
+                               (lam, b, gain, a_cl, lyap)):
+            object.__setattr__(self, name, value)
 
     @property
     def n0(self) -> int:
@@ -270,8 +273,7 @@ def zero_gain_design(sys: SpectralSystem, n0: int, delay: float,
         raise InvalidParameterError(
             f"n0 must satisfy 1 <= n0 <= n_max = {sys.n_max}, got {n0}")
     return PredictorDesign(
-        eigenvalues=sys.eigenvalues[:n0],
-        b_n0=np.array(sys.input_coeffs[:n0], dtype=complex),
+        eigenvalues=sys.eigenvalues[:n0], b_n0=sys.input_coeffs[:n0],
         delay=float(delay), gain=np.zeros((sys.input_dim, n0), dtype=complex),
         transition=TransitionSignal(t0=t0))
 
@@ -279,6 +281,9 @@ def zero_gain_design(sys: SpectralSystem, n0: int, delay: float,
 def design_predictor(sys: SpectralSystem, n0: int, delay: float,
                      poles: Sequence[complex], t0: float) -> PredictorDesign:
     """Full synthesis: the gain K placing spec(A + exp(-D A) B K) = poles.
+
+    exp(-D A) is a diagonal similarity, so K = K0 exp(D A), where K0 places
+    spec(A + B K0) = poles on the delay-free pair (A, B).
 
     Args:
         sys: the plant.
@@ -291,8 +296,10 @@ def design_predictor(sys: SpectralSystem, n0: int, delay: float,
         t0: ramp duration.
     """
     base = zero_gain_design(sys, n0, delay, t0)
-    return replace(base,
-                   gain=place_poles(base.eigenvalues, base.b_tilde, poles))
+    with np.errstate(over="ignore", invalid="ignore"):  # replace() rejects inf
+        gain = place_poles(base.eigenvalues, base.b_n0, poles) \
+            * np.exp(delay * base.eigenvalues)
+    return replace(base, gain=gain)
 
 
 def _split_steps(x: float) -> tuple[int, float]:

@@ -204,7 +204,7 @@ def random_design(rng, n0=None, m=None, delay=None):
             break
     b = rng.uniform(0.5, 2.0, (n0, m)) * rng.choice([-1.0, 1.0], (n0, m))
     poles = np.sort(rng.uniform(-4.0, -0.5, n0)).astype(complex)
-    gain = sd.place_poles(lam, np.exp(-delay * lam)[:, None] * b, poles)
+    gain = sd.place_poles(lam, b, poles) * np.exp(delay * lam)
     return sd.PredictorDesign(
         eigenvalues=lam, b_n0=b.astype(complex), delay=delay, gain=gain,
         transition=sd.TransitionSignal(0.2)), poles

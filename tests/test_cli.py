@@ -98,6 +98,24 @@ class TestDesign:
         assert "D = 400" in caplog.text
         assert not (out / "gain.csv").exists()
 
+    @pytest.mark.parametrize("delay, code", [
+        (2.6, 0), (3.0, 0), (6.0, 3), (200.0, 1)])
+    def test_long_delay_matrix(self, tmp_path, caplog, delay, code):
+        # the retained block is controllable at every delay: D = 6 fails on
+        # the conditioning of P and D = 200 overflows exp(-D A) B K, and
+        # neither is reported as uncontrollable
+        text = ini_with(control={"D": delay})
+        with caplog.at_level(logging.ERROR):
+            got, out = run_cli(tmp_path, "design", text=text)
+        assert got == code
+        assert "not controllable" not in caplog.text
+        if code == 0:
+            assert "hurwitz: true" in (out / "design.txt").read_text()
+        else:
+            assert f"delay D = {delay}" in caplog.text
+        if code == 3:
+            assert "cond(P)" in caplog.text
+
     def test_double_pole_at_zero_exits_three(self, tmp_path, caplog):
         # a double pole at 0 is placed but is not Hurwitz; the Kalman branch
         # is TestExitCodeMatrix::test_uncontrollable_retained_block

@@ -155,6 +155,14 @@ class TestLyapunov:
         with pytest.raises(InvalidParameterError):
             sd.solve_lyapunov(np.array([[1.0]], dtype=complex))
 
+    def test_conditioning_floor(self):
+        # A = diag(-1, -e) gives P = diag(1/2, 1/(2 e)): cond(P) = 1e9
+        # builds, and 1e10 is above the floor 1/(1e6 eps) ~ 4.5e9
+        p = sd.solve_lyapunov(np.diag([-1.0, -1e-9]).astype(complex))
+        np.testing.assert_allclose(p, np.diag([0.5, 5e8]), rtol=1e-12)
+        with pytest.raises(SynthesisFailureError, match=r"cond\(P\) = 1e\+10"):
+            sd.solve_lyapunov(np.diag([-1.0, -1e-10]).astype(complex))
+
 
 class TestDesign:
     def test_closed_loop_identity(self, design):
@@ -192,6 +200,79 @@ class TestDesign:
             build(heat_sys, 400.0)
         # exp(2.5 * 280) = exp(700) is still finite
         assert sd.zero_gain_design(heat_sys, 2, 280.0, 0.2).delay == 280.0
+
+    def test_arrays_are_read_only_copies(self, heat_sys):
+        des = sd.design_predictor(heat_sys, 2, 0.1, [-3.0, -3.0], 0.2)
+        for name in ("eigenvalues", "b_n0", "gain"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(des, name)[...] = 0.0
+        # the inputs are copied: a later write to them leaves the design,
+        # and so A_cl and P, as built
+        gain = np.array(des.gain)
+        copy = sd.PredictorDesign(des.eigenvalues, des.b_n0, des.delay, gain,
+                                  des.transition)
+        gain[...] = 0.0
+        np.testing.assert_array_equal(copy.gain, des.gain)
+        np.testing.assert_array_equal(copy.a_cl, des.a_cl)
+
+    @pytest.mark.parametrize("delay, sgc", [
+        (2.5, 8.9e14), (2.6, 4.1e15), (3.0, 1.9e18)])
+    def test_long_delays_build(self, heat_sys, delay, sgc):
+        # exp(-D A) B has rows e^{-1.25 D} and e^{2.5 D} times B's.  Placing
+        # on that pair, with an absolute Lyapunov residual bound of 1e-9,
+        # failed from D ~ 2.7 on the residual (3.6e-9 at D = 3, against a
+        # relative bound of 1.08) and from D ~ 5.35 as "not controllable"
+        des = sd.design_predictor(heat_sys, 2, delay, [-3.0, -3.0], 0.2)
+        lam = des.eigenvalues
+        np.testing.assert_array_equal(
+            des.gain, sd.place_poles(lam, des.b_n0, [-3.0, -3.0])
+            * np.exp(delay * lam))
+        np.testing.assert_allclose(np.linalg.eigvals(des.a_cl).real,
+                                   [-3.0, -3.0], atol=1e-6)
+        bundle = sd.optimize_parameters(heat_sys, des)
+        assert bundle.small_gain_constant == pytest.approx(sgc, rel=0.05)
+
+    @pytest.mark.parametrize("delay, error, words", [
+        # cond(P) ~ 1.6e18 at D = 6 is beyond what eigvalsh resolves
+        (4.25, SynthesisFailureError, r"delay D = 4.25: .*cond\(P\) = 3\.1"),
+        (6.0, SynthesisFailureError, r"delay D = 6.0: .*cond\(P\) = "),
+        (200.0, InvalidParameterError, r"delay D = 200.0 is too long")])
+    def test_long_delays_fail_by_name(self, heat_sys, delay, error, words):
+        with pytest.raises(error, match=words) as info:
+            sd.design_predictor(heat_sys, 2, delay, [-3.0, -3.0], 0.2)
+        assert "not controllable" not in str(info.value)
+
+    def test_random_designs_place_on_the_delay_free_pair(self):
+        # spec(A + exp(-D A) B K0 exp(D A)) = spec(A + B K0): the delay
+        # scales the gain and never enters the placement, and rescaling the
+        # rows of B by exp(-D lam) changes no controllability decision
+        rng = np.random.default_rng(2026)
+        outcomes = set()
+        for trial in range(60):
+            delay = float(rng.uniform(0.05, 2.0))
+            des, poles = random_design(rng, delay=delay)
+            lam, b = des.eigenvalues, np.array(des.b_n0)
+            k = sd.place_poles(lam, b, poles) * np.exp(delay * lam)
+            # random_design scales by exp(D lam) on real lam: one ulp apart
+            np.testing.assert_allclose(des.gain, k, rtol=1e-15, atol=0.0)
+            achieved = np.sort_complex(np.linalg.eigvals(des.a_cl))
+            assert max(abs(achieved - poles)) < 1e-6
+            if trial % 3 == 0:
+                b[trial % des.n0] = 0.0
+            order = np.argsort(-lam.real, kind="stable")
+            kalman = sd.check_kalman(synthetic_system(lam[order], b[order]),
+                                     des.n0)
+            assert kalman == (trial % 3 != 0)
+            try:
+                scaled = sd.place_poles(
+                    lam, np.exp(-delay * lam)[:, None] * b, poles)
+            except SynthesisFailureError as exc:
+                assert not kalman and "not controllable" in str(exc)
+            else:
+                assert kalman
+                assert np.abs(scaled - k).max() <= 1e-8 * np.abs(k).max()
+            outcomes.add(kalman)
+        assert outcomes == {True, False}
 
     def test_lyapunov_extremes_ordered(self, bundle):
         # the certificate reads the extreme eigenvalues of P

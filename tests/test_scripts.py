@@ -36,6 +36,22 @@ def test_delay_sweep(tmp_path):
     assert rows[1][3] > rows[0][3]
 
 
+def test_delay_sweep_long_delays(tmp_path):
+    # D = 2.5 builds with a huge constant; from there P's conditioning, not
+    # the controllability of the block, ends the sweep
+    proc = run_script("delay_sweep.py", "--d-min", "2.5", "--d-max", "6",
+                      "--steps", "3", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    row = numeric_rows(lines[1:2])[0]
+    assert row[0] == 2.5 and 1e14 < row[3] < 1e16
+    for line, delay in zip(lines[2:], ("4.250", "6.000")):
+        assert line.split()[:2] == [delay, "failed:"]
+        assert f"failed: delay D = {float(delay)}: " in line
+        assert "cond(P)" in line
+    assert len(lines) == 4
+
+
 def test_gain_direction_scan(tmp_path):
     proc = run_script("gain_direction_scan.py", "--steps", "2", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
@@ -70,8 +86,9 @@ def test_gain_direction_scan_library_direction(tmp_path):
 
 
 def test_gain_direction_scan_symmetric_direction(tmp_path):
-    # at 45 deg the collapsed input misses mode 2, so the placement itself
-    # reports the uncontrollable pair
+    # at 45 deg the collapsed input B q misses mode 2, on the delay-free
+    # pair as on any rescaling of it, so the placement itself reports the
+    # uncontrollable pair
     proc = run_script("gain_direction_scan.py", "--theta-min", "45",
                       "--theta-max", "45", "--steps", "1", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
