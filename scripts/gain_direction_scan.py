@@ -59,8 +59,11 @@ def main():
             continue
         k_norm = float(np.linalg.norm(design.gain, 2))
         print(f"{deg:10.2f} {k_norm:10.4f} {bundle.small_gain_constant:12.4f}")
-        if bundle.small_gain_constant < best[1]:
-            best = (float(deg), bundle.small_gain_constant)
+        # the scan is mirror-symmetric about 45 deg: values within a
+        # relative 1e-9 tie, and the first angle of a tie is kept
+        sgc = bundle.small_gain_constant
+        if sgc < best[1] and not math.isclose(sgc, best[1], rel_tol=1e-9):
+            best = (float(deg), sgc)
     if best[0] is not None:
         print(f"best direction {best[0]:.2f} deg, "
               f"small_gain_constant {best[1]:.4f}")

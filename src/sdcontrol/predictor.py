@@ -209,7 +209,8 @@ def solve_lyapunov(a_cl: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class PredictorDesign:
     """The delayed feedback loop of the retained modes: its inputs, as
-    read-only copies, and the closed loop and Lyapunov matrix derived once.
+    read-only copies, and the closed loop and Lyapunov matrix derived once,
+    read-only as well.
 
     Attributes:
         eigenvalues: (n0,) retained eigenvalues; A = diag(eigenvalues).
@@ -243,12 +244,13 @@ class PredictorDesign:
             raise InvalidParameterError(
                 f"delay must be nonnegative and finite, got {self.delay}")
         with np.errstate(over="ignore", invalid="ignore"):
-            a_cl = np.diag(lam) + np.exp(-self.delay * lam)[:, None] * b @ gain
+            a_cl = _frozen_array(
+                np.diag(lam) + np.exp(-self.delay * lam)[:, None] * b @ gain)
         if not np.isfinite(a_cl).all():
             raise InvalidParameterError(
                 f"exp(-D A) B K overflows: delay D = {self.delay} is too long")
         try:
-            lyap = (solve_lyapunov(a_cl)
+            lyap = (_frozen_array(solve_lyapunov(a_cl))
                     if np.linalg.eigvals(a_cl).real.max() < 0 else None)
         except SynthesisFailureError as exc:
             raise SynthesisFailureError(
@@ -351,15 +353,16 @@ def _history_pad(delay: float, dt: float) -> int:
     return _split_steps(delay / dt)[0] + 1
 
 
-def _lagged(hist: np.ndarray, idx, steps: float) -> np.ndarray:
-    """A padded history's values `steps` rows before the indices idx.
-
-    Linear interpolation between rows; idx may be an index array.  The
-    history's zero pad holds the values before t = 0.
-    """
+def _taps(steps: float) -> list[tuple[int, float]]:
+    """(rows back, weight) of the linear interpolation `steps` rows back."""
     q, f = _split_steps(steps)
-    k = idx - q
-    return hist[k] if not f else f * hist[k - 1] + (1.0 - f) * hist[k]
+    return [(q, 1.0 - f), (q + 1, f)] if f else [(q, 1.0)]
+
+
+def _lagged(hist: np.ndarray, idx, steps: float) -> np.ndarray:
+    """A padded history's values `steps` rows before the indices idx (an
+    index array or not), whose zero pad holds the values before t = 0."""
+    return sum(w * hist[idx - back] for back, w in _taps(steps))
 
 
 # the most rows one block solve takes, and so the most steps a simulate

@@ -18,22 +18,23 @@ weights that are constant on the grid.  Its endpoint weight makes each new
 input implicit.
 
 The drift is linear in the state apart from one scalar arctan, so an RK4
-step is linear in its inputs (state, delayed-input rows, v at the stage
-times) and in the four stage arctans.  Those maps are built once per run
-(`_RK4Step`); a step is then two small matrix-vector products and four
-scalar arctans.  The input that drives the plant, u(t - D), is fixed one
-delay ahead, so up to floor(D / dt) consecutive steps read no input row
-they reach themselves.  The loop therefore advances the state by blocks of
-at most that many rows (and at most 32), one stepper call per block: a
-coupled block takes its steps one by one, while a plant-only block, whose
-step is diagonal in the modes, is one linear recurrence per mode, summed by
-a doubling scan; either way the block's states go straight into the state
-history.  After each block the loop checks its states for finiteness once
-and solves all of its predictor rows as one block lower-triangular system
-(`_RowSolver`): the ramp scales the system's columns and a window cut at
-t = 0 only corrects the weight on row 0.  The recorded rows are indexed
-out of the histories after the loop, and their norms and V are computed
-vectorized over blocks of them.
+step is linear in the state, in its forcing (the delayed-input rows and v
+at the stage times) and in the four stage arctans.  Those maps are built
+once per run (`_RK4Step`).  The input that drives the plant, u(t - D), is
+fixed one delay ahead, so up to floor(D / dt) consecutive steps read no
+input row they reach themselves.  The loop therefore advances the state by
+blocks of at most that many rows (and at most 32), one stepper call per
+block, which first forms the forcing of all of the block's steps, one
+product per delayed-input row.  A coupled block then takes its steps one
+by one, each two small matrix-vector products and four scalar arctans,
+while a plant-only block, whose step is diagonal, is one linear recurrence
+per state entry, summed by a doubling scan; either way the block's states
+go straight into the state history.  After each block the loop checks its
+states for finiteness once and solves all of its predictor rows as one
+block lower-triangular system (`_RowSolver`): the ramp scales the system's
+columns and a window cut at t = 0 only corrects the weight on row 0.  The
+recorded rows are indexed out of the histories after the loop, and their
+norms and V are computed vectorized over blocks of them.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .errors import (
     SimulationDivergedError,
 )
 from .predictor import (PredictorDesign, _history_pad, _lagged, _RowSolver,
-                        _SOLVE_ROWS, _split_steps)
+                        _SOLVE_ROWS, _taps)
 from .spectral import SpectralSystem, project_profile
 
 __all__ = [
@@ -215,29 +216,26 @@ def _assert_real(value, what: str, axis: int | None = None):
 
 
 class _RK4Step:
-    """RK4 step of the coupled state s = (x, c_1..c_n), set up once per run.
+    """RK4 steps of the coupled state s = (x, c_1..c_n), set up once per run.
 
     The drift is s' = M s + arctan(e . s) t2 + v cv + (0, B u(t - D)), with
     the interconnection's terms (`_coupling_terms`) and the eigenvalues on
-    M's diagonal.  One step is therefore linear in the step inputs X = (s,
-    the u history rows the three stage lags read, v at the three stage
+    M's diagonal.  One step is therefore linear in s, in its forcing inputs
+    (the u history rows the three stage lags read and v at the three stage
     times) and in the four stage values a_k = arctan(e . s_k).  Running the
     four-stage recursion once on matrices gives
 
-        s_new = R X + G a,   e . s_k = E_k X + sum_{j < k} T_kj a_j,
+        s_new = R s + F + G a,   e . s_k = E_k s + F_k + sum_{j < k} T_kj a_j,
 
-    so a step is one E X, four scalar arctans in sequence and one
-    [R G] (X, a).  A plant-only run has no arctans and no v: s_new = R X,
-    and R is diagonal in the modes, so `advance` runs a block of its steps
-    as one scan per mode.
-
-    The delayed inputs at the stage times t - D, t - D + dt/2 and t - D + dt
-    are fixed 2-point interpolations of the input history u, in the padded
-    layout of `_history_pad`: row k of the history sits at index pad + k.
-    The interpolation weights and B are folded into R and E, so X holds the
-    m-wide u rows themselves.  A single step (`__call__`) advances `state`,
-    a view of the work vector (X, a); `advance` reads and writes a block of
-    rows of a state history.
+    with the forcing (F, F_1..F_4) linear in the forcing inputs.  The
+    delayed inputs at the stage times t - D, t - D + dt/2 and t - D + dt
+    are fixed 2-point interpolations (`_taps`) of the input history u, in
+    the padded layout of `_history_pad`: row k of the history sits at index
+    pad + k.  The interpolation weights and B are folded into one table W_l
+    per history row the stage lags read, so that the forcing of the step
+    from row r is sum_l u[r + lo + l] W_l, plus v at its stage times times
+    their columns.  A plant-only run has no arctans and no v: s_new =
+    R s + F, and R is diagonal.
     """
 
     def __init__(self, sys: SpectralSystem, design: PredictorDesign,
@@ -245,20 +243,18 @@ class _RK4Step:
         b_n = sys.input_coeffs[:n]
         m = b_n.shape[1]
         self.coupled = fields is not None
-        lags = [_split_steps(design.delay / dt - lead)
-                for lead in (0.0, 0.5, 1.0)]
         self.pad = _history_pad(design.delay, dt)
-        # a lag (k, f) reads B (f u[r + k - 1] + (1 - f) u[r + k]); the step
+        # stage lag j reads sum w u[r + k] over its taps (k, w); the step
         # reads the history rows r + lo .. r + hi - 1
-        lags = [(self.pad - q, f) for q, f in lags]
-        self.lo = min(k - (f > 0) for k, f in lags)
-        self.hi = max(k for k, _ in lags) + 1
+        taps = [[(self.pad - back, w) for back, w in
+                 _taps(design.delay / dt - lead)] for lead in (0.0, 0.5, 1.0)]
+        self.lo = min(k for tap in taps for k, _ in tap)
+        hi = max(k for tap in taps for k, _ in tap) + 1
         # the step from row r reads no row after r + hi - 1 - pad, so the
         # steps from rows a .. a + ahead - 1 read no row after a
-        self.ahead = self.pad - self.hi + 2
-        dim, n_hist = n + 1, (self.hi - self.lo) * m
-        n_x = dim + n_hist + (3 if self.coupled else 0)
-        width = n_x + (4 if self.coupled else 0)
+        self.ahead = self.pad - hi + 2
+        dim, n_hist = n + 1, (hi - self.lo) * m
+        width = dim + n_hist + (7 if self.coupled else 0)
 
         mat = np.zeros((dim, dim), dtype=complex)
         e_row = t2 = cv = np.zeros(dim, dtype=complex)
@@ -266,10 +262,10 @@ class _RK4Step:
             mat, e_row, t2, cv = _coupling_terms(fields)
         mat[1:, 1:] += np.diag(sys.eigenvalues[:n])
 
-        # the four stages on matrices, as maps of (X, a): s_k, its arctan
-        # argument e . s_k and the slope k_k = M s_k + F_j + a_k t2, where
-        # F_j is B u and v at stage lag j (0, 1, 1, 2); acc sums
-        # k1 + 2 k2 + 2 k3 + k4
+        # the four stages on matrices, as maps of (s, u rows, v, a): s_k,
+        # its arctan argument e . s_k and the slope k_k = M s_k + F_j +
+        # a_k t2, where F_j is B u and v at stage lag j (0, 1, 1, 2); acc
+        # sums k1 + 2 k2 + 2 k3 + k4
         s1 = np.eye(dim, width, dtype=complex)
         acc = np.zeros_like(s1)
         args = []
@@ -279,95 +275,83 @@ class _RK4Step:
             s_k = s1 + h * k_k if stage else s1
             args.append(e_row @ s_k)
             k_k = mat @ s_k
-            k, f = lags[j]
-            col = dim + (k - self.lo) * m
-            k_k[1:, col:col + m] += (1.0 - f) * b_n
-            if f:
-                k_k[1:, col - m:col] += f * b_n
+            for k, w in taps[j]:
+                col = dim + (k - self.lo) * m
+                k_k[1:, col:col + m] += w * b_n
             if self.coupled:
                 k_k[:, dim + n_hist + j] += cv
-                k_k[:, n_x + stage] += t2
+                k_k[:, width - 4 + stage] += t2
             acc += weight * k_k
-        self.op = s1 + dt / 6 * acc
-        # the arctan arguments: E on X, and T (strictly lower) on a
-        args = np.array(args)
-        self.e_op = np.ascontiguousarray(args[:, :n_x])
-        self.tri = tuple(args[:, n_x:][np.tril_indices(4, -1)].tolist()) \
-            if self.coupled else ()
-
-        self.work = np.zeros(width, dtype=complex)
-        self.state = self.work[:dim]
-        self.inputs = self.work[:n_x]
-        self.hist = self.work[dim:dim + n_hist]
-        self.v = self.work[dim + n_hist:n_x]
-        self.a = self.work[n_x:]
+        # the rows of the new state and, on a coupled run, of the four
+        # arctan arguments
+        op = np.vstack([s1 + dt / 6 * acc] + (args if self.coupled else []))
+        # W_l as (lag, u entry, row)
+        self.lag_w = op[:, dim:dim + n_hist].reshape(
+            len(op), -1, m).transpose(1, 2, 0).copy()
 
         # the most steps one `advance` takes: the steps read no row they
         # reach, and the row solver takes at most _SOLVE_ROWS rows
         self.block = min(self.ahead, _SOLVE_ROWS)
-        if not self.coupled:
-            # a plant-only op is diagonal in the modes: the modes step as
-            # c <- rho c + sum_l u[r + lo + l] H_l, with H_l = lag_w[l]
-            # of shape (m, n)
-            self.rho = np.diag(self.op)[1:]
-            lag_w = self.op[1:, dim:dim + n_hist].reshape(n, -1, m)
-            self.lag_w = lag_w.transpose(1, 2, 0).copy()
+        if self.coupled:
+            self.s_w = op[:, :dim].T.copy()
+            self.v_w = op[:, dim + n_hist:width - 4].T.copy()
+            # [I G], for (h[:dim], a)
+            self.a_w = np.hstack([np.eye(dim), op[:dim, width - 4:]])
+            self.tri = tuple(
+                op[dim:, width - 4:][np.tril_indices(4, -1)].tolist())
+        else:
             # rho^k for the doubling rounds k = 1, 2, 4, .. < block
-            self.squares = [self.rho]
+            self.squares = [np.diag(op)]
             while 1 << len(self.squares) < self.block:
                 self.squares.append(self.squares[-1] ** 2)
-
-    def __call__(self, u: np.ndarray, r: int, v=None) -> None:
-        """Step `state` from row r of the padded input history u to row
-        r + 1.
-
-        A coupled step takes v at its three stage times in `v`.
-        """
-        self.hist[:] = u[r + self.lo:r + self.hi].ravel()
-        if self.coupled:
-            self.v[:] = v
-            g0, g1, g2, g3 = (self.e_op @ self.inputs).tolist()
-            t10, t20, t21, t30, t31, t32 = self.tri
-            a0 = cmath.atan(g0)
-            a1 = cmath.atan(g1 + t10 * a0)
-            a2 = cmath.atan(g2 + t20 * a0 + t21 * a1)
-            self.a[:] = (a0, a1, a2,
-                         cmath.atan(g3 + t30 * a0 + t31 * a1 + t32 * a2))
-        self.state[:] = self.op @ self.work
 
     def advance(self, u: np.ndarray, a: int, v_half, s: np.ndarray) -> None:
         """Step s[0], the state at row a, into s[1:] (at most `block` rows)
         from the padded input history u; s[p] gets the state at row a + p.
 
-        A coupled block loads `state` once and takes one `__call__` per
-        step, with v_half[2 r:2 r + 3] the v values of the step from row r.
-        On a plant-only run the block is one linear recurrence per mode,
-        s_{p+1} = rho s_p + f_p, with the forcing f_p read from the history
-        rows the block already has; a doubling scan sums it (Blelloch,
-        CMU-CS-90-190, 1990).
+        The steps read no input row the block reaches, so the forcing of
+        every step is formed first: one product per history lag and, on a
+        coupled run, v_half[2 r:2 r + 3], the v values of the step from row
+        r, times their columns.  A coupled block then takes its steps one
+        by one: h = s_p [R E]^T + f_p holds the new state before G a and
+        the four arctan arguments before their T terms; the arctans a
+        overwrite those, and s_{p+1} = [I G] h = h[:dim] + G a.  On a
+        plant-only run the block is one linear recurrence per entry of s,
+        s_{p+1} = rho s_p + f_p with rho = diag R (x's entry is 1 and its
+        forcing 0); a doubling scan sums it (Blelloch, CMU-CS-90-190,
+        1990).
         """
         b = len(s) - 1
-        if self.coupled:
-            self.state[:] = s[0]
-            for p, r in enumerate(range(a, a + b), 1):
-                self(u, r, v_half[2 * r:2 * r + 3])
-                s[p] = self.state
-            return
         lo = a + self.lo
         f = u[lo:lo + b] @ self.lag_w[0]
         for lag, w in enumerate(self.lag_w[1:], 1):
             f += u[lo + lag:lo + lag + b] @ w
-        f[0] += self.rho * s[0, 1:]
+        if self.coupled:
+            dim = s.shape[1]
+            f += v_half[np.arange(2 * a, 2 * (a + b), 2)[:, None]
+                        + (0, 1, 2)] @ self.v_w
+            t10, t20, t21, t30, t31, t32 = self.tri
+            for p, f_p in enumerate(f):
+                h = s[p] @ self.s_w
+                h += f_p
+                g0, g1, g2, g3 = h[dim:].tolist()
+                a0 = cmath.atan(g0)
+                a1 = cmath.atan(g1 + t10 * a0)
+                a2 = cmath.atan(g2 + t20 * a0 + t21 * a1)
+                h[dim:] = a0, a1, a2, cmath.atan(
+                    g3 + t30 * a0 + t31 * a1 + t32 * a2)
+                np.dot(self.a_w, h, out=s[p + 1])
+            return
         # after the round with step k, f[p] sums rho^(p - q) f_q over the
         # 2k latest q <= p; rho s_a rides in f_0
+        f[0] += self.squares[0] * s[0]
         k = 1
         for rho_k in self.squares:
             if k >= b:
                 break
             f[k:] += rho_k * f[:-k]
             k *= 2
-        s[1:, 0] = s[0, 0]
-        s[1:, 1:] = f
+        s[1:] = f
 
 
 @dataclass(frozen=True, eq=False)

@@ -202,8 +202,10 @@ class TestDesign:
         assert sd.zero_gain_design(heat_sys, 2, 280.0, 0.2).delay == 280.0
 
     def test_arrays_are_read_only_copies(self, heat_sys):
+        # the derived A_cl and P as well: a write to one of them would
+        # leave it inconsistent with the gain
         des = sd.design_predictor(heat_sys, 2, 0.1, [-3.0, -3.0], 0.2)
-        for name in ("eigenvalues", "b_n0", "gain"):
+        for name in ("eigenvalues", "b_n0", "gain", "a_cl", "lyap"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(des, name)[...] = 0.0
         # the inputs are copied: a later write to them leaves the design,
@@ -580,11 +582,12 @@ class TestBlockSolve:
         pytest.param(0.1, 10, 6.0, 1, id="n0-1-two-unstable")])
     def test_simulate_matches_stepwise_loop(self, heat_sys, x0_coeffs,
                                             delay, n_modes, reaction, n0):
-        # one step and then that row's solve, row after row: the blocks of
-        # min(floor(D / dt), 32) steps, each one scan per mode, must give
-        # the same run.  300 steps end in a short block; at 40 modes the
-        # window ends in a partial panel; with c = 6 and n0 = 1 the second
-        # mode grows uncontrolled, so its scan runs with |rho| > 1
+        # a one-row block and then that row's solve, row after row: the
+        # blocks of min(floor(D / dt), 32) steps, each one scan per mode,
+        # must give the same run.  300 steps end in a short block; at 40
+        # modes the window ends in a partial panel; with c = 6 and n0 = 1
+        # the second mode grows uncontrolled, so its scan runs with
+        # |rho| > 1
         sys_ = heat_sys if (n_modes, reaction) == (10, 2.5) else \
             sd.build_heat_system(5.0, reaction, 2 * np.pi, n_modes)
         y0 = x0_coeffs if n_modes == 10 else \
@@ -601,13 +604,12 @@ class TestBlockSolve:
         u_pad = np.zeros((rk4.pad + n_steps + 1, sys_.input_dim),
                          dtype=complex)
         u = u_pad[rk4.pad:]
-        c = [np.asarray(y0, dtype=complex)]
-        rk4.state[1:] = c[0]
+        s = np.zeros((n_steps + 1, n_modes + 1), dtype=complex)
+        s[0, 1:] = y0
         for i in range(1, n_steps + 1):
-            rk4(u_pad, i - 1)
-            c.append(rk4.state[1:].copy())
-            u[i] = per_row_solve(des, dt, g, i, c[-1][:n0], phi[i])[1]
-        assert_rel_close(traj.coeffs, np.array(c))
+            rk4.advance(u_pad, i - 1, None, s[i - 1:i + 1])
+            u[i] = per_row_solve(des, dt, g, i, s[i, 1:n0 + 1], phi[i])[1]
+        assert_rel_close(traj.coeffs, s[:, 1:])
         assert_rel_close(traj.u, u)
 
     @pytest.mark.parametrize("delay,phi", [
@@ -642,12 +644,12 @@ class TestBlockSolve:
         rng = np.random.default_rng(3)
         u = np.full((rk4.pad + a + ahead + 2, m), np.nan, dtype=complex)
         u[:rk4.pad + a + 1] = rng.normal(size=(rk4.pad + a + 1, m))
-        rk4.state[:] = rng.normal(size=11)
-        for r in range(a, a + ahead):
-            rk4(u, r)
-        assert np.isfinite(rk4.state).all()
-        rk4(u, a + ahead)
-        assert not np.isfinite(rk4.state).any()
+        s = np.zeros((ahead + 2, 11), dtype=complex)
+        s[0] = rng.normal(size=11)
+        for p in range(ahead + 1):
+            rk4.advance(u, a + p, None, s[p:p + 2])
+        assert np.isfinite(s[:-1]).all()
+        assert not np.isfinite(s[-1]).any()
 
 
 class TestPredictorDecoupling:

@@ -66,6 +66,16 @@ def test_gain_direction_scan(tmp_path):
     assert len(lines) == 4
 
 
+def test_gain_direction_scan_mirror_tie(tmp_path):
+    # the scan is mirror-symmetric about 45 deg: 30 and 60 deg tie up to
+    # roundoff (33.12255339335352 and 33.1225533933535), and the first
+    # angle of a tie is the best direction
+    proc = run_script("gain_direction_scan.py", "--theta-min", "30",
+                      "--theta-max", "60", "--steps", "2", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].startswith("best direction 30.00 deg")
+
+
 def test_gain_direction_scan_library_direction(tmp_path):
     # place_poles's first nudged direction, (1/sqrt2 + 0.1, 1/sqrt2), the
     # one the case study takes: the script's rank-one design must certify

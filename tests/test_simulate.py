@@ -1,5 +1,6 @@
 """Coupled closed-loop integration, diagnostics, and trajectory output."""
 
+import cmath
 import dataclasses
 import math
 
@@ -9,6 +10,7 @@ import pytest
 import sdcontrol as sd
 from sdcontrol.errors import (InsufficientDataError, InvalidParameterError,
                               SimulationDivergedError)
+from sdcontrol.predictor import _RowSolver
 from sdcontrol.simulate import _assert_real, _coupling_terms, _RK4Step
 
 from conftest import (COUPLINGS, closed_loop_ode, synthetic_system,
@@ -199,17 +201,20 @@ def textbook_rk4(sys_, delay, fields, u_history, dt, x, coeffs, v_fn):
 
 
 def rk4_step(sys_, design, fields, u_history, dt, x, coeffs, v_fn):
-    """One _RK4Step step from the time of the newest row of u_history (row
-    0 at t = 0), padded here as simulate pads its input history."""
+    """One _RK4Step step, a one-row block, from the time of the newest row
+    of u_history (row 0 at t = 0), padded here as simulate pads its input
+    history; v_half holds v at the step's three stage times."""
     coeffs = np.asarray(coeffs, dtype=complex)
     rk4 = _RK4Step(sys_, design, fields, coeffs.size, dt)
     u = np.pad(np.asarray(u_history, dtype=complex), ((rk4.pad, 0), (0, 0)))
     r = len(u_history) - 1
     t = r * dt
-    rk4.state[0], rk4.state[1:] = x, coeffs
-    rk4(u, r, (v_fn(t), v_fn(t + dt / 2), v_fn(t + dt)) if rk4.coupled
-        else None)
-    return complex(rk4.state[0]), rk4.state[1:].copy()
+    s = np.zeros((2, coeffs.size + 1), dtype=complex)
+    s[0, 0], s[0, 1:] = x, coeffs
+    v_half = np.zeros(2 * r + 3)
+    v_half[2 * r:] = v_fn(t), v_fn(t + dt / 2), v_fn(t + dt)
+    rk4.advance(u, r, v_half, s)
+    return complex(s[1, 0]), s[1, 1:]
 
 
 def assert_step_matches_textbook(sys_, design, fields, u_history, x, coeffs):
@@ -277,6 +282,56 @@ class TestStep:
                         1.0, np.zeros(1, dtype=complex), lambda t: 0.0)
         assert x.real == pytest.approx(math.exp(-1.5e-3), abs=1e-12)
         assert x.imag == 0.0
+
+
+def one_step_map(sys_, design, n, dt):
+    """The plant-only step after the ramp as a matrix on X = (s, the last
+    pad rows of u), built column by column from unit vectors with the run's
+    stepper and row solver at row r = 3 pad.  The u rows older than X are
+    NaN, so a read outside X makes M non-finite."""
+    rk4, solve = _RK4Step(sys_, design, None, n, dt), _RowSolver(design, dt)
+    pad, m, dim = rk4.pad, sys_.input_dim, n + 1
+    r = 3 * pad
+    cols = []
+    for e in np.eye(dim + pad * m, dtype=complex):
+        u = np.full((pad + r + 2, m), np.nan, dtype=complex)
+        u[r + 1:pad + r + 1] = e[dim:].reshape(pad, m)
+        s = np.array([e[:dim], np.zeros(dim)])
+        rk4.advance(u, r, None, s)
+        u[pad + r + 1] = solve(u, r, s[1:, 1:design.n0 + 1], np.ones(1))[1][0]
+        cols.append(np.concatenate([s[1], u[r + 2:].ravel()]))
+    mat = np.array(cols).T
+    assert np.isfinite(mat).all()
+    return mat
+
+
+class TestDiscreteSpectrum:
+    def test_one_step_map_spectrum(self, heat_sys, design):
+        # the discrete loop's eigenvalues: x's 1, each tail mode at its RK4
+        # amplification, the placed double pole -3 to second order in dt,
+        # and every other root (the input history's) strictly inside the
+        # slowest of those rates, so the discretized predictor integral adds
+        # no unstable root
+        lam = heat_sys.eigenvalues[:10]
+        errors = []
+        for dt in (2e-3, 1e-3):
+            mu = list(np.linalg.eigvals(one_step_map(heat_sys, design, 10,
+                                                     dt)))
+
+            def take(target):
+                return mu.pop(int(np.argmin(np.abs(np.array(mu) - target))))
+
+            assert abs(take(1.0) - 1.0) <= 1e-13
+            for z in dt * lam[2:]:
+                amp = 1 + z * (1 + z / 2 * (1 + z / 3 * (1 + z / 4)))
+                assert abs(take(amp) - amp) <= 1e-13 * abs(amp)
+            rates = np.log([take(math.exp(-3 * dt)) for _ in range(2)]) / dt
+            errors.append(abs(rates.mean() + 3.0))
+            assert errors[-1] <= 1e-5, rates
+            assert abs(rates[0] - rates[1]) <= 2 * dt, rates
+            radius = math.exp(dt * max(-3.0, lam[2].real))
+            assert np.abs(mu).max() < radius
+        assert 3.5 <= errors[0] / errors[1] <= 4.5, errors
 
 
 class TestSimulate:
@@ -488,21 +543,28 @@ class TestSimulate:
                              ids=["plant-only", "coupled"])
     def test_one_step_calls(self, monkeypatch, heat_sys, design, fields,
                             x0_coeffs, coupled):
-        # a plant-only block is one scan per mode, with no per-step call;
-        # a coupled run still takes its steps one at a time
-        calls = []
-        one_step = _RK4Step.__call__
+        # one stepper call per block of min(floor(D / dt), 32) = 32 rows on
+        # both step kinds; a coupled step takes four scalar arctans, and a
+        # plant-only block, one scan per mode, takes none
+        blocks, atans = [], []
+        advance, atan = _RK4Step.advance, cmath.atan
 
-        def counted(self, *args):
-            calls.append(args[1])
-            return one_step(self, *args)
+        def counted_advance(self, u, a, *args):
+            blocks.append(a)
+            return advance(self, u, a, *args)
 
-        monkeypatch.setattr(_RK4Step, "__call__", counted)
+        def counted_atan(z):
+            atans.append(z)
+            return atan(z)
+
+        monkeypatch.setattr(_RK4Step, "advance", counted_advance)
+        monkeypatch.setattr(cmath, "atan", counted_atan)
         n_steps = 300
         cfg = sd.SimConfig(dt=1e-3, t_end=n_steps * 1e-3, n_modes=10)
         sd.simulate(cfg, heat_sys, design, fields if coupled else None,
                     x0=-2.0, x0_coeffs=x0_coeffs)
-        assert calls == (list(range(n_steps)) if coupled else [])
+        assert blocks == list(range(0, n_steps, 32))
+        assert len(atans) == (4 * n_steps if coupled else 0)
 
     def test_coupled_case_study_is_second_order(self, heat_sys, design,
                                                 fields, x0_coeffs):
