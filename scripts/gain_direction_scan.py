@@ -11,15 +11,14 @@ family.
 import argparse
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from sdcontrol import (build_heat_system, case_study_run_config,
-                       optimize_parameters, place_poles, zero_gain_design)
+from sdcontrol import (PredictorDesign, TransitionSignal, build_heat_system,
+                       case_study_run_config, optimize_parameters, place_poles)
 from sdcontrol.errors import ToolkitError
 
 
@@ -27,13 +26,14 @@ def rank_one_design(sys_, theta, poles, delay, t0):
     """Design with an explicit direction angle instead of the default seed.
 
     k0 places the poles on the single-input pair (A, B q), so K = q k0
-    exp(D A) places them on (A, exp(-D A) B), as in design_predictor.
+    exp(D A) places them on (A, exp(-D A) B), as in design_predictor, and
+    the design is built once from these inputs.
     """
-    base = zero_gain_design(sys_, len(poles), delay, t0)
+    n0 = len(poles)
+    lam, b = sys_.eigenvalues[:n0], sys_.input_coeffs[:n0]
     q = np.array([[math.cos(theta)], [math.sin(theta)]])
-    lam = base.eigenvalues
-    return replace(base, gain=q @ place_poles(lam, base.b_n0 @ q, poles)
-                   * np.exp(delay * lam))
+    gain = q @ place_poles(lam, b @ q, poles) * np.exp(delay * lam)
+    return PredictorDesign(lam, b, delay, gain, TransitionSignal(t0))
 
 
 def main():

@@ -21,7 +21,7 @@ search over gamma2.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -33,7 +33,7 @@ from .errors import (
 )
 from .predictor import (PredictorDesign, _history_pad, _lagged,
                         _window_weights)
-from .spectral import SpectralSystem, check_truncation
+from .spectral import SpectralSystem, _finite_float, check_truncation
 
 __all__ = [
     "CertificateBundle",
@@ -86,13 +86,9 @@ class CouplingConstants:
     d3: float
 
     def __post_init__(self):
-        if not np.isfinite(astuple(self)).all():
-            raise InvalidParameterError("coupling constants must be finite")
-        if self.ct0 < 1.0:
-            raise InvalidParameterError("ct0 must be at least 1")
-        for name in ("ct1", "ct2", "d1", "d2", "d3"):
-            if getattr(self, name) < 0:
-                raise InvalidParameterError(f"{name} must be nonnegative")
+        for f in fields(self):
+            _finite_float(getattr(self, f.name), f.name,
+                          1.0 if f.name == "ct0" else 0.0)
 
 
 class _BaseConstants(NamedTuple):
@@ -115,7 +111,7 @@ def _base_constants(sys: SpectralSystem, design: PredictorDesign) -> _BaseConsta
     alpha = check_truncation(sys, design.n0).alpha
     m_r = sys.riesz_lower
     m = sys.input_dim
-    gain = np.asarray(design.gain, dtype=complex)
+    gain = design.gain
 
     eig_p = np.linalg.eigvalsh(design.lyap)
     lam_min_P = float(eig_p.min())
@@ -147,15 +143,16 @@ def compute_constants(sys: SpectralSystem, design: PredictorDesign,
     """Evaluate the full certificate constant family.
 
     Raises:
-        CertificateParameterError: a feasibility inequality fails; the
-            message names the violated bound.
+        CertificateParameterError: a weight is outside its domain or a
+            feasibility inequality fails; the message names the bound.
     """
     beta, gamma1, gamma2 = float(beta), float(gamma1), float(gamma2)
     if not 0.0 < beta < 1.0:
         raise CertificateParameterError(
             f"beta must lie strictly inside (0, 1), got {beta}")
-    if gamma1 <= 0 or gamma2 <= 0:
-        raise CertificateParameterError("gamma weights must be positive")
+    if not (0.0 < gamma1 < math.inf and 0.0 < gamma2 < math.inf):
+        raise CertificateParameterError(
+            f"gamma weights must be positive and finite, got {gamma1}, {gamma2}")
 
     return _weighted_constants(_base_constants(sys, design),
                                beta, gamma1, gamma2)
@@ -192,7 +189,7 @@ def _weighted_constants(base: _BaseConstants, beta: float, gamma1: float,
     sgc = c4 * math.sqrt(c6 / (2.0 * kappa0))
 
     return CertificateBundle(
-        beta=float(beta), gamma1=float(gamma1), gamma2=float(gamma2),
+        beta=beta, gamma1=gamma1, gamma2=gamma2,
         C1=c1, C2g1=c2g1, C3g2=c3g2, C4=c4, C5=c5, C6=c6,
         kappa0=kappa0, small_gain_constant=sgc, alpha=alpha,
         lam_min_P=lam_min_P, lam_max_P=lam_max_P, norm_P=norm_p,
@@ -318,12 +315,10 @@ def coupling_constants(a1: float, b1: float, c1: float, a2: float, b2: float,
     in-domain disturbance a2 x theta1 + b2 arctan((d2/L) <eta, X>) theta2 +
     c2 v theta3 with unit-norm profiles.
     """
-    if not np.isfinite([a1, b1, c1, a2, b2, c2, d2, L]).all():
-        raise InvalidParameterError("coupling gains and L must be finite")
-    if a1 <= 0:
-        raise InvalidParameterError(f"a1 must be positive, got {a1}")
-    if L <= 0:
-        raise InvalidParameterError(f"L must be positive, got {L}")
+    a1 = _finite_float(a1, "a1", 0.0, strict=True)
+    L = _finite_float(L, "L", 0.0, strict=True)
+    b1, c1, a2, b2, c2, d2 = (_finite_float(value, name) for name, value in (
+        ("b1", b1), ("c1", c1), ("a2", a2), ("b2", b2), ("c2", c2), ("d2", d2)))
     return CouplingConstants(
         ct0=math.sqrt(2.0),
         ct1=2.0 * abs(b1) / (a1 * L),

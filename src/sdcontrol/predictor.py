@@ -14,14 +14,14 @@ the ramp has completed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidParameterError, SynthesisFailureError
-from .spectral import (SpectralSystem, _frozen_array, _group_close,
-                       pbh_controllable)
+from .spectral import (SpectralSystem, _count, _finite_float, _frozen_array,
+                       _group_close, pbh_controllable)
 
 __all__ = [
     "TransitionSignal",
@@ -46,18 +46,11 @@ class TransitionSignal:
     t0: float
 
     def __post_init__(self):
-        if not 0 < self.t0 < math.inf:  # NaN fails as well
-            raise InvalidParameterError(
-                f"t0 must be positive and finite, got {self.t0}")
+        _finite_float(self.t0, "t0", 0.0, strict=True)
 
     def phi(self, t):
         s = np.clip(np.asarray(t, dtype=float) / self.t0, 0.0, 1.0)
         return s ** 3 * (10.0 + s * (-15.0 + 6.0 * s))
-
-
-def _is_real(*arrays, tol: float = 1e-12) -> bool:
-    return all(float(np.abs(np.asarray(a).imag).max(initial=0.0)) <= tol
-               for a in arrays)
 
 
 def _canonical_poles(poles: Sequence[complex]) -> tuple[complex, ...]:
@@ -118,19 +111,18 @@ def place_poles(lam: np.ndarray, b: np.ndarray,
     Returns:
         K of shape (m, n) with spec(diag(lam) + b @ K) = poles (within 1e-6).
     """
-    lam = np.asarray(lam, dtype=complex)
-    b = np.atleast_2d(np.asarray(b, dtype=complex))
+    lam, poles = _frozen_array(lam, "lam"), _frozen_array(poles, "poles")
+    b = np.atleast_2d(_frozen_array(b, "b"))
     n = lam.size
     if lam.ndim != 1 or b.shape[0] != n:
         raise InvalidParameterError(
             "lam must be a vector and b must have one row per entry")
-    if len(poles) != n:
-        raise InvalidParameterError(f"need exactly {n} poles, got {len(poles)}")
-    if not np.isfinite(np.asarray(poles, dtype=complex)).all():
-        raise InvalidParameterError(f"poles must be finite, got {poles}")
+    if poles.shape != (n,):
+        raise InvalidParameterError(
+            f"poles must be a vector of {n} entries, got shape {poles.shape}")
     poles = _canonical_poles(poles)
 
-    real_data = _is_real(lam, b)
+    real_data = np.abs(np.append(lam.imag, b.imag)).max(initial=0.0) <= 1e-12
     if real_data:
         conj_set = _canonical_poles(np.conj(poles))
         if any(abs(p - q) > 1e-12 * max(1.0, abs(p))
@@ -179,7 +171,7 @@ def solve_lyapunov(a_cl: np.ndarray) -> np.ndarray:
         SynthesisFailureError: the solve is singular or inaccurate, or P is
             ill-conditioned.
     """
-    a_cl = np.atleast_2d(np.asarray(a_cl, dtype=complex))
+    a_cl = np.atleast_2d(_frozen_array(a_cl, "a_cl"))
     n = a_cl.shape[0]
     if a_cl.shape[1] != n:
         raise InvalidParameterError("a_cl must be square")
@@ -233,51 +225,53 @@ class PredictorDesign:
     lyap: np.ndarray | None = field(init=False)
 
     def __post_init__(self):
-        lam, b, gain = (_frozen_array(getattr(self, name))
-                        for name in ("eigenvalues", "b_n0", "gain"))
+        lam, b = (_frozen_array(self.eigenvalues, "eigenvalues"),
+                  _frozen_array(self.b_n0, "b_n0"))
+        gain = np.array(self.gain, dtype=complex)  # checked through A_cl
         n0, m = lam.size, (gain.shape[0] if gain.ndim else -1)
         if [lam.shape, b.shape, gain.shape] != [(n0,), (n0, m), (m, n0)]:
             raise InvalidParameterError(
                 "eigenvalues, b_n0 and gain must have shapes (n0,), (n0, m) "
                 "and (m, n0)")
-        if not 0 <= self.delay < math.inf:  # NaN fails as well
-            raise InvalidParameterError(
-                f"delay must be nonnegative and finite, got {self.delay}")
+        delay = _finite_float(self.delay, "delay", 0.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            a_cl = _frozen_array(
-                np.diag(lam) + np.exp(-self.delay * lam)[:, None] * b @ gain)
+            a_cl = np.diag(lam) + np.exp(-delay * lam)[:, None] * b @ gain
         if not np.isfinite(a_cl).all():
             raise InvalidParameterError(
-                f"exp(-D A) B K overflows: delay D = {self.delay} is too long")
+                f"exp(-D A) B K overflows: delay D = {delay} is too long")
+        a_cl.setflags(write=False)
+        gain.setflags(write=False)
         try:
-            lyap = (_frozen_array(solve_lyapunov(a_cl))
+            lyap = (_frozen_array(solve_lyapunov(a_cl), "P")
                     if np.linalg.eigvals(a_cl).real.max() < 0 else None)
         except SynthesisFailureError as exc:
-            raise SynthesisFailureError(
-                f"delay D = {self.delay}: {exc}") from None
-        for name, value in zip(("eigenvalues", "b_n0", "gain", "a_cl", "lyap"),
-                               (lam, b, gain, a_cl, lyap)):
+            raise SynthesisFailureError(f"delay D = {delay}: {exc}") from None
+        for name, value in zip(
+                ("eigenvalues", "b_n0", "delay", "gain", "a_cl", "lyap"),
+                (lam, b, delay, gain, a_cl, lyap)):
             object.__setattr__(self, name, value)
 
     @property
     def n0(self) -> int:
-        return int(np.size(self.eigenvalues))
+        return self.eigenvalues.size
 
     @property
     def input_dim(self) -> int:
-        return int(self.b_n0.shape[1])
+        return self.b_n0.shape[1]
+
+
+def _retained(sys: SpectralSystem, n0: int):
+    """(eigenvalues, input gains) of the first n0 modes."""
+    n0 = _count(n0, "n0", 1, sys.n_max)
+    return sys.eigenvalues[:n0], sys.input_coeffs[:n0]
 
 
 def zero_gain_design(sys: SpectralSystem, n0: int, delay: float,
                      t0: float) -> PredictorDesign:
     """Open-loop design of the first n0 modes, with K = 0."""
-    if not 1 <= n0 <= sys.n_max:
-        raise InvalidParameterError(
-            f"n0 must satisfy 1 <= n0 <= n_max = {sys.n_max}, got {n0}")
-    return PredictorDesign(
-        eigenvalues=sys.eigenvalues[:n0], b_n0=sys.input_coeffs[:n0],
-        delay=float(delay), gain=np.zeros((sys.input_dim, n0), dtype=complex),
-        transition=TransitionSignal(t0=t0))
+    lam, b = _retained(sys, n0)
+    return PredictorDesign(lam, b, delay, np.zeros(b.shape[::-1]),
+                           TransitionSignal(t0))
 
 
 def design_predictor(sys: SpectralSystem, n0: int, delay: float,
@@ -297,11 +291,11 @@ def design_predictor(sys: SpectralSystem, n0: int, delay: float,
             lyap = None.
         t0: ramp duration.
     """
-    base = zero_gain_design(sys, n0, delay, t0)
-    with np.errstate(over="ignore", invalid="ignore"):  # replace() rejects inf
-        gain = place_poles(base.eigenvalues, base.b_n0, poles) \
-            * np.exp(delay * base.eigenvalues)
-    return replace(base, gain=gain)
+    lam, b = _retained(sys, n0)
+    delay = _finite_float(delay, "delay", 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # the design rejects inf
+        gain = place_poles(lam, b, poles) * np.exp(delay * lam)
+    return PredictorDesign(lam, b, delay, gain, TransitionSignal(t0))
 
 
 def _split_steps(x: float) -> tuple[int, float]:
@@ -466,26 +460,25 @@ def invert_artstein(design: PredictorDesign, times: np.ndarray, y_path,
     Returns:
         (len(times), m) input samples.
     """
-    times = np.asarray(times, dtype=float)
+    times = _frozen_array(times, "times", float)
     if times.ndim != 1 or times.size < 2:
         raise InvalidParameterError("times must contain at least two samples")
     dt = times[1] - times[0]
-    if not (np.isfinite(times).all() and dt > 0
-            and float(np.abs(np.diff(times) - dt).max()) <= 1e-9 * dt):
-        raise InvalidParameterError("times must be a finite uniform grid")
+    if not (dt > 0 and float(np.abs(np.diff(times) - dt).max()) <= 1e-9 * dt):
+        raise InvalidParameterError("times must be a uniform grid")
     if abs(times[0]) > 1e-12:
         raise InvalidParameterError("the sample grid must start at t = 0")
-    y = np.asarray(y_path, dtype=complex)
-    if y.shape != (times.size, design.n0) or not np.isfinite(y).all():
+    y = _frozen_array(y_path, "y_path")
+    if y.shape != (times.size, design.n0):
         raise InvalidParameterError(
-            f"y_path must be finite, of shape ({times.size}, {design.n0})")
+            f"y_path must have shape ({times.size}, {design.n0})")
 
-    phi_vals = np.asarray(
-        (design.transition.phi if phi is None else phi)(times), dtype=float)
-    if phi_vals.shape not in ((), times.shape) \
-            or not np.isfinite(phi_vals).all():
+    phi_vals = _frozen_array(
+        (design.transition.phi if phi is None else phi)(times), "phi values",
+        float)
+    if phi_vals.shape not in ((), times.shape):
         raise InvalidParameterError(
-            f"phi must give one finite value per sample or one for all, "
+            f"phi must give one value per sample or one for all, "
             f"got shape {phi_vals.shape}")
     phi_vals = np.broadcast_to(phi_vals, times.shape)
 

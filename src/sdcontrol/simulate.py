@@ -54,7 +54,8 @@ from .errors import (
 )
 from .predictor import (PredictorDesign, _history_pad, _lagged, _RowSolver,
                         _SOLVE_ROWS, _taps)
-from .spectral import SpectralSystem, project_profile
+from .spectral import (SpectralSystem, _count, _finite_float, _frozen_array,
+                       project_profile)
 
 __all__ = [
     "SimConfig",
@@ -103,17 +104,10 @@ class SimConfig:
     disturbance: str | Callable[[float], float] = "case-study"
 
     def __post_init__(self):
-        # written so that NaN fails as well
-        if not 0 < self.dt < math.inf:
-            raise InvalidParameterError(
-                f"dt must be positive and finite, got {self.dt}")
-        if not 0 <= self.t_end < math.inf:
-            raise InvalidParameterError(
-                f"t_end must be nonnegative and finite, got {self.t_end}")
-        if self.n_modes < 1:
-            raise InvalidParameterError("n_modes must be at least 1")
-        if self.record_stride < 1:
-            raise InvalidParameterError("record_stride must be at least 1")
+        _finite_float(self.dt, "dt", 0.0, strict=True)
+        _finite_float(self.t_end, "t_end", 0.0)
+        _count(self.n_modes, "n_modes", 1)
+        _count(self.record_stride, "record_stride", 1)
         if isinstance(self.disturbance, str) and \
                 self.disturbance not in ("none", "case-study"):
             raise InvalidParameterError(
@@ -146,26 +140,20 @@ class CouplingFields:
     theta3: np.ndarray
 
     def __post_init__(self):
-        if not np.isfinite([self.a1, self.b1, self.c1, self.a2, self.b2,
-                            self.c2, self.d2, self.domain_length]).all():
-            raise InvalidParameterError(
-                "coupling gains and domain_length must be finite")
-        if self.a1 <= 0:
-            raise InvalidParameterError(f"a1 must be positive, got {self.a1}")
-        if self.domain_length <= 0:
-            raise InvalidParameterError("domain_length must be positive")
-        n = np.atleast_1d(np.asarray(self.eta1, dtype=float)).size
+        for name in ("b1", "c1", "a2", "b2", "c2", "d2"):
+            _finite_float(getattr(self, name), name)
+        for name in ("a1", "domain_length"):
+            _finite_float(getattr(self, name), name, 0.0, strict=True)
+        n = np.size(self.eta1)
         for name in ("eta1", "eta2", "theta1", "theta2", "theta3"):
-            arr = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
-            if arr.shape != (n,) or not np.isfinite(arr).all():
-                raise InvalidParameterError(
-                    "profile vectors must be finite and share one length")
-            arr.setflags(write=False)
+            arr = np.atleast_1d(_frozen_array(getattr(self, name), name, float))
+            if arr.shape != (n,):
+                raise InvalidParameterError("profile vectors must share one length")
             object.__setattr__(self, name, arr)
 
     @property
     def n_modes(self) -> int:
-        return int(self.eta1.size)
+        return self.eta1.size
 
 
 def case_study_fields(sys: SpectralSystem, n_modes: int, a1: float,
@@ -428,15 +416,12 @@ def simulate(config: SimConfig, sys: SpectralSystem, design: PredictorDesign,
 
     Raises:
         InvalidParameterError: an argument is out of range, including a
-            non-finite initial state and a dt outside the RK4 stability
-            region of a decaying simulated mode.
+            non-finite initial state or disturbance value and a dt outside
+            the RK4 stability region of a decaying simulated mode.
         SimulationDivergedError: the state or a recorded norm left the
             finite range.
     """
-    n = config.n_modes
-    if not design.n0 <= n <= sys.n_max:
-        raise InvalidParameterError(
-            f"n_modes must lie in [{design.n0}, {sys.n_max}], got {n}")
+    n = _count(config.n_modes, "n_modes", design.n0, sys.n_max)
     if fields is not None and fields.n_modes != n:
         raise InvalidParameterError(
             f"fields cover {fields.n_modes} modes, config asks for {n}")
@@ -455,11 +440,11 @@ def simulate(config: SimConfig, sys: SpectralSystem, design: PredictorDesign,
     delay = design.delay
     n0 = design.n0
     v_fn = config.v_function()
-    coeffs = np.asarray(x0_coeffs, dtype=complex)
+    coeffs = _frozen_array(x0_coeffs, "x0_coeffs")
     if coeffs.shape != (n,):
         raise InvalidParameterError(f"x0_coeffs must have shape ({n},)")
-    if not (np.isfinite(x0) and np.isfinite(coeffs).all()):
-        raise InvalidParameterError("x0 and x0_coeffs must be finite")
+    if not np.isfinite(x0):
+        raise InvalidParameterError("x0 must be finite")
 
     n_steps = int(math.floor(config.t_end / dt + 1e-9))
     rows = np.append(np.arange(0, n_steps, config.record_stride), n_steps) \
@@ -481,9 +466,9 @@ def simulate(config: SimConfig, sys: SpectralSystem, design: PredictorDesign,
     # v_half[2 r:2 r + 3], and row i's own value is v_half[2 i]
     v_half = None
     if fields is not None:
-        v_half = np.fromiter(
-            (v_fn(k // 2 * dt + k % 2 * (dt / 2))
-             for k in range(2 * n_steps + 1)), float, 2 * n_steps + 1)
+        v_half = _frozen_array([v_fn(k // 2 * dt + k % 2 * (dt / 2))
+                                for k in range(2 * n_steps + 1)],
+                               "v at the half-step times k dt / 2", float)
 
     # a diverging state overflows on its way to inf; the finiteness check,
     # not numpy's warning, reports it
@@ -561,10 +546,12 @@ def iss_envelope_check(traj: Trajectory, bundle: CertificateBundle,
         V(t) <= exp(-2 kappa0 (t - D - t0)) V(D + t0)
                 + C6 / (2 kappa0) * d_sup^2
 
-    must hold within 5 percent slack.  Returns (ok, worst ratio).
+    must hold within 5 percent slack; d_sup must be finite and
+    nonnegative.  Returns (ok, worst ratio).
     """
     if not traj.has_certificate:
         raise InvalidParameterError("trajectory carries no recorded V")
+    d_sup = _finite_float(d_sup, "d_sup", 0.0)
     t_on = traj.delay + traj.t0
     mask = traj.t >= t_on - 1e-12
     if int(mask.sum()) < 2:

@@ -9,6 +9,8 @@ eigenfunctions are the orthonormal sine basis, so both frame bounds are 1.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,10 +32,47 @@ __all__ = [
 BasisFn = Callable[[int, np.ndarray], np.ndarray]
 
 
-def _frozen_array(a, dtype=complex) -> np.ndarray:
-    out = np.array(a, dtype=dtype)
+def _frozen_array(value, what: str, dtype=complex) -> np.ndarray:
+    """A read-only copy of the argument `what`, every entry finite."""
+    try:
+        out = np.array(value, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"{what} must be numeric: {exc}") from None
+    finite = np.isfinite(out)
+    if np.count_nonzero(finite) < out.size:
+        at = np.unravel_index(np.argmin(finite), out.shape)
+        raise InvalidParameterError(f"{what} must be finite, got {out[at]} "
+                                    f"at index {[int(i) for i in at]}")
     out.setflags(write=False)
     return out
+
+
+def _finite_float(value, what: str, low: float = -math.inf,
+                  strict: bool = False) -> float:
+    """The argument `what` as a float that is finite and at least low, or,
+    when strict, above low = 0 (positive)."""
+    try:
+        x = float(value)
+        if math.isfinite(x) and (x > low if strict else x >= low):
+            return x
+    except (TypeError, ValueError):
+        pass
+    bound = ("" if low == -math.inf else "positive and " if strict
+             else "nonnegative and " if low == 0 else f"at least {low} and ")
+    raise InvalidParameterError(f"{what} must be {bound}finite, got {value}")
+
+
+def _count(value, what: str, low: int, high: float = math.inf) -> int:
+    """The argument `what` as an int in [low, high]: numpy integers pass,
+    2.0 does not."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = low - 1
+    if low <= n <= high:
+        return n
+    raise InvalidParameterError(
+        f"{what} must be an integer in [{low}, {high}], got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,42 +108,37 @@ class SpectralSystem:
     basis: BasisFn | None = None
 
     def __post_init__(self):
-        eig = _frozen_array(np.atleast_1d(self.eigenvalues))
+        names = ("eigenvalues", "input_coeffs", "lifting_coeffs",
+                 "lifting_norm_B", "lifting_norm_AB", "lifting_gram")
+        # the modal data is complex, the lifting norms and Gram matrix real
+        eig, b, lift, nb, nab, gram = (
+            _frozen_array(getattr(self, name), name, complex if i < 3 else float)
+            for i, name in enumerate(names))
+        eig, b, lift = np.atleast_1d(eig), np.atleast_2d(b), np.atleast_2d(lift)
         if eig.ndim != 1 or eig.size == 0:
             raise InvalidParameterError("eigenvalues must be a nonempty vector")
         if np.any(np.diff(eig.real) > 1e-12 * np.maximum(1.0, np.abs(eig.real[:-1]))):
             raise InvalidParameterError(
                 "eigenvalues must be sorted by nonincreasing real part")
-        b = _frozen_array(np.atleast_2d(self.input_coeffs))
-        lift = _frozen_array(np.atleast_2d(self.lifting_coeffs))
         if b.shape[0] != eig.size or lift.shape != b.shape:
             raise InvalidParameterError(
                 "input/lifting coefficient rows must match the eigenvalue count")
-        if not (0.0 < self.riesz_lower <= self.riesz_upper):
-            raise InvalidParameterError(
-                "frame bounds must satisfy 0 < riesz_lower <= riesz_upper")
-        if self.domain_length <= 0:
-            raise InvalidParameterError("domain_length must be positive")
+        lower = _finite_float(self.riesz_lower, "riesz_lower", 0.0, strict=True)
+        _finite_float(self.riesz_upper, "riesz_upper", lower)
+        _finite_float(self.domain_length, "domain_length", 0.0, strict=True)
         m = b.shape[1]
-        nb = _frozen_array(self.lifting_norm_B, dtype=float)
-        nab = _frozen_array(self.lifting_norm_AB, dtype=float)
-        gram = _frozen_array(self.lifting_gram, dtype=float)
         if nb.shape != (m,) or nab.shape != (m,) or gram.shape != (m, m):
             raise InvalidParameterError("lifting norm/Gram shapes must match input_dim")
-        object.__setattr__(self, "eigenvalues", eig)
-        object.__setattr__(self, "input_coeffs", b)
-        object.__setattr__(self, "lifting_coeffs", lift)
-        object.__setattr__(self, "lifting_norm_B", nb)
-        object.__setattr__(self, "lifting_norm_AB", nab)
-        object.__setattr__(self, "lifting_gram", gram)
+        for name, value in zip(names, (eig, b, lift, nb, nab, gram)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_max(self) -> int:
-        return int(self.eigenvalues.size)
+        return self.eigenvalues.size
 
     @property
     def input_dim(self) -> int:
-        return int(self.input_coeffs.shape[1])
+        return self.input_coeffs.shape[1]
 
 
 @dataclass(frozen=True)
@@ -119,10 +153,8 @@ class TruncationSpec:
     alpha: float
 
     def __post_init__(self):
-        if self.n0 < 0:
-            raise InvalidParameterError("n0 must be nonnegative")
-        if self.alpha <= 0:
-            raise InvalidParameterError("alpha must be positive")
+        _count(self.n0, "n0", 0)
+        _finite_float(self.alpha, "alpha", 0.0, strict=True)
 
 
 def build_heat_system(a: float, c: float, L: float,
@@ -146,18 +178,10 @@ def build_heat_system(a: float, c: float, L: float,
         SpectralSystem with frame bounds 1 (orthonormal basis) and the
         sine-basis evaluator attached.
     """
-    # written so that NaN fails as well
-    if not 0 < a < np.inf:
-        raise InvalidParameterError(
-            f"diffusivity a must be positive and finite, got {a}")
-    if not np.isfinite(c):
-        raise InvalidParameterError(
-            f"reaction coefficient c must be finite, got {c}")
-    if not 0 < L < np.inf:
-        raise InvalidParameterError(
-            f"domain length L must be positive and finite, got {L}")
-    if n_max < 1:
-        raise InvalidParameterError(f"n_max must be at least 1, got {n_max}")
+    a = _finite_float(a, "diffusivity a", 0.0, strict=True)
+    c = _finite_float(c, "reaction coefficient c")
+    L = _finite_float(L, "domain length L", 0.0, strict=True)
+    n_max = _count(n_max, "n_max", 1)
 
     n = np.arange(1, n_max + 1)
     lam = c - a * n ** 2 * np.pi ** 2 / L ** 2
@@ -204,11 +228,8 @@ def check_truncation(sys: SpectralSystem, n0: int) -> TruncationSpec:
     Raises:
         AssumptionViolatedError: a discarded mode has Re lam_n >= 0.
     """
-    if not 0 <= n0 < sys.n_max:
-        raise InvalidParameterError(
-            f"n0 must satisfy 0 <= n0 < n_max = {sys.n_max}, got {n0}")
-    tail_real = sys.eigenvalues.real[n0:]
-    worst = float(tail_real.max())
+    n0 = _count(n0, "n0", 0, sys.n_max - 1)
+    worst = float(sys.eigenvalues.real[n0:].max())
     if worst >= 0.0:
         raise AssumptionViolatedError(
             f"discarded mode with Re lam = {worst:.6g} >= 0; increase n0")
@@ -236,8 +257,8 @@ def pbh_controllable(eigenvalues: np.ndarray, b: np.ndarray) -> bool:
     corresponding rows of b must have full row rank; rank is decided by
     singular values above 1e-9 times the largest singular value of b.
     """
-    eig = np.atleast_1d(np.asarray(eigenvalues, dtype=complex))
-    bmat = np.atleast_2d(np.asarray(b, dtype=complex))
+    eig = np.atleast_1d(_frozen_array(eigenvalues, "eigenvalues"))
+    bmat = np.atleast_2d(_frozen_array(b, "b"))
     if bmat.shape[0] != eig.size:
         raise InvalidParameterError("b must have one row per eigenvalue")
     sigma_max = float(np.linalg.svd(bmat, compute_uv=False)[0]) if bmat.size else 0.0
@@ -259,9 +280,7 @@ def check_kalman(sys: SpectralSystem, n0: int) -> bool:
     of full rank; for a single input this reduces to pairwise distinct
     eigenvalues and nonzero input gains.
     """
-    if not 1 <= n0 <= sys.n_max:
-        raise InvalidParameterError(
-            f"n0 must satisfy 1 <= n0 <= n_max = {sys.n_max}, got {n0}")
+    n0 = _count(n0, "n0", 1, sys.n_max)
     return pbh_controllable(sys.eigenvalues[:n0], sys.input_coeffs[:n0])
 
 
@@ -293,9 +312,8 @@ def project_profile(sys: SpectralSystem, profile: Callable[[np.ndarray], np.ndar
     """
     if sys.basis is None:
         raise InvalidParameterError("system has no basis evaluator attached")
-    if not 1 <= n_modes <= sys.n_max:
-        raise InvalidParameterError(f"n_modes must be in [1, {sys.n_max}]")
+    n_modes = _count(n_modes, "n_modes", 1, sys.n_max)
     xi, w = _simpson_grid(sys.domain_length)
-    pvals = np.asarray(profile(xi), dtype=complex)
+    pvals = _frozen_array(profile(xi), "profile values")
     rows = np.stack([np.conj(sys.basis(k, xi)) for k in range(1, n_modes + 1)])
     return (rows * pvals[None, :]) @ w

@@ -10,7 +10,7 @@ import pytest
 import sdcontrol as sd
 from sdcontrol.errors import (InsufficientDataError, InvalidParameterError,
                               SimulationDivergedError)
-from sdcontrol.predictor import _RowSolver
+from sdcontrol.predictor import _RowSolver, _split_steps
 from sdcontrol.simulate import _assert_real, _coupling_terms, _RK4Step
 
 from conftest import (COUPLINGS, closed_loop_ode, synthetic_system,
@@ -286,52 +286,83 @@ class TestStep:
 
 def one_step_map(sys_, design, n, dt):
     """The plant-only step after the ramp as a matrix on X = (s, the last
-    pad rows of u), built column by column from unit vectors with the run's
-    stepper and row solver at row r = 3 pad.  The u rows older than X are
-    NaN, so a read outside X makes M non-finite."""
+    nu rows of u), built column by column from unit vectors with the run's
+    stepper and row solver at row r = 3 pad.  nu is the number of rows one
+    delay spans, D / dt + 1 when that is whole and pad + 1 otherwise, since
+    a partial step's 2-point interpolation reaches one row further back.
+    The u rows older than X are NaN, so a read outside X makes M
+    non-finite."""
     rk4, solve = _RK4Step(sys_, design, None, n, dt), _RowSolver(design, dt)
     pad, m, dim = rk4.pad, sys_.input_dim, n + 1
+    nu = pad + (_split_steps(design.delay / dt)[1] > 0)
     r = 3 * pad
     cols = []
-    for e in np.eye(dim + pad * m, dtype=complex):
+    for e in np.eye(dim + nu * m, dtype=complex):
         u = np.full((pad + r + 2, m), np.nan, dtype=complex)
-        u[r + 1:pad + r + 1] = e[dim:].reshape(pad, m)
+        u[pad + r + 1 - nu:pad + r + 1] = e[dim:].reshape(nu, m)
         s = np.array([e[:dim], np.zeros(dim)])
         rk4.advance(u, r, None, s)
         u[pad + r + 1] = solve(u, r, s[1:, 1:design.n0 + 1], np.ones(1))[1][0]
-        cols.append(np.concatenate([s[1], u[r + 2:].ravel()]))
+        cols.append(np.concatenate([s[1], u[pad + r + 2 - nu:].ravel()]))
     mat = np.array(cols).T
     assert np.isfinite(mat).all()
     return mat
 
 
+def placed_rates(sys_, design, n, dt, poles):
+    """The continuous rates log(mu) / dt of the one-step map's roots nearest
+    exp(p dt) for the placed poles p, after checking the rest of its
+    spectrum: x's root 1, each tail mode at its RK4 amplification (to 1e-13
+    relative), and every other root (the input history's) strictly inside
+    the slowest placed or tail rate, so that the discretized predictor
+    integral adds no unstable root."""
+    lam = sys_.eigenvalues[:n]
+    mu = list(np.linalg.eigvals(one_step_map(sys_, design, n, dt)))
+
+    def take(target):
+        return mu.pop(int(np.argmin(np.abs(np.array(mu) - target))))
+
+    assert abs(take(1.0) - 1.0) <= 1e-13
+    for z in dt * lam[design.n0:]:
+        amp = 1 + z * (1 + z / 2 * (1 + z / 3 * (1 + z / 4)))
+        assert abs(take(amp) - amp) <= 1e-13 * abs(amp)
+    rates = np.log([take(cmath.exp(p * dt)) for p in poles]) / dt
+    slowest = max(max(p.real for p in poles), lam[design.n0].real)
+    assert np.abs(mu).max() < math.exp(dt * slowest)
+    return rates
+
+
 class TestDiscreteSpectrum:
     def test_one_step_map_spectrum(self, heat_sys, design):
-        # the discrete loop's eigenvalues: x's 1, each tail mode at its RK4
-        # amplification, the placed double pole -3 to second order in dt,
-        # and every other root (the input history's) strictly inside the
-        # slowest of those rates, so the discretized predictor integral adds
-        # no unstable root
-        lam = heat_sys.eigenvalues[:10]
+        # the case study's double pole -3 to second order in dt: its mean
+        # rate falls 4x per halving, and it splits by O(dt)
         errors = []
         for dt in (2e-3, 1e-3):
-            mu = list(np.linalg.eigvals(one_step_map(heat_sys, design, 10,
-                                                     dt)))
-
-            def take(target):
-                return mu.pop(int(np.argmin(np.abs(np.array(mu) - target))))
-
-            assert abs(take(1.0) - 1.0) <= 1e-13
-            for z in dt * lam[2:]:
-                amp = 1 + z * (1 + z / 2 * (1 + z / 3 * (1 + z / 4)))
-                assert abs(take(amp) - amp) <= 1e-13 * abs(amp)
-            rates = np.log([take(math.exp(-3 * dt)) for _ in range(2)]) / dt
+            rates = placed_rates(heat_sys, design, 10, dt, [-3.0, -3.0])
             errors.append(abs(rates.mean() + 3.0))
             assert errors[-1] <= 1e-5, rates
             assert abs(rates[0] - rates[1]) <= 2 * dt, rates
-            radius = math.exp(dt * max(-3.0, lam[2].real))
-            assert np.abs(mu).max() < radius
         assert 3.5 <= errors[0] / errors[1] <= 4.5, errors
+
+    @pytest.mark.parametrize("delay", [0.1, 0.1237])
+    def test_complex_pair_spectrum(self, heat_sys, delay):
+        # poles -3 +- 1j.  At D = 0.1 the errors (3.61e-6, 9.02e-7) fall 4x
+        # per halving of dt; at D = 0.1237 they are 1.16 dt^2 and 0.82 dt^2,
+        # with no clean ratio, since the fractional part of D / dt, and so
+        # the partial panel and the 2-point taps, moves from 0.85 to 0.70.
+        # Both input columns of B enter: swapping them in the row solver's
+        # history table fails this test
+        poles = [-3.0 + 1.0j, -3.0 - 1.0j]
+        des = sd.design_predictor(heat_sys, 2, delay, poles, 0.2)
+        errors = []
+        for dt in (2e-3, 1e-3):
+            rates = placed_rates(heat_sys, des, 10, dt, poles)
+            errors.append(float(np.abs(rates - poles).max()))
+            if delay == 0.1237:
+                assert errors[-1] <= 1.5 * dt ** 2, errors
+        if delay == 0.1:
+            assert max(errors) <= 1e-5, errors
+            assert 3.5 <= errors[0] / errors[1] <= 4.5, errors
 
 
 class TestSimulate:
