@@ -223,11 +223,17 @@ class PredictorDesign:
     transition: TransitionSignal
     a_cl: np.ndarray = field(init=False)
     lyap: np.ndarray | None = field(init=False)
+    # the row solver of the last step used (`_row_solver`), built on first use
+    _solver: _RowSolver | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         lam, b = (_frozen_array(self.eigenvalues, "eigenvalues"),
                   _frozen_array(self.b_n0, "b_n0"))
-        gain = np.array(self.gain, dtype=complex)  # checked through A_cl
+        try:  # finiteness is checked through A_cl, whose error names D
+            gain = np.array(self.gain, dtype=complex)
+        except (TypeError, ValueError) as exc:
+            raise InvalidParameterError(
+                f"gain must be numeric: {exc}") from None
         n0, m = lam.size, (gain.shape[0] if gain.ndim else -1)
         if [lam.shape, b.shape, gain.shape] != [(n0,), (n0, m), (m, n0)]:
             raise InvalidParameterError(
@@ -387,16 +393,22 @@ class _RowSolver:
     where L holds diag(w[j]) B K at distance j below the diagonal,
     Phi = diag(phi) scales its block columns (the ramp), and older is the
     window sum over the rows before the call.  Built once per (design, dt)
-    for _SOLVE_ROWS rows: one block-Toeplitz table of the weights times B
-    from the u rows the windows reach to the rows' Z, which gives older and
-    L, and the inverse of I - L; since the system is lower triangular, the
-    leading principal sub-blocks serve fewer rows.  A call with phi = 1
-    throughout is then two matrix-vector products and u = Z K^T; any other
-    call solves its I - L Phi once.
+    for _SOLVE_ROWS rows (`_row_solver` keeps it on the design, so that
+    `simulate` and `invert_artstein` share it): one block-Toeplitz table of
+    the weights times B from the u rows the windows reach to the rows' Z,
+    which gives older and L, and the inverse of I - L; since the system is
+    lower triangular, the leading principal sub-blocks serve fewer rows.
+    A call with phi = 1 throughout is then two matrix-vector products and
+    u = Z K^T phi.  A block whose phi is the design's own ramp inverts its
+    _SOLVE_ROWS-row I - L Phi on first use and keeps the inverse, keyed by
+    a: at most one per ramp row, ceil(t0 / dt) in all.  Any other phi
+    solves its I - L Phi directly and keeps nothing.  The solver holds no
+    reference to the design, so the design's slot makes no cycle.
     """
 
     def __init__(self, design: PredictorDesign, dt: float):
-        self.design = design
+        self.dt, self.n0, self.gain = dt, design.n0, design.gain
+        self.transition = design.transition
         self.pad = _history_pad(design.delay, dt)
         n0, m, lam = design.n0, design.input_dim, design.eigenvalues
         rows, b_n0 = _SOLVE_ROWS, design.b_n0
@@ -421,23 +433,56 @@ class _RowSolver:
         self.lower = (wb @ design.gain).transpose(1, 0, 2)[
             entry, lag[..., n_past:]].reshape(rows * n0, -1)
         self.inv = np.linalg.inv(np.eye(rows * n0) - self.lower)
+        # a -> (the design's ramp at rows a + 1 .. a + _SOLVE_ROWS, the
+        # inverse of I - L Phi under it)
+        self.ramp = {}
+
+    def _ramp_inverse(self, a: int, phi: np.ndarray) -> np.ndarray | None:
+        """The kept inverse of I - L Phi for the block after row a when phi
+        is the design's own ramp there, else None."""
+        entry = self.ramp.get(a)
+        if entry is None:
+            own = self.transition.phi(
+                (a + 1 + np.arange(_SOLVE_ROWS)) * self.dt)
+            if not np.array_equal(own[:len(phi)], phi):
+                return None
+            entry = self.ramp[a] = own, np.linalg.inv(
+                np.eye(len(self.lower))
+                - self.lower * np.repeat(own, self.n0))
+        own, inv = entry
+        return inv if np.array_equal(own[:len(phi)], phi) else None
 
     def __call__(self, hist: np.ndarray, a: int, y: np.ndarray,
                  phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(Z, u) of the rows a + 1 .. a + len(y) from the padded history."""
-        n0 = self.design.n0
-        b, k, c = len(y), len(y) * n0, self.pad + a + 1
-        rhs = y + (self.older[:k] @ hist[c - self.n_past:c].ravel()
-                   ).reshape(b, n0)
-        cut = self.cut[a + 1:a + 1 + b]
-        rhs[:len(cut)] += cut @ hist[self.pad]
-        if (phi == 1.0).all():
-            z = self.inv[:k, :k] @ rhs.ravel()
-        else:
+        b, c = len(y), self.pad + a + 1
+        k = b * self.n0
+        rhs = (self.older[:k] @ hist[c - self.n_past:c].ravel()).reshape(
+            b, self.n0)
+        rhs += y
+        if a + 1 < self.n_past:
+            cut = self.cut[a + 1:a + 1 + b]
+            rhs[:len(cut)] += cut @ hist[self.pad]
+        inv = self.inv if (phi == 1.0).all() else self._ramp_inverse(a, phi)
+        if inv is None:
             z = np.linalg.solve(np.eye(k) - self.lower[:k, :k]
-                                * np.repeat(phi, n0), rhs.ravel())
-        z = z.reshape(b, n0)
-        return z, z @ self.design.gain.T * phi[:, None]
+                                * np.repeat(phi, self.n0), rhs.ravel())
+        else:
+            z = inv[:k, :k] @ rhs.ravel()
+        z = z.reshape(b, self.n0)
+        u = z @ self.gain.T
+        u *= phi[:, None]
+        return z, u
+
+
+def _row_solver(design: PredictorDesign, dt: float) -> _RowSolver:
+    """The design's row solver for the step dt, built on first use.  The
+    design keeps one, so a call with another dt replaces it."""
+    solve = design._solver
+    if solve is None or solve.dt != dt:
+        solve = _RowSolver(design, dt)
+        object.__setattr__(design, "_solver", solve)
+    return solve
 
 
 def invert_artstein(design: PredictorDesign, times: np.ndarray, y_path,
@@ -447,8 +492,9 @@ def invert_artstein(design: PredictorDesign, times: np.ndarray, y_path,
     Solves v(t) = phi(t) K [Y(t) + int exp((t-s-D)A) B v(s) ds] on the
     sample grid.  With the window's fixed trapezoid weights the discrete
     Volterra system is lower triangular, so one forward-substitution pass
-    solves it, in blocks of rows, with the row solver the simulator uses.
-    A window that starts before t = 0 is integrated from 0.
+    solves it, in blocks of rows, with the design's row solver, which a
+    `simulate` at the same step shares.  A window that starts before t = 0
+    is integrated from 0.
 
     Args:
         design: the predictor design (supplies A, B, K, D).
@@ -482,7 +528,7 @@ def invert_artstein(design: PredictorDesign, times: np.ndarray, y_path,
             f"got shape {phi_vals.shape}")
     phi_vals = np.broadcast_to(phi_vals, times.shape)
 
-    solve = _RowSolver(design, dt)
+    solve = _row_solver(design, dt)
     hist = np.zeros((solve.pad + times.size, design.input_dim), dtype=complex)
     v = hist[solve.pad:]
     # row 0's window is empty, so Z_0 = Y_0

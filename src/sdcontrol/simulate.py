@@ -31,9 +31,12 @@ while a plant-only block, whose step is diagonal, is one linear recurrence
 per state entry, summed by a doubling scan; either way the block's states
 go straight into the state history.  After each block the loop checks its
 states for finiteness once and solves all of its predictor rows as one
-block lower-triangular system (`_RowSolver`): the ramp scales the system's
-columns and a window cut at t = 0 only corrects the weight on row 0.  The
-recorded rows are indexed out of the histories after the loop, and their
+block lower-triangular system (`predictor._RowSolver`): the ramp scales the
+system's columns and a window cut at t = 0 only corrects the weight on row
+0.  The solver is the design's own, built on the first run at a step and
+shared with `invert_artstein`; it keeps the inverse of each ramp block's
+system, so a later run at the same step inverts nothing.  The recorded
+rows are indexed out of the histories after the loop, and their
 norms and V are computed vectorized over blocks of them.
 """
 
@@ -52,7 +55,7 @@ from .errors import (
     InvalidParameterError,
     SimulationDivergedError,
 )
-from .predictor import (PredictorDesign, _history_pad, _lagged, _RowSolver,
+from .predictor import (PredictorDesign, _history_pad, _lagged, _row_solver,
                         _SOLVE_ROWS, _taps)
 from .spectral import (SpectralSystem, _count, _finite_float, _frozen_array,
                        project_profile)
@@ -404,8 +407,10 @@ def simulate(config: SimConfig, sys: SpectralSystem, design: PredictorDesign,
     states into the state history.  After a block its states are checked
     for finiteness and its predictor rows are solved together as one
     block lower-triangular system, ramp rows and rows whose window reaches
-    past t = 0 included.  The recorded rows are read out of the histories
-    at the end.  v is evaluated once per grid time and once per half step.
+    past t = 0 included, by the row solver the design keeps for dt (built
+    on the first run, shared with `invert_artstein`).  The recorded rows
+    are read out of the histories at the end.  v is evaluated once per
+    grid time and once per half step.
 
     Args:
         fields: interconnection, or None for a plant-only run.
@@ -456,7 +461,7 @@ def simulate(config: SimConfig, sys: SpectralSystem, design: PredictorDesign,
     # solved together after it
     pad = _history_pad(delay, dt)
     rk4 = _RK4Step(sys, design, fields, n, dt)
-    solve = _RowSolver(design, dt)
+    solve = _row_solver(design, dt)
     u_hist = np.zeros((pad + n_steps + 1, sys.input_dim), dtype=complex)
     z_hist = np.zeros((pad + n_steps + 1, n0), dtype=complex)
     s_hist = np.zeros((pad + n_steps + 1, n + 1), dtype=complex)
@@ -526,8 +531,9 @@ def decay_fit(traj: Trajectory, t_start: float) -> tuple[float, float]:
     """Least-squares exponential fit norm_x ~ amplitude * exp(-rate * t).
 
     Only samples with t >= t_start and norm_x > 0 enter the fit; at least
-    10 are required.
+    10 are required.  t_start must be finite.
     """
+    t_start = _finite_float(t_start, "t_start")
     mask = (traj.t >= t_start - 1e-12) & (traj.norm_x > 0.0)
     if int(mask.sum()) < 10:
         raise InsufficientDataError(

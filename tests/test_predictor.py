@@ -1,6 +1,11 @@
 """Gain synthesis, transition ramp, Artstein transform and its inversion."""
 
+import gc
+import math
+import sys
+import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -183,6 +188,10 @@ class TestDesign:
                     {"delay": -0.1}, {"delay": np.nan}, {"delay": np.inf}):
             with pytest.raises(InvalidParameterError):
                 sd.PredictorDesign(**{**good, **bad})
+        # a gain numpy cannot convert is named, not numpy's ValueError
+        for gain in ("x", [[object(), 1.0]]):
+            with pytest.raises(InvalidParameterError, match="gain"):
+                sd.PredictorDesign(**{**good, "gain": gain})
         # the closed loop and P are derived, never passed in
         for name in ("a_cl", "lyap"):
             with pytest.raises(TypeError):
@@ -663,3 +672,149 @@ class TestPredictorDecoupling:
             zdot = (traj.z[i + 1] - traj.z[i - 1]) / (2 * traj.dt)
             resid = zdot - design.a_cl @ traj.z[i]
             assert np.abs(resid).max() < 5e-3 * max(scale, 1e-12)
+
+
+def shared_design(heat_sys, t0=0.2):
+    """A design of its own, so that its solver slot starts empty."""
+    return sd.design_predictor(heat_sys, 2, 0.1, [-3.0, -3.0], t0)
+
+
+def plant_run(heat_sys, design, dt=1e-3):
+    cfg = sd.SimConfig(dt=dt, t_end=0.5, n_modes=4, disturbance="none")
+    return sd.simulate(cfg, heat_sys, design, None, 0.0,
+                       [1.0, -0.5, 0.25, 0.125])
+
+
+class TestSharedSolver:
+    """The row solver a design keeps, and the ramp inverses it keeps."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The dt of every _RowSolver built while the test runs."""
+        dts, init = [], _RowSolver.__init__
+
+        def counted(self, design, dt):
+            dts.append(dt)
+            init(self, design, dt)
+
+        monkeypatch.setattr(_RowSolver, "__init__", counted)
+        return dts
+
+    def test_simulate_and_inversion_share_one_build(self, heat_sys, builds):
+        des = shared_design(heat_sys)
+        cold = plant_run(heat_sys, des)
+        sd.invert_artstein(des, cold.t, cold.coeffs[:, :2])
+        warm = plant_run(heat_sys, des)
+        assert builds == [1e-3]
+        for name in ("coeffs", "z", "u"):
+            np.testing.assert_array_equal(getattr(warm, name),
+                                          getattr(cold, name))
+
+    def test_design_holds_one_solver(self, heat_sys, builds):
+        des = shared_design(heat_sys)
+        refs = []
+        for dt in (1e-3, 2e-3, 2.5e-3):
+            plant_run(heat_sys, des, dt)
+            refs.append(weakref.ref(des._solver))
+        assert builds == [1e-3, 2e-3, 2.5e-3]
+        assert des._solver.dt == 2.5e-3
+        # each replaced solver is freed at once, and the last dies with the
+        # design: the solver holds no reference back to it
+        gc.disable()
+        try:
+            assert [ref() is None for ref in refs] == [True, True, False]
+            del des
+            assert refs[-1]() is None
+        finally:
+            gc.enable()
+
+    def test_ramp_cache_bound(self, heat_sys):
+        des = shared_design(heat_sys)
+        traj = plant_run(heat_sys, des)
+        kept = dict(des._solver.ramp)
+        # the ramp rows 1 .. 199 lie in the blocks after rows 0, 32 .. 192
+        assert sorted(kept) == list(range(0, 200, 32))
+        assert len(kept) <= math.ceil(des.transition.t0 / traj.dt)
+        # an override ramp never fills the cache
+        sd.invert_artstein(des, traj.t, traj.coeffs[:, :2],
+                           phi=lambda t: 0.5 * des.transition.phi(t))
+        assert des._solver.ramp.keys() == kept.keys()
+        assert all(des._solver.ramp[a] is kept[a] for a in kept)
+
+    @pytest.mark.parametrize("a, rows", [(0, 32), (96, 32), (192, 8)])
+    def test_ramp_inverse_matches_solve(self, heat_sys, a, rows):
+        des = shared_design(heat_sys)
+        solve = _RowSolver(des, 1e-3)
+        phi = des.transition.phi((a + 1 + np.arange(rows)) * 1e-3)
+        y = np.random.default_rng(a).normal(size=(rows, 2)).astype(complex)
+        # a zero history leaves the right-hand side equal to Y
+        hist = np.zeros((solve.pad + a + 1, des.input_dim), dtype=complex)
+        k = rows * des.n0
+        ref = np.linalg.solve(np.eye(k) - solve.lower[:k, :k]
+                              * np.repeat(phi, des.n0), y.ravel())
+        # the first call fills the cache and the second reads it
+        for _ in range(2):
+            z, _ = solve(hist, a, y, phi)
+            assert_rel_close(z.ravel(), ref)
+        assert list(solve.ramp) == [a]
+
+    @pytest.mark.parametrize("phi", [
+        lambda t: np.where(t < 0.05, 1.0, 0.5),
+        lambda t: np.full(t.shape, 0.5),
+        lambda t: np.zeros(t.shape)], ids=["step-at-0.05", "half", "zero"])
+    def test_override_ignores_kept_inverses(self, heat_sys, phi):
+        # the step override is 1 at the first row of the block after row
+        # 32 and 0.5 after it, so the block's first phi alone cannot tell
+        # it from phi = 1
+        des = shared_design(heat_sys)
+        traj = plant_run(heat_sys, des)
+        y = traj.coeffs[:, :2]
+        warm = sd.invert_artstein(des, traj.t, y, phi=phi)
+        fresh = sd.invert_artstein(shared_design(heat_sys), traj.t, y, phi=phi)
+        np.testing.assert_array_equal(warm, fresh)
+        _, ref = per_row_inputs(des, traj.dt, y, phi(traj.t))
+        assert_rel_close(warm, ref)
+
+    def test_ramps_not_shared_across_t0(self, heat_sys):
+        slow, fast = shared_design(heat_sys, 0.2), shared_design(heat_sys, 0.1)
+        traj = plant_run(heat_sys, slow)
+        y = traj.coeffs[:, :2]
+        sd.invert_artstein(slow, traj.t, y)
+        got = sd.invert_artstein(fast, traj.t, y)
+        assert sorted(fast._solver.ramp) == [0, 32, 64, 96]
+        assert not np.array_equal(fast._solver.ramp[0][1],
+                                  slow._solver.ramp[0][1])
+        ref = sd.invert_artstein(shared_design(heat_sys, 0.1), traj.t, y)
+        np.testing.assert_array_equal(got, ref)
+
+    def test_threads_sharing_a_design(self, heat_sys):
+        # four threads invert on one design at two alternating steps, so
+        # they replace its solver and fill its ramp cache concurrently;
+        # every result must equal its single-threaded reference
+        des = shared_design(heat_sys)
+        y = np.random.default_rng(7).normal(size=(301, 2))
+        grids = {dt: np.arange(301) * dt for dt in (1e-3, 2e-3)}
+        refs = {dt: sd.invert_artstein(shared_design(heat_sys), tt, y)
+                for dt, tt in grids.items()}
+        bad = []
+
+        def work(first):
+            for i in range(6):
+                dt = (1e-3, 2e-3)[(first + i) % 2]
+                if not np.array_equal(
+                        sd.invert_artstein(des, grids[dt], y), refs[dt]):
+                    bad.append(dt)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        assert bad == []

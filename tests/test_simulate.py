@@ -746,6 +746,13 @@ class TestDecayFit:
         with pytest.raises(InsufficientDataError, match="10"):
             sd.decay_fit(traj, t_start=0.9)
 
+    @pytest.mark.parametrize("t_start", [math.nan, math.inf, "soon"])
+    def test_start_must_be_finite(self, t_start):
+        # an input error (exit 1), not too few samples
+        traj = make_traj(np.linspace(0.0, 1.0, 50), np.ones(50))
+        with pytest.raises(InvalidParameterError, match="t_start"):
+            sd.decay_fit(traj, t_start=t_start)
+
     def test_zero_samples_excluded(self):
         t = np.linspace(0.0, 1.0, 50)
         y = np.exp(-t)
