@@ -33,7 +33,8 @@ from .errors import (
 )
 from .predictor import (PredictorDesign, _history_pad, _lagged,
                         _window_weights)
-from .spectral import SpectralSystem, _finite_float, check_truncation
+from .spectral import (SpectralSystem, _finite_float, _run_dtype,
+                       check_truncation)
 
 __all__ = [
     "CertificateBundle",
@@ -211,6 +212,7 @@ def _lyapunov_rows(sys: SpectralSystem, design: PredictorDesign,
     u_delay hold each row's modal state and delayed input.  The integral
     terms of all rows are one convolution of phi Z* P Z with the constant
     trapezoid weights.  Only the history rows the windows reach are read.
+    The quadratic forms are real arithmetic when P and Z are real.
     """
     p = design.lyap
     delay = design.delay
@@ -219,6 +221,8 @@ def _lyapunov_rows(sys: SpectralSystem, design: PredictorDesign,
     w = _window_weights(0.0, delay, dt)[:, 0]
     lo = int(rows[0]) - (len(w) - 1)
     z = z_history[pad + lo:pad + int(rows[-1]) + 1]
+    if _run_dtype(p, z) is float:
+        p = p.real
     local = rows - lo
     quad = np.einsum("ij,jk,ik->i", z.conj(), p, z).real
     s = phi(np.arange(lo, lo + len(z)) * dt) * quad

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, SynthesisFailureError
 from .spectral import (SpectralSystem, _count, _finite_float, _frozen_array,
-                       _group_close, pbh_controllable)
+                       _group_close, _run_dtype, pbh_controllable)
 
 __all__ = [
     "TransitionSignal",
@@ -381,7 +381,8 @@ class _RowSolver:
     design's B and K.  A window cut at t = 0, that of a row i < len(w) - 1,
     differs from that table only in its weight on row 0: dt/2
     exp((i dt - D) lam) in place of w[i], and 0 for row 0 itself, so
-    Z_0 = Y_0.  `cut` holds that difference, times B, for each such row.
+    Z_0 = Y_0, which the callers set.  `cut` holds that difference, times
+    B, for each such row from row 1 on.
 
     A call solves the rows a + 1 .. a + b (a >= 0, b <= _SOLVE_ROWS) from
     their Y and phi and the input history rows up to a, in the padded
@@ -402,22 +403,26 @@ class _RowSolver:
     u = Z K^T phi.  A block whose phi is the design's own ramp inverts its
     _SOLVE_ROWS-row I - L Phi on first use and keeps the inverse, keyed by
     a: at most one per ramp row, ceil(t0 / dt) in all.  Any other phi
-    solves its I - L Phi directly and keeps nothing.  The solver holds no
+    solves its I - L Phi directly and keeps nothing.  Every table, the
+    gain included, is real when the design's eigenvalues, B and K are
+    (`spectral._run_dtype`), and complex otherwise.  The solver holds no
     reference to the design, so the design's slot makes no cycle.
     """
 
     def __init__(self, design: PredictorDesign, dt: float):
-        self.dt, self.n0, self.gain = dt, design.n0, design.gain
+        lam, b_n0, gain = design.eigenvalues, design.b_n0, design.gain
+        if _run_dtype(lam, b_n0, gain) is float:
+            lam, b_n0, gain = lam.real, b_n0.real, gain.real
+        self.dt, self.n0, self.gain = dt, design.n0, gain
         self.transition = design.transition
         self.pad = _history_pad(design.delay, dt)
-        n0, m, lam = design.n0, design.input_dim, design.eigenvalues
-        rows, b_n0 = _SOLVE_ROWS, design.b_n0
+        n0, m, rows = design.n0, design.input_dim, _SOLVE_ROWS
         w = _window_weights(lam, design.delay, dt)
         self.n_past = n_past = len(w) - 1
-        cut = dt / 2.0 * np.exp(np.outer(np.arange(n_past) * dt
+        # rows 1 .. n_past - 1; row 0 is Z_0 = Y_0, which the callers set
+        cut = dt / 2.0 * np.exp(np.outer(np.arange(1, n_past) * dt
                                          - design.delay, lam))
-        cut[:1] = 0.0
-        self.cut = (cut - w[:n_past])[:, :, None] * b_n0
+        self.cut = (cut - w[1:n_past])[:, :, None] * b_n0
         # the window table from the u rows c - n_past .. c + rows - 1 to the
         # block's Z, c its first row, gathered as (row, Z entry, column,
         # u entry): row p weights column k by w[n_past + p - k] B, or by the
@@ -430,7 +435,7 @@ class _RowSolver:
         entry = np.arange(n0)[:, None]
         self.older = wb.transpose(1, 0, 2)[entry, lag[..., :n_past]].reshape(
             rows * n0, -1)
-        self.lower = (wb @ design.gain).transpose(1, 0, 2)[
+        self.lower = (wb @ gain).transpose(1, 0, 2)[
             entry, lag[..., n_past:]].reshape(rows * n0, -1)
         self.inv = np.linalg.inv(np.eye(rows * n0) - self.lower)
         # a -> (the design's ramp at rows a + 1 .. a + _SOLVE_ROWS, the
@@ -461,7 +466,7 @@ class _RowSolver:
             b, self.n0)
         rhs += y
         if a + 1 < self.n_past:
-            cut = self.cut[a + 1:a + 1 + b]
+            cut = self.cut[a:a + b]
             rhs[:len(cut)] += cut @ hist[self.pad]
         inv = self.inv if (phi == 1.0).all() else self._ramp_inverse(a, phi)
         if inv is None:
@@ -494,7 +499,8 @@ def invert_artstein(design: PredictorDesign, times: np.ndarray, y_path,
     Volterra system is lower triangular, so one forward-substitution pass
     solves it, in blocks of rows, with the design's row solver, which a
     `simulate` at the same step shares.  A window that starts before t = 0
-    is integrated from 0.
+    is integrated from 0.  The arithmetic is real when the design and
+    y_path are.
 
     Args:
         design: the predictor design (supplies A, B, K, D).
@@ -529,10 +535,13 @@ def invert_artstein(design: PredictorDesign, times: np.ndarray, y_path,
     phi_vals = np.broadcast_to(phi_vals, times.shape)
 
     solve = _row_solver(design, dt)
-    hist = np.zeros((solve.pad + times.size, design.input_dim), dtype=complex)
+    dtype = _run_dtype(solve.gain, y)
+    if dtype is float:
+        y = y.real
+    hist = np.zeros((solve.pad + times.size, design.input_dim), dtype)
     v = hist[solve.pad:]
     # row 0's window is empty, so Z_0 = Y_0
-    v[0] = phi_vals[0] * (design.gain @ y[0])
+    v[0] = phi_vals[0] * (solve.gain @ y[0])
     for a in range(0, times.size - 1, _SOLVE_ROWS):
         block = slice(a + 1, a + 1 + _SOLVE_ROWS)
         v[block] = solve(hist, a, y[block], phi_vals[block])[1]

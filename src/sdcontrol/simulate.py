@@ -38,6 +38,14 @@ shared with `invert_artstein`; it keeps the inverse of each ramp block's
 system, so a later run at the same step inverts nothing.  The recorded
 rows are indexed out of the histories after the loop, and their
 norms and V are computed vectorized over blocks of them.
+
+A run is real arithmetic when its data are real.  Its dtype is chosen once
+(`spectral._run_dtype`): float64 when the simulated eigenvalues and input
+rows, the gain and the initial state all have imaginary parts exactly 0.0,
+as the shipped rod's do, and complex otherwise, with no tolerance and no
+option.  The histories, the stepper's tables and its arctan (math.atan or
+cmath.atan) follow it; the row solver has its design's dtype, and V's
+quadratic forms are real when P and Z are.
 """
 
 from __future__ import annotations
@@ -58,7 +66,7 @@ from .errors import (
 from .predictor import (PredictorDesign, _history_pad, _lagged, _row_solver,
                         _SOLVE_ROWS, _taps)
 from .spectral import (SpectralSystem, _count, _finite_float, _frozen_array,
-                       project_profile)
+                       _run_dtype, project_profile)
 
 __all__ = [
     "SimConfig",
@@ -186,7 +194,7 @@ def _coupling_terms(fields: CouplingFields):
     (b1/L) eta1 and a2 theta1, with e = (0, (d2/L) eta2), t2 = (0, b2 theta2)
     and cv = (c1, c2 theta3); its modal part is the disturbance d."""
     ell = fields.domain_length
-    mat = np.zeros((fields.n_modes + 1,) * 2, dtype=complex)
+    mat = np.zeros((fields.n_modes + 1,) * 2)
     mat[0, 0] = -fields.a1
     mat[0, 1:] = fields.b1 / ell * fields.eta1
     mat[1:, 0] = fields.a2 * fields.theta1
@@ -197,8 +205,11 @@ def _coupling_terms(fields: CouplingFields):
 
 def _assert_real(value, what: str, axis: int | None = None):
     """The real part of value, whose imaginary part must be below 1e-10 of
-    max(1, max |value|); with an axis, of each slice along it."""
+    max(1, max |value|); with an axis, of each slice along it.  A real
+    array, as every array of a real run is, passes unchecked."""
     arr = np.asarray(value)
+    if not np.iscomplexobj(arr):
+        return arr
     scale = np.maximum(1.0, np.abs(arr).max(axis=axis, keepdims=True,
                                             initial=0.0))
     if (np.abs(arr.imag) > 1e-10 * scale).any():
@@ -226,12 +237,17 @@ class _RK4Step:
     per history row the stage lags read, so that the forcing of the step
     from row r is sum_l u[r + lo + l] W_l, plus v at its stage times times
     their columns.  A plant-only run has no arctans and no v: s_new =
-    R s + F, and R is diagonal.
+    R s + F, and R is diagonal.  The tables take the run's dtype, float or
+    complex (`spectral._run_dtype`), and so does the arctan: math.atan on
+    a real run, cmath.atan on a complex one.
     """
 
     def __init__(self, sys: SpectralSystem, design: PredictorDesign,
-                 fields: CouplingFields | None, n: int, dt: float):
-        b_n = sys.input_coeffs[:n]
+                 fields: CouplingFields | None, n: int, dt: float,
+                 dtype: type):
+        lam, b_n = sys.eigenvalues[:n], sys.input_coeffs[:n]
+        if dtype is float:
+            lam, b_n = lam.real, b_n.real
         m = b_n.shape[1]
         self.coupled = fields is not None
         self.pad = _history_pad(design.delay, dt)
@@ -247,17 +263,18 @@ class _RK4Step:
         dim, n_hist = n + 1, (hi - self.lo) * m
         width = dim + n_hist + (7 if self.coupled else 0)
 
-        mat = np.zeros((dim, dim), dtype=complex)
-        e_row = t2 = cv = np.zeros(dim, dtype=complex)
+        mat = np.zeros((dim, dim), dtype)
+        e_row = t2 = cv = np.zeros(dim)
         if self.coupled:
-            mat, e_row, t2, cv = _coupling_terms(fields)
-        mat[1:, 1:] += np.diag(sys.eigenvalues[:n])
+            coupling, e_row, t2, cv = _coupling_terms(fields)
+            mat += coupling
+        mat[1:, 1:] += np.diag(lam)
 
         # the four stages on matrices, as maps of (s, u rows, v, a): s_k,
         # its arctan argument e . s_k and the slope k_k = M s_k + F_j +
         # a_k t2, where F_j is B u and v at stage lag j (0, 1, 1, 2); acc
         # sums k1 + 2 k2 + 2 k3 + k4
-        s1 = np.eye(dim, width, dtype=complex)
+        s1 = np.eye(dim, width, dtype=dtype)
         acc = np.zeros_like(s1)
         args = []
         for stage, (h, j, weight) in enumerate(
@@ -290,6 +307,7 @@ class _RK4Step:
             self.a_w = np.hstack([np.eye(dim), op[:dim, width - 4:]])
             self.tri = tuple(
                 op[dim:, width - 4:][np.tril_indices(4, -1)].tolist())
+            self.atan = math.atan if dtype is float else cmath.atan
         else:
             # rho^k for the doubling rounds k = 1, 2, 4, .. < block
             self.squares = [np.diag(op)]
@@ -322,14 +340,15 @@ class _RK4Step:
             f += v_half[np.arange(2 * a, 2 * (a + b), 2)[:, None]
                         + (0, 1, 2)] @ self.v_w
             t10, t20, t21, t30, t31, t32 = self.tri
+            atan = self.atan
             for p, f_p in enumerate(f):
                 h = s[p] @ self.s_w
                 h += f_p
                 g0, g1, g2, g3 = h[dim:].tolist()
-                a0 = cmath.atan(g0)
-                a1 = cmath.atan(g1 + t10 * a0)
-                a2 = cmath.atan(g2 + t20 * a0 + t21 * a1)
-                h[dim:] = a0, a1, a2, cmath.atan(
+                a0 = atan(g0)
+                a1 = atan(g1 + t10 * a0)
+                a2 = atan(g2 + t20 * a0 + t21 * a1)
+                h[dim:] = a0, a1, a2, atan(
                     g3 + t30 * a0 + t31 * a1 + t32 * a2)
                 np.dot(self.a_w, h, out=s[p + 1])
             return
@@ -349,9 +368,10 @@ class _RK4Step:
 class Trajectory:
     """Recorded closed-loop run.
 
-    Arrays are aligned by row; x, norm_x, u, norm_d and V are real, coeffs
-    and z keep the internal complex dtype (imaginary parts are negligible
-    for the shipped plant).
+    Arrays are aligned by row; x, norm_x, norm_d and V are real.  u, coeffs
+    and z have the run's dtype: float64 on a real run, one whose
+    eigenvalues, input rows, gain and initial state all have imaginary
+    parts exactly 0.0 (the shipped plant's), complex otherwise.
     """
 
     t: np.ndarray
@@ -375,16 +395,20 @@ class Trajectory:
 def _check_rk4_stability(sys: SpectralSystem, n_modes: int, dt: float,
                          a1: float | None = None) -> None:
     # RK4 amplification 1 + z + z^2/2 + z^3/6 + z^4/24 at z = dt lam; a
-    # decaying rate must not be amplified (on the real axis dt |lam| < 2.785).
-    # The rates are the simulated modes' and, with an interconnection
-    # (a1 given), the scalar subsystem's -a1.
+    # decaying rate must not be amplified (on the real axis dt |lam| <
+    # 2.7852935, the root of 1 + z/2 + z^2/6 + z^3/24).  The rates are the
+    # simulated modes' and, with an interconnection (a1 given), the scalar
+    # subsystem's -a1.  A polynomial that overflows is rejected: its NaN
+    # (inf times a zero imaginary part) reads as inf.
     rates = sys.eigenvalues[:n_modes]
     if a1 is not None:
         rates = np.append(rates, -a1)
     z_rk = dt * rates
     z_rk = z_rk[z_rk.real < 0]
-    amp = np.abs(1 + z_rk * (1 + z_rk / 2 * (1 + z_rk / 3 * (1 + z_rk / 4))))
-    if amp.size and float(amp.max()) >= 1.0:
+    with np.errstate(over="ignore", invalid="ignore"):
+        amp = np.nan_to_num(np.abs(1 + z_rk * (1 + z_rk / 2 * (
+            1 + z_rk / 3 * (1 + z_rk / 4)))), nan=np.inf)
+    if amp.size and not float(amp.max()) < 1.0:
         worst = complex(z_rk[int(np.argmax(amp))])
         raise InvalidParameterError(
             f"dt = {dt} is outside the RK4 stability region: the rate with "
@@ -450,6 +474,7 @@ def simulate(config: SimConfig, sys: SpectralSystem, design: PredictorDesign,
         raise InvalidParameterError(f"x0_coeffs must have shape ({n},)")
     if not np.isfinite(x0):
         raise InvalidParameterError("x0 must be finite")
+    s0 = np.append(x0, coeffs)
 
     n_steps = int(math.floor(config.t_end / dt + 1e-9))
     rows = np.append(np.arange(0, n_steps, config.record_stride), n_steps) \
@@ -460,12 +485,17 @@ def simulate(config: SimConfig, sys: SpectralSystem, design: PredictorDesign,
     # input row of its own, so it runs first and the rows it reaches are
     # solved together after it
     pad = _history_pad(delay, dt)
-    rk4 = _RK4Step(sys, design, fields, n, dt)
     solve = _row_solver(design, dt)
-    u_hist = np.zeros((pad + n_steps + 1, sys.input_dim), dtype=complex)
-    z_hist = np.zeros((pad + n_steps + 1, n0), dtype=complex)
-    s_hist = np.zeros((pad + n_steps + 1, n + 1), dtype=complex)
-    s_hist[pad, 0], s_hist[pad, 1:], z_hist[pad] = x0, coeffs, coeffs[:n0]
+    # real arithmetic when the run's data are real (its gain is the
+    # solver's, in the solver's dtype)
+    dtype = _run_dtype(sys.eigenvalues[:n], sys.input_coeffs[:n], s0,
+                       solve.gain)
+    rk4 = _RK4Step(sys, design, fields, n, dt, dtype)
+    u_hist = np.zeros((pad + n_steps + 1, sys.input_dim), dtype)
+    z_hist = np.zeros((pad + n_steps + 1, n0), dtype)
+    s_hist = np.zeros((pad + n_steps + 1, n + 1), dtype)
+    s_hist[pad] = s0.real if dtype is float else s0
+    z_hist[pad] = s_hist[pad, 1:n0 + 1]
     phi = design.transition.phi(np.arange(n_steps + 1) * dt)
     # v once at each half-step time k dt / 2: the step from row r reads
     # v_half[2 r:2 r + 3], and row i's own value is v_half[2 i]

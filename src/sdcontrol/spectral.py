@@ -47,6 +47,15 @@ def _frozen_array(value, what: str, dtype=complex) -> np.ndarray:
     return out
 
 
+def _run_dtype(*arrays) -> type:
+    """The dtype of a run's arrays: float when the imaginary part of every
+    entry of the arrays is exactly 0.0, complex otherwise.  There is no
+    tolerance: data whose imaginary parts are merely tiny stay complex."""
+    if any(np.iscomplexobj(a) and a.imag.any() for a in arrays):
+        return complex
+    return float
+
+
 def _finite_float(value, what: str, low: float = -math.inf,
                   strict: bool = False) -> float:
     """The argument `what` as a float that is finite and at least low, or,
@@ -184,19 +193,24 @@ def build_heat_system(a: float, c: float, L: float,
     n_max = _count(n_max, "n_max", 1)
 
     n = np.arange(1, n_max + 1)
-    lam = c - a * n ** 2 * np.pi ** 2 / L ** 2
-    sign = (-1.0) ** (n + 1)
-    b_col = a * n * np.pi * np.sqrt(2.0 / L ** 3)
-    input_coeffs = np.column_stack([b_col, sign * b_col])
-    lift_col = np.sqrt(2.0 * L) / (n * np.pi)
-    lifting_coeffs = np.column_stack([lift_col, sign * lift_col])
+    # in float64, so that an extreme L gives inf or 0 where Python floats
+    # raise; SpectralSystem rejects what is not finite
+    ell = np.float64(L)
+    with np.errstate(all="ignore"):
+        lam = c - a * n ** 2 * np.pi ** 2 / ell ** 2
+        sign = (-1.0) ** (n + 1)
+        b_col = a * n * np.pi * np.sqrt(2.0 / ell ** 3)
+        input_coeffs = np.column_stack([b_col, sign * b_col])
+        lift_col = np.sqrt(2.0 * ell) / (n * np.pi)
+        lifting_coeffs = np.column_stack([lift_col, sign * lift_col])
 
-    # closed forms for the linear lifting profiles e(xi) = 1 - xi/L and xi/L:
-    # ||e||^2 = L/3 for both, <e1, e2> = L/6, and the generator acts on the
-    # lifting as multiplication by c (the profiles are harmonic).
-    norm_B = np.full(2, np.sqrt(L / 3.0))
-    norm_AB = np.full(2, abs(c) * np.sqrt(L / 3.0))
-    gram = (L / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
+        # closed forms for the linear lifting profiles e(xi) = 1 - xi/L and
+        # xi/L: ||e||^2 = L/3 for both, <e1, e2> = L/6, and the generator
+        # acts on the lifting as multiplication by c (the profiles are
+        # harmonic).
+        norm_B = np.full(2, np.sqrt(ell / 3.0))
+        norm_AB = np.full(2, abs(c) * np.sqrt(ell / 3.0))
+        gram = (ell / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
 
     def basis_fn(k: int, xi: np.ndarray) -> np.ndarray:
         return np.sqrt(2.0 / L) * np.sin(k * np.pi * np.asarray(xi) / L)

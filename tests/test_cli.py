@@ -352,6 +352,39 @@ class TestExitCodeMatrix:
                                                 (3, [])]
 
 
+# extreme but finite plant data through `sdcontrol simulate`, one INI key
+# edited: (edits, exit code).  Each run ends on the one-line error and its
+# documented exit code, with no traceback and no warning
+EXTREME_EDITS = {
+    # 1/L^2 overflows: the eigenvalues are not finite
+    "L=1e-300": ({"plant": {"L": 1e-300}}, 1),
+    # 1/L^2 underflows: every mode sits at lam = c > 0, so an unstable
+    # mode is discarded
+    "L=1e300": ({"plant": {"L": 1e300}}, 2),
+    # the RK4 amplification overflows, which reads as outside the region
+    "a=1e300": ({"plant": {"a": 1e300}}, 1),
+    "a1=1e300": ({"coupling": {"a1": 1e300}}, 1),
+}
+
+
+@pytest.mark.parametrize("name", list(EXTREME_EDITS))
+def test_extreme_plant_data(tmp_path, name):
+    edits, code = EXTREME_EDITS[name]
+    cfg = write_cfg(tmp_path, ini_with(**edits))
+    src = os.path.dirname(os.path.dirname(sd.__file__))
+    env = dict(os.environ, PYTHONPATH=src, SDC_LOG="error")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, warnings; warnings.simplefilter('error'); "
+         "from sdcontrol.cli import main; sys.exit(main(sys.argv[1:]))",
+         "simulate", "--config", cfg, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "Warning" not in proc.stderr
+    assert proc.stderr.strip().endswith(f"(exit {code})"), proc.stderr
+
+
 class TestCaseStudyCommand:
     def test_full_pipeline(self, tmp_path):
         out = tmp_path / "cs"

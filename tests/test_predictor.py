@@ -609,7 +609,7 @@ class TestBlockSolve:
         traj = sd.simulate(cfg, sys_, des, None, x0=0.0, x0_coeffs=y0)
         phi = des.transition.phi(traj.t)
         g = np.zeros((n_steps + 1, n0), dtype=complex)
-        rk4 = _RK4Step(sys_, des, None, n_modes, dt)
+        rk4 = _RK4Step(sys_, des, None, n_modes, dt, complex)
         u_pad = np.zeros((rk4.pad + n_steps + 1, sys_.input_dim),
                          dtype=complex)
         u = u_pad[rk4.pad:]
@@ -647,7 +647,7 @@ class TestBlockSolve:
         # rows after a are NaN: the ahead steps from rows a .. a + ahead - 1
         # stay finite and the next step, from row a + ahead, reads row a + 1
         des = sd.zero_gain_design(heat_sys, 2, delay, 0.2)
-        rk4 = _RK4Step(heat_sys, des, None, 10, 1e-3)
+        rk4 = _RK4Step(heat_sys, des, None, 10, 1e-3, complex)
         assert rk4.ahead == ahead
         a, m = 150, heat_sys.input_dim
         rng = np.random.default_rng(3)

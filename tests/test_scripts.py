@@ -1,11 +1,15 @@
-"""The scripts in scripts/ run end to end with tiny arguments."""
+"""The scripts in scripts/ run end to end with tiny arguments; the
+benchmark-pair summarizer runs on canned result lines."""
 
+import importlib.util
+import json
 import math
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import sdcontrol as sd
 
@@ -121,3 +125,47 @@ def test_run_case_study(tmp_path):
     assert data.shape == (301, 17)
     np.testing.assert_allclose(data[-1, 0], 0.3)
     assert "steps recorded = 301" in (out / "summary.txt").read_text()
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name[:-3], SCRIPTS / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bench_line(op_s, rss, failed=0):
+    """A result line as bench/run.py prints it last."""
+    return json.dumps({"correct": True, "attempted": 100, "failed": failed,
+                       "metrics": {"op_s_p50": {"value": op_s, "unit": "s"},
+                                   "peak_rss_mb": {"value": rss,
+                                                   "unit": "MB"}}})
+
+
+def test_bench_pairs_summary():
+    # canned result lines of four pairs; no benchmark runs
+    bench = load_script("bench_pairs.py")
+    stdout = "ensemble ok\n" + bench_line(0.008, 40.0) + "\n"
+    assert bench.last_result(stdout)["metrics"]["op_s_p50"]["value"] == 0.008
+    parent = [(0.008, 40.0), (0.010, 41.0), (0.009, 40.5), (0.007, 40.0)]
+    change = [(0.005, 39.0), (0.006, 41.5), (0.004, 39.5), (0.0075, 39.0)]
+    pairs = {"ensemble": [
+        (bench.last_result(bench_line(*p)),
+         bench.last_result(bench_line(*c, failed=1 if i == 0 else 0)))
+        for i, (p, c) in enumerate(zip(parent, change))]}
+    out = bench.summarize(pairs, {"op_s_p50": "lower",
+                                  "peak_rss_mb": "lower"})["ensemble"]
+    assert out["pairs"] == 4 and out["correct"]
+    assert out["failed"] == {"parent": 0, "change": 1}
+    op = out["metrics"]["op_s_p50"]
+    assert op["unit"] == "s"
+    # inclusive quartiles of 0.007, 0.008, 0.009, 0.010
+    assert op["parent"] == pytest.approx(
+        {"median": 0.0085, "q1": 0.00775, "q3": 0.00925})
+    assert op["change"]["median"] == pytest.approx(0.0055)
+    assert op["change_better_pairs"] == 3
+    assert out["metrics"]["peak_rss_mb"]["change_better_pairs"] == 3
+    # the file is rewritten after every pair, the first one included
+    first = bench.summarize({"ensemble": pairs["ensemble"][:1]}, {})
+    assert first["ensemble"]["metrics"]["op_s_p50"]["parent"] == {
+        "median": 0.008, "q1": 0.008, "q3": 0.008}

@@ -12,6 +12,7 @@ from sdcontrol.errors import (InsufficientDataError, InvalidParameterError,
                               SimulationDivergedError)
 from sdcontrol.predictor import _RowSolver, _split_steps
 from sdcontrol.simulate import _assert_real, _coupling_terms, _RK4Step
+from sdcontrol.spectral import _run_dtype
 
 from conftest import (COUPLINGS, closed_loop_ode, synthetic_system,
                       zero_gain_fields)
@@ -203,18 +204,23 @@ def textbook_rk4(sys_, delay, fields, u_history, dt, x, coeffs, v_fn):
 def rk4_step(sys_, design, fields, u_history, dt, x, coeffs, v_fn):
     """One _RK4Step step, a one-row block, from the time of the newest row
     of u_history (row 0 at t = 0), padded here as simulate pads its input
-    history; v_half holds v at the step's three stage times."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    rk4 = _RK4Step(sys_, design, fields, coeffs.size, dt)
-    u = np.pad(np.asarray(u_history, dtype=complex), ((rk4.pad, 0), (0, 0)))
+    history; v_half holds v at the step's three stage times.  The stepper
+    takes the dtype a run from this state would (real for real plant rows
+    and state), and the history and state follow it."""
+    state = np.append(x, coeffs)
+    n = state.size - 1
+    rk4 = _RK4Step(sys_, design, fields, n, dt, _run_dtype(
+        sys_.eigenvalues[:n], sys_.input_coeffs[:n], state))
+    dtype = rk4.lag_w.dtype
+    u = np.pad(np.asarray(u_history, dtype=dtype), ((rk4.pad, 0), (0, 0)))
     r = len(u_history) - 1
     t = r * dt
-    s = np.zeros((2, coeffs.size + 1), dtype=complex)
-    s[0, 0], s[0, 1:] = x, coeffs
+    s = np.zeros((2, n + 1), dtype=dtype)
+    s[0] = state.real if dtype == float else state
     v_half = np.zeros(2 * r + 3)
     v_half[2 * r:] = v_fn(t), v_fn(t + dt / 2), v_fn(t + dt)
     rk4.advance(u, r, v_half, s)
-    return complex(s[1, 0]), s[1, 1:]
+    return s[1, 0], s[1, 1:]
 
 
 def assert_step_matches_textbook(sys_, design, fields, u_history, x, coeffs):
@@ -291,14 +297,18 @@ def one_step_map(sys_, design, n, dt):
     delay spans, D / dt + 1 when that is whole and pad + 1 otherwise, since
     a partial step's 2-point interpolation reaches one row further back.
     The u rows older than X are NaN, so a read outside X makes M
-    non-finite."""
-    rk4, solve = _RK4Step(sys_, design, None, n, dt), _RowSolver(design, dt)
+    non-finite.  M has the run's dtype, which simulate would choose from
+    the plant rows and the gain."""
+    solve = _RowSolver(design, dt)
+    dtype = _run_dtype(sys_.eigenvalues[:n], sys_.input_coeffs[:n],
+                       solve.gain)
+    rk4 = _RK4Step(sys_, design, None, n, dt, dtype)
     pad, m, dim = rk4.pad, sys_.input_dim, n + 1
     nu = pad + (_split_steps(design.delay / dt)[1] > 0)
     r = 3 * pad
     cols = []
-    for e in np.eye(dim + nu * m, dtype=complex):
-        u = np.full((pad + r + 2, m), np.nan, dtype=complex)
+    for e in np.eye(dim + nu * m, dtype=dtype):
+        u = np.full((pad + r + 2, m), np.nan, dtype=dtype)
         u[pad + r + 1 - nu:pad + r + 1] = e[dim:].reshape(nu, m)
         s = np.array([e[:dim], np.zeros(dim)])
         rk4.advance(u, r, None, s)
@@ -332,6 +342,17 @@ def placed_rates(sys_, design, n, dt, poles):
     return rates
 
 
+# -z at the RK4 stability limit on the negative real axis, the real root of
+# 1 + z/2 + z^2/6 + z^3/24
+RK4_LIMIT = 2.785293563405289
+
+# a plant with a complex-conjugate pair, its design for poles -2 +- 1j and
+# a complex initial state; it runs in complex
+COMPLEX_EIGS = [0.5 + 2j, 0.5 - 2j, -3.0, -6.0]
+COMPLEX_POLES = [-2 + 1j, -2 - 1j]
+COMPLEX_Y0 = np.array([0.3 - 0.4j, 0.3 + 0.4j, 0.1j, 0.2])
+
+
 class TestDiscreteSpectrum:
     def test_one_step_map_spectrum(self, heat_sys, design):
         # the case study's double pole -3 to second order in dt: its mean
@@ -363,6 +384,44 @@ class TestDiscreteSpectrum:
         if delay == 0.1:
             assert max(errors) <= 1e-5, errors
             assert 3.5 <= errors[0] / errors[1] <= 4.5, errors
+
+    @pytest.mark.parametrize("plant", ["case-study", "complex"])
+    def test_run_dtype_follows_the_data(self, heat_sys, design, x0_coeffs,
+                                        plant):
+        # the case-study rod's eigenvalues, B, gain and state are exactly
+        # real, so its run is float64; a complex-conjugate pair makes the
+        # run complex.  The one-step map at the run's dtype has the placed
+        # poles as test_one_step_map_spectrum bounds them at dt = 1e-3: the
+        # mean rate to 1e-5, a double pole split by at most 2 dt
+        if plant == "case-study":
+            sys_, des, poles, y0 = heat_sys, design, [-3.0, -3.0], x0_coeffs
+        else:
+            sys_ = synthetic_system(COMPLEX_EIGS)
+            des = sd.design_predictor(sys_, 2, 0.1, COMPLEX_POLES, 0.2)
+            poles, y0 = COMPLEX_POLES, COMPLEX_Y0
+        dtype = float if plant == "case-study" else complex
+        n = y0.size
+        cfg = sd.SimConfig(dt=1e-3, t_end=0.3, n_modes=n, disturbance="none")
+        traj = sd.simulate(cfg, sys_, des, None, 0.0, y0)
+        # at stride 1 u, coeffs and z are views of the run's histories
+        for hist in (traj.u, traj.coeffs, traj.z):
+            assert hist.dtype == dtype and hist.base is not None
+        assert one_step_map(sys_, des, n, 1e-3).dtype == dtype
+        rates = placed_rates(sys_, des, n, 1e-3, poles)
+        assert abs(rates.mean() - np.mean(poles)) <= 1e-5, rates
+        assert float(np.abs(rates - poles).max()) <= 2e-3, rates
+
+    def test_tiny_imaginary_parts_stay_complex(self):
+        # real means exactly real: 1e-300j is no tolerance's zero
+        for eigs in ([-1.0 + 1e-300j, -4.0], [-1.0, -4.0]):
+            sys_ = synthetic_system(eigs)
+            des = sd.zero_gain_design(sys_, 1, 0.1, 0.2)
+            cfg = sd.SimConfig(dt=1e-3, t_end=0.05, n_modes=2,
+                               disturbance="none")
+            traj = sd.simulate(cfg, sys_, des, None, 0.0, np.ones(2))
+            assert traj.coeffs.dtype == (complex if eigs[0].imag else float)
+        assert _run_dtype(np.array([1.0 + 1e-300j])) is complex
+        assert _run_dtype(np.array([1.0 + 0j]), np.ones(2)) is float
 
 
 class TestSimulate:
@@ -570,32 +629,57 @@ class TestSimulate:
             sd.simulate(cfg, heat_sys, design, fields, x0=-2.0,
                         x0_coeffs=x0_coeffs)
 
-    @pytest.mark.parametrize("coupled", [False, True],
-                             ids=["plant-only", "coupled"])
+    @pytest.mark.parametrize("coupled,real", [
+        (False, True), (True, True), (False, False), (True, False)],
+        ids=["plant-only", "coupled", "plant-only-complex",
+             "coupled-complex"])
     def test_one_step_calls(self, monkeypatch, heat_sys, design, fields,
-                            x0_coeffs, coupled):
+                            x0_coeffs, coupled, real):
         # one stepper call per block of min(floor(D / dt), 32) = 32 rows on
         # both step kinds; a coupled step takes four scalar arctans, and a
-        # plant-only block, one scan per mode, takes none
+        # plant-only block, one scan per mode, takes none.  The arctan is
+        # the one the stepper picks for its dtype: math.atan on the real
+        # case study, cmath.atan on a complex-conjugate pair
+        if not real:
+            heat_sys = synthetic_system(COMPLEX_EIGS)
+            design = sd.design_predictor(heat_sys, 2, 0.1, COMPLEX_POLES, 0.2)
+            # b1 = b2 = 0 keep x and the recorded coupling term real; the
+            # arctan arguments are complex
+            fields = sd.CouplingFields(
+                **{**COUPLINGS, "b1": 0.0, "b2": 0.0}, domain_length=1.0,
+                **dict.fromkeys(("eta1", "eta2", "theta1", "theta2",
+                                 "theta3"), np.full(4, 0.5)))
+            x0_coeffs = COMPLEX_Y0
         blocks, atans = [], []
-        advance, atan = _RK4Step.advance, cmath.atan
+        advance, init = _RK4Step.advance, _RK4Step.__init__
 
         def counted_advance(self, u, a, *args):
             blocks.append(a)
             return advance(self, u, a, *args)
 
-        def counted_atan(z):
-            atans.append(z)
-            return atan(z)
+        def counted_init(self, *args):
+            init(self, *args)
+            if self.coupled:
+                atan = self.atan
+                assert atan is (math.atan if real else cmath.atan)
+
+                def counted_atan(z):
+                    atans.append(z)
+                    return atan(z)
+
+                self.atan = counted_atan
 
         monkeypatch.setattr(_RK4Step, "advance", counted_advance)
-        monkeypatch.setattr(cmath, "atan", counted_atan)
+        monkeypatch.setattr(_RK4Step, "__init__", counted_init)
         n_steps = 300
-        cfg = sd.SimConfig(dt=1e-3, t_end=n_steps * 1e-3, n_modes=10)
-        sd.simulate(cfg, heat_sys, design, fields if coupled else None,
-                    x0=-2.0, x0_coeffs=x0_coeffs)
+        cfg = sd.SimConfig(dt=1e-3, t_end=n_steps * 1e-3,
+                           n_modes=x0_coeffs.size)
+        traj = sd.simulate(cfg, heat_sys, design, fields if coupled else None,
+                           x0=-2.0, x0_coeffs=x0_coeffs)
+        assert traj.coeffs.dtype == (float if real else complex)
         assert blocks == list(range(0, n_steps, 32))
         assert len(atans) == (4 * n_steps if coupled else 0)
+        assert all(isinstance(z, float if real else complex) for z in atans)
 
     def test_coupled_case_study_is_second_order(self, heat_sys, design,
                                                 fields, x0_coeffs):
@@ -645,6 +729,31 @@ class TestSimulate:
         traj = sd.simulate(cfg, heat_sys, design, ok, x0=-2.0,
                            x0_coeffs=x0_coeffs)
         assert np.isfinite(traj.x).all() and abs(traj.x[-1]) < 1.0
+
+    @pytest.mark.parametrize("side", [-1.0, 1.0], ids=["inside", "outside"])
+    @pytest.mark.parametrize("coupled", [False, True],
+                             ids=["plant-only", "coupled"])
+    def test_rk4_limit_boundary(self, heat_sys, design, fields, x0_coeffs,
+                                coupled, side):
+        # the fastest rate at dt |rate| = 2.7852936 +- 1e-4, the real root
+        # of 1 + z/2 + z^2/6 + z^3/24: amplification 1 -+ 1.5e-4, which a
+        # bound loosened to 1.001 would let through (at +- 1e-3 it is
+        # 1 -+ 1.5e-3).  Plant-only, the fastest rate is lam_10; coupled,
+        # it is -a1 at dt = 1e-3
+        rate_dt = RK4_LIMIT + side * 1e-4
+        if coupled:
+            dt = 1e-3
+            f = sd.case_study_fields(heat_sys, 10,
+                                     **{**COUPLINGS, "a1": rate_dt / dt})
+        else:
+            dt, f = rate_dt / -heat_sys.eigenvalues[9].real, None
+        cfg = sd.SimConfig(dt=dt, t_end=10 * dt, n_modes=10)
+        if side > 0:
+            with pytest.raises(InvalidParameterError, match="RK4"):
+                sd.simulate(cfg, heat_sys, design, f, -2.0, x0_coeffs)
+        else:
+            traj = sd.simulate(cfg, heat_sys, design, f, -2.0, x0_coeffs)
+            assert np.isfinite(traj.norm_x).all()
 
     def test_complex_plant_matches_closed_loop_ode(self):
         # plant eigenvalues 0.5 +- 2i, -3, -6; closed-loop poles -2 +- i
