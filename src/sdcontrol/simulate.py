@@ -398,17 +398,19 @@ def _check_rk4_stability(sys: SpectralSystem, n_modes: int, dt: float,
     # decaying rate must not be amplified (on the real axis dt |lam| <
     # 2.7852935, the root of 1 + z/2 + z^2/6 + z^3/24).  The rates are the
     # simulated modes' and, with an interconnection (a1 given), the scalar
-    # subsystem's -a1.  A polynomial that overflows is rejected: its NaN
-    # (inf times a zero imaginary part) reads as inf.
+    # subsystem's -a1.  A polynomial that overflows is rejected.
     rates = sys.eigenvalues[:n_modes]
     if a1 is not None:
         rates = np.append(rates, -a1)
     z_rk = dt * rates
     z_rk = z_rk[z_rk.real < 0]
     with np.errstate(over="ignore", invalid="ignore"):
-        amp = np.nan_to_num(np.abs(1 + z_rk * (1 + z_rk / 2 * (
-            1 + z_rk / 3 * (1 + z_rk / 4)))), nan=np.inf)
+        amp = np.abs(1 + z_rk * (1 + z_rk / 2 * (1 + z_rk / 3
+                                                 * (1 + z_rk / 4))))
     if amp.size and not float(amp.max()) < 1.0:
+        # an overflow is NaN (inf times a zero imaginary part): it reads
+        # as inf
+        amp = np.nan_to_num(amp, nan=np.inf)
         worst = complex(z_rk[int(np.argmax(amp))])
         raise InvalidParameterError(
             f"dt = {dt} is outside the RK4 stability region: the rate with "

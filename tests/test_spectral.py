@@ -88,7 +88,6 @@ class TestHeatBuilder:
         with pytest.raises(InvalidParameterError):
             sd.build_heat_system(a=1.0, c=0.0, L=L, n_max=0)
 
-
     # extreme but finite L in float64: 1/L^2 overflows, which the plant
     # rejects as non-finite, or 1/L^3 underflows, which leaves every mode
     # at lam = c with no input; never a Python ZeroDivisionError or
