@@ -3,12 +3,13 @@
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --workload ensemble:10 --workload case-study:10 \\
-        --workload design-sweep:3 --seconds 35 --out BENCH.json
+        --workload design-sweep:3 --out BENCH.json
 
-Each pair runs the unchanged ``python3 bench/run.py --workload W --seed S
---seconds T`` once in each checkout, one after the other; the checkout that
-goes first alternates from pair to pair, so that a drift of the machine
-falls on both sides alike.  The last line each run prints is its result.
+Each pair runs the unchanged ``python3 bench/run.py --workload W --seed S``
+once in each checkout, one after the other, for the run length that
+BENCHMARK.json sets (``run_seconds``); the checkout that goes first
+alternates from pair to pair, so that a drift of the machine falls on both
+sides alike.  The last line each run prints is its result.
 Per workload and end-to-end metric the output file holds the parent's and
 the change's median and quartiles over the pairs, the number of pairs in
 which the change was better (in the metric's direction from the change's
@@ -85,10 +86,10 @@ def _commit(path: Path) -> str | None:
     return proc.stdout.strip() + ("-dirty" if dirty else "")
 
 
-def _run(path: Path, workload: str, seed: int, seconds: float) -> dict:
+def _run(path: Path, workload: str, seed: int) -> dict:
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds)],
+         "--seed", str(seed)],
         cwd=path, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{path}: bench/run.py --workload {workload} "
@@ -112,7 +113,6 @@ def main(argv=None) -> int:
                     help="a workload and its pair count (default 10); "
                          "repeat for several")
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=35.0)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
 
@@ -120,7 +120,7 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in manifest["end_to_end"]}
     report = {
         "command": f"python3 bench/run.py --workload W --seed {args.seed} "
-                   f"--seconds {args.seconds:g}",
+                   f"(run_seconds {manifest['run_seconds']:g})",
         "order": "alternating: the parent runs first in odd pairs",
         "parent_commit": _commit(args.parent),
         "change_commit": _commit(args.change),
@@ -134,7 +134,7 @@ def main(argv=None) -> int:
         runs = pairs[workload] = []
         for i in range(count):
             order = (args.parent, args.change)[::1 if i % 2 == 0 else -1]
-            got = {side: _run(side, workload, args.seed, args.seconds)
+            got = {side: _run(side, workload, args.seed)
                    for side in order}
             runs.append((got[args.parent], got[args.change]))
             print(f"{workload} pair {i + 1}/{count}: op_s_p50 " + " -> ".join(

@@ -404,14 +404,16 @@ class _RowSolver:
     _SOLVE_ROWS-row I - L Phi on first use and keeps the inverse, keyed by
     a: at most one per ramp row, ceil(t0 / dt) in all.  Any other phi
     solves its I - L Phi directly and keeps nothing.  Every table, the
-    gain included, is real when the design's eigenvalues, B and K are
-    (`spectral._run_dtype`), and complex otherwise.  The solver holds no
-    reference to the design, so the design's slot makes no cycle.
+    gain included, is in self.dtype: float when the design's eigenvalues,
+    B and K are real (`spectral._run_dtype`), and complex otherwise.  The
+    solver holds no reference to the design, so the design's slot makes no
+    cycle.
     """
 
     def __init__(self, design: PredictorDesign, dt: float):
         lam, b_n0, gain = design.eigenvalues, design.b_n0, design.gain
-        if _run_dtype(lam, b_n0, gain) is float:
+        self.dtype = _run_dtype(lam, b_n0, gain)
+        if self.dtype is float:
             lam, b_n0, gain = lam.real, b_n0.real, gain.real
         self.dt, self.n0, self.gain = dt, design.n0, gain
         self.transition = design.transition
@@ -499,8 +501,8 @@ def invert_artstein(design: PredictorDesign, times: np.ndarray, y_path,
     Volterra system is lower triangular, so one forward-substitution pass
     solves it, in blocks of rows, with the design's row solver, which a
     `simulate` at the same step shares.  A window that starts before t = 0
-    is integrated from 0.  The arithmetic is real when the design and
-    y_path are.
+    is integrated from 0.  The arithmetic is real when the design's row
+    solver is (see _RowSolver) and y_path is real, and complex otherwise.
 
     Args:
         design: the predictor design (supplies A, B, K, D).
@@ -535,7 +537,8 @@ def invert_artstein(design: PredictorDesign, times: np.ndarray, y_path,
     phi_vals = np.broadcast_to(phi_vals, times.shape)
 
     solve = _row_solver(design, dt)
-    dtype = _run_dtype(solve.gain, y)
+    # complex tables give complex rows, whatever y_path holds
+    dtype = solve.dtype if solve.dtype is complex else _run_dtype(y)
     if dtype is float:
         y = y.real
     hist = np.zeros((solve.pad + times.size, design.input_dim), dtype)

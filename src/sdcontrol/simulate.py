@@ -41,11 +41,11 @@ norms and V are computed vectorized over blocks of them.
 
 A run is real arithmetic when its data are real.  Its dtype is chosen once
 (`spectral._run_dtype`): float64 when the simulated eigenvalues and input
-rows, the gain and the initial state all have imaginary parts exactly 0.0,
-as the shipped rod's do, and complex otherwise, with no tolerance and no
-option.  The histories, the stepper's tables and its arctan (math.atan or
-cmath.atan) follow it; the row solver has its design's dtype, and V's
-quadratic forms are real when P and Z are.
+rows and the initial state all have imaginary parts exactly 0.0, as the
+shipped rod's do, and the design's row solver is real (its eigenvalues, B
+and K are), and complex otherwise, with no tolerance and no option.  The
+histories, the stepper's tables and its arctan (math.atan or cmath.atan)
+follow it, and V's quadratic forms are real when P and Z are.
 """
 
 from __future__ import annotations
@@ -488,10 +488,9 @@ def simulate(config: SimConfig, sys: SpectralSystem, design: PredictorDesign,
     # solved together after it
     pad = _history_pad(delay, dt)
     solve = _row_solver(design, dt)
-    # real arithmetic when the run's data are real (its gain is the
-    # solver's, in the solver's dtype)
-    dtype = _run_dtype(sys.eigenvalues[:n], sys.input_coeffs[:n], s0,
-                       solve.gain)
+    # real arithmetic when the run's data and the row solver are real
+    dtype = solve.dtype if solve.dtype is complex else _run_dtype(
+        sys.eigenvalues[:n], sys.input_coeffs[:n], s0)
     rk4 = _RK4Step(sys, design, fields, n, dt, dtype)
     u_hist = np.zeros((pad + n_steps + 1, sys.input_dim), dtype)
     z_hist = np.zeros((pad + n_steps + 1, n0), dtype)

@@ -211,6 +211,11 @@ def build_heat_system(a: float, c: float, L: float,
         norm_B = np.full(2, np.sqrt(ell / 3.0))
         norm_AB = np.full(2, abs(c) * np.sqrt(ell / 3.0))
         gram = (ell / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
+    if not b_col.any():
+        # 1/L^3 (or a) underflows: no mode has an input, which no n0 mends
+        raise InvalidParameterError(
+            f"a = {a}, L = {L} leave every input coefficient "
+            f"a n pi sqrt(2/L^3) at 0: the rod has no input")
 
     def basis_fn(k: int, xi: np.ndarray) -> np.ndarray:
         return np.sqrt(2.0 / L) * np.sin(k * np.pi * np.asarray(xi) / L)

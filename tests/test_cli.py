@@ -358,9 +358,8 @@ class TestExitCodeMatrix:
 EXTREME_EDITS = {
     # 1/L^2 overflows: the eigenvalues are not finite
     "L=1e-300": ({"plant": {"L": 1e-300}}, 1),
-    # 1/L^2 underflows: every mode sits at lam = c > 0, so an unstable
-    # mode is discarded
-    "L=1e300": ({"plant": {"L": 1e300}}, 2),
+    # 1/L^3 underflows: no mode has an input
+    "L=1e300": ({"plant": {"L": 1e300}}, 1),
     # the RK4 amplification overflows, which reads as outside the region
     "a=1e300": ({"plant": {"a": 1e300}}, 1),
     "a1=1e300": ({"coupling": {"a1": 1e300}}, 1),

@@ -458,6 +458,26 @@ class TestInversion:
         u = sd.invert_artstein(des, tt, y.astype(complex))
         np.testing.assert_array_equal(u, np.zeros_like(u))
 
+    @pytest.mark.parametrize("k", [0.0, 0.8], ids=["zero-gain", "real-gain"])
+    def test_real_samples_on_a_complex_plant(self, k):
+        # a complex plant's row solver is complex even when K is exactly
+        # real, so real samples invert in complex, as complex ones do: a
+        # float history would drop the rows' imaginary parts with a
+        # ComplexWarning
+        base = sd.zero_gain_design(
+            synthetic_system([0.5 + 2j, 0.5 - 2j, -3.0]), 2, 0.1, 0.2)
+        des = sd.PredictorDesign(base.eigenvalues, base.b_n0, base.delay,
+                                 np.full((1, 2), k), base.transition)
+        tt = np.arange(0.0, 0.5, 1e-3)
+        y = np.random.default_rng(1).normal(size=(tt.size, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = sd.invert_artstein(des, tt, y)
+        assert u.dtype == complex
+        np.testing.assert_array_equal(
+            u, sd.invert_artstein(des, tt, y.astype(complex)))
+        assert (np.abs(u.imag).max() > 0) == (k != 0)
+
     def test_zero_ramp_collapses(self):
         des = scalar_design(k=0.9)
         tt = np.arange(0.0, 0.5, 1e-3)

@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -298,10 +299,10 @@ def one_step_map(sys_, design, n, dt):
     a partial step's 2-point interpolation reaches one row further back.
     The u rows older than X are NaN, so a read outside X makes M
     non-finite.  M has the run's dtype, which simulate would choose from
-    the plant rows and the gain."""
+    the plant rows and the row solver."""
     solve = _RowSolver(design, dt)
-    dtype = _run_dtype(sys_.eigenvalues[:n], sys_.input_coeffs[:n],
-                       solve.gain)
+    dtype = solve.dtype if solve.dtype is complex else _run_dtype(
+        sys_.eigenvalues[:n], sys_.input_coeffs[:n])
     rk4 = _RK4Step(sys_, design, None, n, dt, dtype)
     pad, m, dim = rk4.pad, sys_.input_dim, n + 1
     nu = pad + (_split_steps(design.delay / dt)[1] > 0)
@@ -410,6 +411,23 @@ class TestDiscreteSpectrum:
         rates = placed_rates(sys_, des, n, 1e-3, poles)
         assert abs(rates.mean() - np.mean(poles)) <= 1e-5, rates
         assert float(np.abs(rates - poles).max()) <= 2e-3, rates
+
+    def test_complex_design_on_a_real_plant(self, heat_sys, design,
+                                            x0_coeffs):
+        # a design whose eigenvalues are not real has a complex row solver
+        # even though its K is exactly real, so the run is complex on the
+        # real rod: a float history would drop its rows' imaginary parts
+        # with a ComplexWarning
+        des = dataclasses.replace(design,
+                                  eigenvalues=design.eigenvalues + 1e-3j)
+        assert not des.gain.imag.any()
+        cfg = sd.SimConfig(dt=1e-3, t_end=0.2, n_modes=10, disturbance="none")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = sd.simulate(cfg, heat_sys, des, None, 0.0, x0_coeffs)
+        for hist in (traj.u, traj.coeffs, traj.z):
+            assert hist.dtype == complex
+        assert np.abs(traj.u.imag).max() > 0
 
     def test_tiny_imaginary_parts_stay_complex(self):
         # real means exactly real: 1e-300j is no tolerance's zero
