@@ -155,16 +155,55 @@ def compute_constants(sys: SpectralSystem, design: PredictorDesign,
         raise CertificateParameterError(
             f"gamma weights must be positive and finite, got {gamma1}, {gamma2}")
 
-    return _weighted_constants(_base_constants(sys, design),
-                               beta, gamma1, gamma2)
+    base = _base_constants(sys, design)
+    return _weighted_constants(base, _gamma1_terms(base, gamma1), beta, gamma2)
 
 
-def _weighted_constants(base: _BaseConstants, beta: float, gamma1: float,
-                        gamma2: float) -> CertificateBundle:
-    """The weight-dependent part of compute_constants, on a precomputed base."""
-    alpha, lam_min_P, lam_max_P, norm_bk_sq, c1, c5, m_r, m_R, delay = base
-    norm_p = lam_max_P  # P is Hermitian positive definite
-    norm_bk = math.sqrt(norm_bk_sq)
+class _Gamma1Terms(NamedTuple):
+    """The invariants of the weight arithmetic at one base and gamma1."""
+
+    gamma1: float
+    alpha: float
+    lam_min_P: float
+    lam_max_P: float
+    c5: float
+    root_2m_R: float  # sqrt(2 M_R)
+    norm_bk: float    # ||BK||
+    bk_m_r: float     # ||BK||^2 / m_r
+    inv_m_r: float    # 1 / m_r
+    c6_free: float    # m_r C6 without its weighted term
+    p_sq: float       # ||P||^2 = lam_max(P)^2
+    g1_delay: float   # gamma1 (1 + D)
+
+
+def _gamma1_terms(base: _BaseConstants, gamma1: float) -> _Gamma1Terms:
+    alpha, lam_min_P, lam_max_P, norm_bk_sq, _, c5, m_r, m_R, delay = base
+    return _Gamma1Terms(
+        gamma1, alpha, lam_min_P, lam_max_P, c5, math.sqrt(2.0 * m_R),
+        math.sqrt(norm_bk_sq), norm_bk_sq / m_r, 1.0 / m_r,
+        2.0 * (m_r + norm_bk_sq) / (alpha * m_r), lam_max_P ** 2,
+        gamma1 * (1.0 + delay))
+
+
+def _gain_terms(terms: _Gamma1Terms, beta: float,
+                gamma2: float) -> tuple[float, float, float, float, float]:
+    """C3g2, C4, kappa0, C6 and the gain C4 sqrt(C6 / (2 kappa0)) at
+    (beta, terms.gamma1, gamma2), unchecked: the weights must be feasible."""
+    (_, alpha, lam_min_P, lam_max_P, c5, root_2m_R, norm_bk, bk_m_r, inv_m_r,
+     c6_free, p_sq, g1_delay) = terms
+    c3g2 = gamma2 * lam_min_P - bk_m_r
+    c4 = root_2m_R + norm_bk / math.sqrt(c3g2)
+    kappa0 = 0.5 * min((1.0 - beta - c5 / gamma2) / lam_max_P, alpha / 2.0)
+    c6 = inv_m_r * (c6_free + (g1_delay + gamma2) * p_sq / beta)
+    return c3g2, c4, kappa0, c6, c4 * math.sqrt(c6 / (2.0 * kappa0))
+
+
+def _weighted_constants(base: _BaseConstants, terms: _Gamma1Terms,
+                        beta: float, gamma2: float) -> CertificateBundle:
+    """The weight-dependent part of compute_constants, on a precomputed base
+    and its gamma1 terms: the feasibility checks, then the bundle."""
+    alpha, lam_min_P, lam_max_P, norm_bk_sq, c1, c5, m_r, _, _ = base
+    gamma1 = terms.gamma1
 
     if gamma1 <= c1 / lam_min_P:
         raise CertificateParameterError(
@@ -180,21 +219,14 @@ def _weighted_constants(base: _BaseConstants, beta: float, gamma1: float,
         raise CertificateParameterError(
             f"gamma2 = {gamma2:.6g} must exceed C5/(1 - beta) = {bound_c5:.6g}")
 
-    c2g1 = gamma1 * lam_min_P - c1
-    c3g2 = gamma2 * lam_min_P - norm_bk_sq / m_r
-    c4 = math.sqrt(2.0 * m_R) + norm_bk / math.sqrt(c3g2)
-    kappa0 = 0.5 * min((1.0 - beta - c5 / gamma2) / lam_max_P, alpha / 2.0)
-    c6 = (1.0 / m_r) * (
-        2.0 * (m_r + norm_bk_sq) / (alpha * m_r)
-        + (gamma1 * (1.0 + delay) + gamma2) * norm_p ** 2 / beta)
-    sgc = c4 * math.sqrt(c6 / (2.0 * kappa0))
-
+    c3g2, c4, kappa0, c6, sgc = _gain_terms(terms, beta, gamma2)
     return CertificateBundle(
         beta=beta, gamma1=gamma1, gamma2=gamma2,
-        C1=c1, C2g1=c2g1, C3g2=c3g2, C4=c4, C5=c5, C6=c6,
+        C1=c1, C2g1=gamma1 * lam_min_P - c1, C3g2=c3g2, C4=c4, C5=c5, C6=c6,
         kappa0=kappa0, small_gain_constant=sgc, alpha=alpha,
-        lam_min_P=lam_min_P, lam_max_P=lam_max_P, norm_P=norm_p,
-        norm_BK=norm_bk,
+        lam_min_P=lam_min_P, lam_max_P=lam_max_P,
+        norm_P=lam_max_P,  # P is Hermitian positive definite
+        norm_BK=terms.norm_bk,
     )
 
 
@@ -212,7 +244,8 @@ def _lyapunov_rows(sys: SpectralSystem, design: PredictorDesign,
     u_delay hold each row's modal state and delayed input.  The integral
     terms of all rows are one convolution of phi Z* P Z with the constant
     trapezoid weights.  Only the history rows the windows reach are read.
-    The quadratic forms are real arithmetic when P and Z are real.
+    The quadratic forms are real arithmetic when P and Z are real, and so
+    is the lifted tail when the lifting and the delayed input are.
     """
     p = design.lyap
     delay = design.delay
@@ -235,7 +268,10 @@ def _lyapunov_rows(sys: SpectralSystem, design: PredictorDesign,
         * np.einsum("ij,jk,ik->i", z_del.conj(), p, z_del).real
 
     n0, n = design.n0, x_coeffs.shape[1]
-    tail = x_coeffs[:, n0:] - u_delay @ sys.lifting_coeffs[n0:n].T
+    lift = sys.lifting_coeffs[n0:n]
+    if _run_dtype(lift, u_delay) is float:
+        lift = lift.real
+    tail = x_coeffs[:, n0:] - u_delay @ lift.T
     tail_term = 0.5 * np.sum(np.abs(tail) ** 2, axis=1)
 
     v = (bundle.gamma1 * (quad[local] + integral)
@@ -265,50 +301,61 @@ def optimize_parameters(sys: SpectralSystem,
     at the positive root beta* of a beta^2 + 2 g beta - g k = 0.  So beta =
     max(beta*, k - cap), and only gamma2 is searched: a log scan over
     (lo, 1e6 lo], lo = max(||BK||^2/(m_r lam_min(P)), C5), then golden
-    section on the best scan point's bracket.  Same inputs, same bits.
+    section on the best scan point's bracket.  The weight-independent data
+    and gamma1's terms are formed once; each search point (48 scanned,
+    then 44 golden, 43 when the last scan point is best) evaluates only the
+    gain, a float, and one CertificateBundle is built and checked, at the
+    chosen weights, by the formulas compute_constants runs.  Same inputs,
+    same bits.
 
     Raises:
         InfeasibleCertificateError: lo = 0 (a zero gain): no gamma2 is
             admissible.
     """
-    # computed once: each evaluation redoes only the weight arithmetic
     base = _base_constants(sys, design)
-    alpha, lam_min_P, lam_max_P, norm_bk_sq, c1, c5, m_r, _, delay = base
+    alpha, lam_min_P, lam_max_P, norm_bk_sq, c1, c5, m_r, _, _ = base
     lo = max(norm_bk_sq / (m_r * lam_min_P), c5)
     if not lo > 0.0:
         raise InfeasibleCertificateError(
             "a zero gain leaves no admissible gamma2")
     gamma1 = (1.0 + _GAMMA1_EPS) * c1 / lam_min_P
-    a = 2.0 * (m_r + norm_bk_sq) / (alpha * m_r)
+    # formed once: each evaluation does only the gamma2 and beta arithmetic
+    terms = _gamma1_terms(base, gamma1)
+    g1_delay, p_sq, a = terms.g1_delay, terms.p_sq, terms.c6_free
     cap = alpha * lam_max_P / 2.0
 
-    def at(log_gamma2: float) -> CertificateBundle:
+    def weights(log_gamma2: float) -> tuple[float, float]:
         gamma2 = math.exp(log_gamma2)
-        g = (gamma1 * (1.0 + delay) + gamma2) * lam_max_P ** 2
+        g = (g1_delay + gamma2) * p_sq
         k = 1.0 - c5 / gamma2
         # beta*, written without the cancellation of (-g + sqrt(.)) / a
         root = g * k / (g + math.sqrt(g * g + a * g * k))
-        return _weighted_constants(base, max(root, k - cap), gamma1, gamma2)
+        return max(root, k - cap), gamma2
+
+    def gain(log_gamma2: float) -> float:
+        return _gain_terms(terms, *weights(log_gamma2))[4]
 
     xs = np.linspace(math.log(lo), math.log(lo * _GAMMA2_SPAN),
                      _GAMMA2_SCAN + 1).tolist()
     # xs[0] = log lo is the open bound: a bracket end, never evaluated
-    scan = [(at(x).small_gain_constant, x) for x in xs[1:]]
+    scan = [(gain(x), x) for x in xs[1:]]
     best = min(scan)
     i = scan.index(best) + 1
     lo_x, hi_x = xs[i - 1], xs[min(i + 1, _GAMMA2_SCAN)]
     c, d = hi_x - _INV_PHI * (hi_x - lo_x), lo_x + _INV_PHI * (hi_x - lo_x)
-    fc, fd = at(c).small_gain_constant, at(d).small_gain_constant
+    fc, fd = gain(c), gain(d)
     while hi_x - lo_x > _LOG_TOL:
         if fc < fd:
             hi_x, d, fd = d, c, fc
             c = hi_x - _INV_PHI * (hi_x - lo_x)
-            fc = at(c).small_gain_constant
+            fc = gain(c)
         else:
             lo_x, c, fc = c, d, fd
             d = lo_x + _INV_PHI * (hi_x - lo_x)
-            fd = at(d).small_gain_constant
-    return at(min(best, (fc, c), (fd, d))[1])
+            fd = gain(d)
+    # the one bundle, checked, at the chosen weights
+    return _weighted_constants(base, terms,
+                               *weights(min(best, (fc, c), (fd, d))[1]))
 
 
 def coupling_constants(a1: float, b1: float, c1: float, a2: float, b2: float,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, SynthesisFailureError
 from .spectral import (SpectralSystem, _count, _finite_float, _frozen_array,
-                       _group_close, _run_dtype, pbh_controllable)
+                       _group_close, _pbh_controllable, _run_dtype)
 
 __all__ = [
     "TransitionSignal",
@@ -130,7 +130,7 @@ def place_poles(lam: np.ndarray, b: np.ndarray,
             raise InvalidParameterError(
                 "poles must be closed under conjugation for a real system")
 
-    if not pbh_controllable(lam, b):
+    if not _pbh_controllable(lam, b):
         raise SynthesisFailureError("the pair (A, B) is not controllable")
     # a rank-one gain can only place simple spectra
     if len(_group_close(lam, 1e-9)) < n:

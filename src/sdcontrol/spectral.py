@@ -280,6 +280,12 @@ def pbh_controllable(eigenvalues: np.ndarray, b: np.ndarray) -> bool:
     bmat = np.atleast_2d(_frozen_array(b, "b"))
     if bmat.shape[0] != eig.size:
         raise InvalidParameterError("b must have one row per eigenvalue")
+    return _pbh_controllable(eig, bmat)
+
+
+def _pbh_controllable(eig: np.ndarray, bmat: np.ndarray) -> bool:
+    """pbh_controllable on a finite eigenvalue vector and a matrix b with
+    one row per eigenvalue, unchecked."""
     sigma_max = float(np.linalg.svd(bmat, compute_uv=False)[0]) if bmat.size else 0.0
     thresh = 1e-9 * sigma_max
     for g in _group_close(eig, 1e-9):

@@ -140,6 +140,8 @@ NON_FINITE = [
         [1.0, -1.0], spoiled(np.ones((2, 1)), v), [-3.0, -4.0])),
     ("solve_lyapunov", lambda f, v: sd.solve_lyapunov(spoiled(-np.eye(2), v))),
     ("pbh_controllable", lambda f, v: sd.pbh_controllable([1.0], [[v]])),
+    ("pbh_controllable.eigenvalues",
+     lambda f, v: sd.pbh_controllable([v], [[1.0]])),
     ("project_profile.values", lambda f, v: sd.project_profile(
         f.sys, lambda xi: np.where(xi > 1.0, v, 0.0), 3)),
     ("simulate.disturbance", lambda f, v: sd.simulate(

@@ -329,7 +329,8 @@ class TestOptimizer:
 
 
 class TestSearchInvariants:
-    """The search evaluates the weight arithmetic on one precomputed base."""
+    """The search evaluates the weight arithmetic on one precomputed base
+    and builds one bundle, at the weights it returns."""
 
     def test_base_constants_once_per_search(self, heat_sys, design,
                                             monkeypatch):
@@ -343,6 +344,39 @@ class TestSearchInvariants:
         monkeypatch.setattr(certificates, "_base_constants", counted)
         sd.optimize_parameters(heat_sys, design)
         assert len(calls) == 1
+
+    def test_one_bundle_per_search(self, heat_sys, design, monkeypatch):
+        calls = []
+        real = certificates._weighted_constants
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(certificates, "_weighted_constants", counted)
+        sd.optimize_parameters(heat_sys, design)
+        assert len(calls) == 1
+
+    def test_objective_equals_bundle(self, heat_sys, design, monkeypatch):
+        # every value the search compares is the small-gain constant of the
+        # bundle compute_constants builds at that point's weights, bit for bit
+        points = []
+        real = certificates._gain_terms
+
+        def recorded(terms, beta, gamma2):
+            out = real(terms, beta, gamma2)
+            points.append((beta, terms.gamma1, gamma2, out[4]))
+            return out
+
+        monkeypatch.setattr(certificates, "_gain_terms", recorded)
+        for sys_, des in [(heat_sys, design), *seeded_heat_designs()]:
+            points.clear()
+            sd.optimize_parameters(sys_, des)
+            searched = list(points)
+            assert len(searched) > certificates._GAMMA2_SCAN
+            for beta, gamma1, gamma2, gain in searched:
+                bundle = sd.compute_constants(sys_, des, beta, gamma1, gamma2)
+                assert gain == bundle.small_gain_constant
 
     @pytest.mark.parametrize("n0, delay, poles", [
         (2, 0.1, [-3.0, -3.0]),          # the case study

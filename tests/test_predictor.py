@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sdcontrol as sd
+from sdcontrol import predictor, spectral
 from sdcontrol.errors import InvalidParameterError, SynthesisFailureError
 from sdcontrol.predictor import (_history_pad, _lagged, _RowSolver,
                                  _window_weights)
@@ -196,6 +197,23 @@ class TestDesign:
         for name in ("a_cl", "lyap"):
             with pytest.raises(TypeError):
                 sd.PredictorDesign(**good, **{name: np.eye(2)})
+
+    def test_inputs_frozen_once(self, heat_sys, monkeypatch):
+        # place_poles checks lam and b and hands them to the unchecked PBH
+        # core: lam, poles and b there, eigenvalues and b_n0 in the design,
+        # a_cl in solve_lyapunov and P
+        calls = []
+        real = spectral._frozen_array
+
+        def counted(value, what, *args):
+            calls.append(what)
+            return real(value, what, *args)
+
+        for module in (spectral, predictor):
+            monkeypatch.setattr(module, "_frozen_array", counted)
+        sd.design_predictor(heat_sys, 2, 0.1, [-3.0, -3.5], 0.2)
+        assert sorted(calls) == sorted(
+            ["lam", "poles", "b", "eigenvalues", "b_n0", "a_cl", "P"])
 
     @pytest.mark.parametrize("build", [
         lambda sys_, d: sd.design_predictor(sys_, 2, d, [-3.0, -3.0], 0.2),
