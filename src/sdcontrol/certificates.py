@@ -69,6 +69,12 @@ class CertificateBundle:
     norm_P: float
     norm_BK: float
 
+    def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise CertificateParameterError(
+                    f"{f.name} = {getattr(self, f.name)!r} is not finite")
+
 
 @dataclass(frozen=True)
 class CouplingConstants:
@@ -230,10 +236,11 @@ def _weighted_constants(base: _BaseConstants, terms: _Gamma1Terms,
     )
 
 
-def _lyapunov_rows(sys: SpectralSystem, design: PredictorDesign,
-                   bundle: CertificateBundle, z_history: np.ndarray,
-                   dt: float, rows: np.ndarray, x_coeffs: np.ndarray,
-                   u_delay: np.ndarray) -> np.ndarray:
+# outside __all__; the benchmark's certificates.evaluate_V_* layer wraps it
+def evaluate_V(sys: SpectralSystem, design: PredictorDesign,
+               bundle: CertificateBundle, z_history: np.ndarray,
+               dt: float, rows: np.ndarray, x_coeffs: np.ndarray,
+               u_delay: np.ndarray) -> np.ndarray:
     """The weighted Lyapunov functional at ascending rows of one history:
 
     V(t) = gamma1 [Z* P Z + int_{t-D}^t phi(s) Z(s)* P Z(s) ds]
@@ -383,8 +390,11 @@ def coupling_constants(a1: float, b1: float, c1: float, a2: float, b2: float,
 def small_gain_margin(bundle: CertificateBundle,
                       coupling: CouplingConstants) -> float:
     """1 - (d1 ct1 + d2) * C4 sqrt(C6/(2 kappa0)); positive certifies the loop."""
-    return 1.0 - (coupling.d1 * coupling.ct1 + coupling.d2) \
+    margin = 1.0 - (coupling.d1 * coupling.ct1 + coupling.d2) \
         * bundle.small_gain_constant
+    if not math.isfinite(margin):
+        raise CertificateParameterError(f"margin = {margin!r} is not finite")
+    return margin
 
 
 _REPORT_KEYS = ("beta", "gamma1", "gamma2", "C1", "C2g1", "C3g2", "C4", "C5",
@@ -401,12 +411,16 @@ def render_certificate(bundle: CertificateBundle, margin: float) -> str:
 def parse_certificate(text: str) -> dict[str, float]:
     """Read back a report produced by render_certificate."""
     out: dict[str, float] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        key, _, value = line.partition("=")
-        out[key.strip()] = float(value)
+    for line in filter(None, map(str.strip, text.splitlines())):
+        key, _, value = line.partition("=")  # no "=": float("") fails
+        try:
+            number = float(value)
+        except ValueError:
+            number = math.nan
+        if not math.isfinite(number):
+            raise InvalidParameterError(
+                f"report line {line!r} is not 'name = finite number'")
+        out[key.strip()] = number
     missing = [k for k in _REPORT_KEYS if k not in out]
     if missing:
         raise InvalidParameterError(f"report is missing keys: {missing}")

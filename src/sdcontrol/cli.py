@@ -21,7 +21,6 @@ import argparse
 import logging
 import os
 import sys as _sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -281,14 +280,11 @@ def _run(cfg: RunConfig, out_dir: Path, last: str,
 
 
 def cmd_case_study(out_dir: Path, no_disturbance: bool = False,
-                   open_loop: bool = False, t_end: float | None = None) -> int:
-    cfg = case_study_run_config()
-    if t_end is not None:
-        cfg = replace(cfg, simulation=replace(cfg.simulation, t_end=t_end))
+                   open_loop: bool = False) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "case_study.ini").write_text(CASE_STUDY_INI)
-    return _run(cfg, out_dir, "simulate", no_disturbance, open_loop,
-                write_all=True)
+    return _run(case_study_run_config(), out_dir, "simulate", no_disturbance,
+                open_loop, write_all=True)
 
 
 def main(argv=None) -> int:
@@ -299,37 +295,26 @@ def main(argv=None) -> int:
                     "for diagonal modal plants.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, needs_config=True):
-        if needs_config:
+    for name, text in (
+            ("validate", "check spectrum, truncation and controllability "
+                         "assumptions"),
+            ("design", "synthesize the delay-compensating gain"),
+            ("certify", "compute the stability certificate"),
+            ("simulate", "run the closed loop"),
+            ("case-study", "run the built-in reaction-diffusion case study "
+                           "end to end")):
+        p = sub.add_parser(name, help=text)
+        if name != "case-study":
             p.add_argument("--config", required=True,
                            help="path to the INI run configuration")
         p.add_argument("--out", default=".",
                        help="output directory (default: current)")
-
-    add_common(sub.add_parser("validate",
-                              help="check spectrum, truncation and "
-                                   "controllability assumptions"))
-    add_common(sub.add_parser("design",
-                              help="synthesize the delay-compensating gain"))
-    add_common(sub.add_parser("certify",
-                              help="compute the stability certificate"))
-    p_sim = sub.add_parser("simulate", help="run the closed loop")
-    add_common(p_sim)
-    p_sim.add_argument("--no-disturbance", action="store_true",
-                       help="disable the exogenous input and the injected "
-                            "disturbance coupling")
-    p_sim.add_argument("--open-loop", action="store_true",
-                       help="run with zero gain (no feedback)")
-    p_case = sub.add_parser("case-study",
-                            help="run the built-in reaction-diffusion "
-                                 "case study end to end")
-    add_common(p_case, needs_config=False)
-    p_case.add_argument("--no-disturbance", action="store_true",
-                        help="disable the exogenous input and the injected "
-                             "disturbance coupling")
-    p_case.add_argument("--open-loop", action="store_true",
-                        help="run with zero gain (no feedback)")
+        if name in ("simulate", "case-study"):
+            p.add_argument("--no-disturbance", action="store_true",
+                           help="disable the exogenous input and the "
+                                "injected disturbance coupling")
+            p.add_argument("--open-loop", action="store_true",
+                           help="run with zero gain (no feedback)")
 
     args = parser.parse_args(argv)
     out_dir = Path(args.out)

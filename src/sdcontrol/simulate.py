@@ -57,7 +57,7 @@ from typing import Callable
 
 import numpy as np
 
-from .certificates import CertificateBundle, _lyapunov_rows
+from .certificates import CertificateBundle, evaluate_V
 from .errors import (
     InsufficientDataError,
     InvalidParameterError,
@@ -541,7 +541,7 @@ def simulate(config: SimConfig, sys: SpectralSystem, design: PredictorDesign,
                 nd_rec[blk] = np.linalg.norm(
                     _assert_real(d, "coupling term", axis=1), axis=1)
             if bundle is not None:
-                v_rec[blk] = _lyapunov_rows(
+                v_rec[blk] = evaluate_V(
                     sys, design, bundle, z_hist, dt, rows[blk], c_rec[blk],
                     _lagged(u_hist, pad + rows[blk], delay / dt))
     bad = ~(np.isfinite(nx_rec) & np.isfinite(nd_rec) & np.isfinite(v_rec))

@@ -123,6 +123,15 @@ class TestFeasibilityBounds:
         with pytest.raises(InvalidParameterError, match="Lyapunov"):
             sd.compute_constants(sys_, open_loop, 0.5, 10.0, 8.0)
 
+    def test_bundle_fields_finite(self, bundle):
+        # a NaN small-gain constant gives a NaN margin, which no margin <= 0
+        # test catches
+        for name, value in (("small_gain_constant", math.nan),
+                            ("C6", math.inf)):
+            with pytest.raises(CertificateParameterError,
+                               match=f"{name} = .* is not finite"):
+                dataclasses.replace(bundle, **{name: value})
+
 
 class TestConstantValues:
     """Hand-derived values for the scalar reference design."""
@@ -217,10 +226,10 @@ class TestMonotonicity:
 
 def lyapunov_newest(sys_, des, bundle, z_history, dt, x_coeffs, u_delay):
     """V at the newest row of z_history (row 0 at t = 0), from
-    _lyapunov_rows on the history padded as simulate pads it."""
+    evaluate_V on the history padded as simulate pads it."""
     z = np.pad(np.asarray(z_history, dtype=complex),
                ((_history_pad(des.delay, dt), 0), (0, 0)))
-    return float(certificates._lyapunov_rows(
+    return float(certificates.evaluate_V(
         sys_, des, bundle, z, dt, np.array([len(z_history) - 1]),
         np.atleast_2d(x_coeffs), np.atleast_2d(u_delay))[0])
 
@@ -572,6 +581,13 @@ class TestMargins:
                                   d1=0.0, d2=0.0, d3=5.0)
         assert sd.small_gain_margin(bundle, cc) == 1.0
 
+    def test_overflowing_margin_rejected(self, bundle):
+        cc = sd.CouplingConstants(ct0=math.sqrt(2.0), ct1=1e300, ct2=0.1,
+                                  d1=1e300, d2=0.0, d3=0.0)
+        with pytest.raises(CertificateParameterError,
+                           match="margin = -inf is not finite"):
+            sd.small_gain_margin(bundle, cc)
+
     def test_margin_zero_at_reciprocal_coupling(self, bundle):
         cc = sd.CouplingConstants(
             ct0=math.sqrt(2.0), ct1=0.0, ct2=0.1, d1=0.0,
@@ -602,6 +618,17 @@ class TestCertificateReport:
         clipped = "\n".join(text.splitlines()[:-1])
         with pytest.raises(InvalidParameterError, match="margin"):
             sd.parse_certificate(clipped)
+
+    @pytest.mark.parametrize("line", ["beta = x", "beta 0.5"])
+    def test_malformed_line_rejected(self, bundle, line):
+        text = sd.render_certificate(bundle, margin=0.1) + line + "\n"
+        with pytest.raises(InvalidParameterError, match=f"'{line}'"):
+            sd.parse_certificate(text)
+
+    def test_all_nan_report_rejected(self):
+        text = "".join(f"{key} = nan\n" for key in self.KEYS)
+        with pytest.raises(InvalidParameterError, match="'beta = nan'"):
+            sd.parse_certificate(text)
 
     def test_blank_lines_tolerated(self, bundle):
         text = sd.render_certificate(bundle, margin=0.1)

@@ -307,6 +307,12 @@ EXIT_MATRIX = {
                                             "beta": 0.5, "gamma1": 1.0,
                                             "gamma2": 1.0}},
                            [(0, []), (0, DESIGN_FILES), (4, []), (4, [])]),
+    # C6 overflows at a finite gamma1: no certificate is written, where a
+    # NaN margin would read as certified
+    "C6=inf": ({"certificate": {"optimize": "false", "beta": 0.001,
+                                "gamma1": 1e308, "gamma2": 1000.0},
+                "coupling": {"a2": 0.0, "b2": 0.0}},
+               [(0, []), (0, DESIGN_FILES), (4, []), (4, [])]),
     # placement overflows: a synthesis failure, not numpy's LinAlgError
     "poles -1e308": ({"control": {"poles": "-1e308, -1e308"}},
                      [(0, []), (3, []), (3, []), (3, [])]),
@@ -387,7 +393,7 @@ def test_extreme_plant_data(tmp_path, name):
 class TestCaseStudyCommand:
     def test_full_pipeline(self, tmp_path):
         out = tmp_path / "cs"
-        code = cmd_case_study(out, t_end=1.0)
+        code = cmd_case_study(out)
         assert code == 4
         for name in ("case_study.ini", "validate.txt", "design.txt",
                      "gain.csv", "certificate.txt", "trajectory.csv",
@@ -400,7 +406,7 @@ class TestCaseStudyCommand:
 
     def test_open_loop_variant(self, tmp_path):
         out = tmp_path / "ol"
-        code = cmd_case_study(out, open_loop=True, t_end=0.5)
+        code = cmd_case_study(out, open_loop=True)
         assert code == 0
         assert "open-loop" in (out / "design.txt").read_text()
         assert not (out / "certificate.txt").exists()
@@ -408,7 +414,7 @@ class TestCaseStudyCommand:
 
     def test_no_disturbance_variant(self, tmp_path):
         out = tmp_path / "nd"
-        code = cmd_case_study(out, no_disturbance=True, t_end=0.5)
+        code = cmd_case_study(out, no_disturbance=True)
         assert code == 4
         assert (out / "certificate.txt").exists()
         data = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)

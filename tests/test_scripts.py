@@ -110,23 +110,6 @@ def test_gain_direction_scan_symmetric_direction(tmp_path):
         "     45.00  failed: the pair (A, B) is not controllable"]
 
 
-def test_run_case_study(tmp_path):
-    out = tmp_path / "out"
-    proc = run_script("run_case_study.py", "--t-end", "0.3", "--out",
-                      str(out), cwd=tmp_path)
-    # the shipped interconnection is not certified: exit 4, artifacts kept
-    assert proc.returncode == 4, proc.stderr
-    assert proc.stdout.splitlines()[-1] == \
-        f"done, exit code 4, artifacts in {out}/"
-    assert sorted(p.name for p in out.iterdir()) == sorted([
-        "case_study.ini", "validate.txt", "design.txt", "gain.csv",
-        "certificate.txt", "trajectory.csv", "summary.txt"])
-    data = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
-    assert data.shape == (301, 17)
-    np.testing.assert_allclose(data[-1, 0], 0.3)
-    assert "steps recorded = 301" in (out / "summary.txt").read_text()
-
-
 def load_script(name):
     spec = importlib.util.spec_from_file_location(name[:-3], SCRIPTS / name)
     module = importlib.util.module_from_spec(spec)
