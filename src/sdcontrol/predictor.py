@@ -177,8 +177,17 @@ def solve_lyapunov(a_cl: np.ndarray) -> np.ndarray:
         raise InvalidParameterError("a_cl must be square")
     if float(np.linalg.eigvals(a_cl).real.max()) >= 0.0:
         raise InvalidParameterError("a_cl must be Hurwitz")
+    return _lyapunov(a_cl)
+
+
+def _lyapunov(a_cl: np.ndarray) -> np.ndarray:
+    """solve_lyapunov on a square, finite, Hurwitz a_cl, unchecked."""
+    n = a_cl.shape[0]
     eye = np.eye(n, dtype=complex)
-    mat = np.kron(eye, a_cl.conj().T) + np.kron(a_cl.T, eye)
+    # the Kronecker sum I (x) A* + A^T (x) I as an (i, j, k, l) product
+    mat = (eye[:, None, :, None] * a_cl.conj().T[None, :, None, :]
+           + a_cl.T[:, None, :, None] * eye[None, :, None, :]).reshape(
+               n * n, n * n)
     rhs = (-eye).reshape(-1, order="F")
     try:
         vec = np.linalg.solve(mat, rhs)
@@ -248,7 +257,7 @@ class PredictorDesign:
         a_cl.setflags(write=False)
         gain.setflags(write=False)
         try:
-            lyap = (_frozen_array(solve_lyapunov(a_cl), "P")
+            lyap = (_frozen_array(_lyapunov(a_cl), "P")
                     if np.linalg.eigvals(a_cl).real.max() < 0 else None)
         except SynthesisFailureError as exc:
             raise SynthesisFailureError(f"delay D = {delay}: {exc}") from None
@@ -365,12 +374,25 @@ def _lagged(hist: np.ndarray, idx, steps: float) -> np.ndarray:
     return sum(w * hist[idx - back] for back, w in _taps(steps))
 
 
-# the most rows one block solve takes, and so the most steps a simulate
-# block advances; the block system's inverse grows with the square of the
-# count.  On the ensemble workload (seed 1, a two-core Xeon, Python 3.11,
-# numpy 2.4), 16 to 48 rows gave 15-16 ms per operation, alike within the
-# noise, and 64 rows 17-18 ms
-_SOLVE_ROWS = 32
+# the fewest and the most rows of a block solve.  A block is one delay
+# window, floor(D / dt) rows, held to this range (`_solve_rows`); its
+# tables, the inverses included, grow with the square of the count.
+# Against a fixed 32 rows, in-process pooled medians of the ensemble
+# workload's simulate and invert_artstein (two-core Xeon, Python 3.11,
+# numpy 2.4, one BLAS thread), with the peak memory of one D = 0.1237 run:
+# a cap of 48 rows -23 % (+0.4 MB), 64 -26 % (+1.3 MB), 80 -28 % (+1.9 MB)
+# and the whole window (up to 123 rows) -29 % (+4.5 MB); 32 rows with only
+# the one-product forcing -13 %, and a fixed 64 rows for the inversion,
+# out of step with simulate's shorter blocks, -19 %
+_SOLVE_ROWS = 32, 64
+
+
+def _solve_rows(delay: float, dt: float) -> int:
+    """Rows per block solve: one delay window within _SOLVE_ROWS.  A simulate
+    block advances at most floor(D / dt) steps, so from D / dt >= 32 on
+    simulate and invert_artstein start their blocks at the same rows."""
+    least, most = _SOLVE_ROWS
+    return min(most, max(least, _split_steps(delay / dt)[0]))
 
 
 class _RowSolver:
@@ -384,7 +406,7 @@ class _RowSolver:
     Z_0 = Y_0, which the callers set.  `cut` holds that difference, times
     B, for each such row from row 1 on.
 
-    A call solves the rows a + 1 .. a + b (a >= 0, b <= _SOLVE_ROWS) from
+    A call solves the rows a + 1 .. a + b (a >= 0, b <= rows) from
     their Y and phi and the input history rows up to a, in the padded
     layout of `_history_pad`; it writes nothing.
     Their Z satisfy one block lower-triangular system
@@ -394,15 +416,16 @@ class _RowSolver:
     where L holds diag(w[j]) B K at distance j below the diagonal,
     Phi = diag(phi) scales its block columns (the ramp), and older is the
     window sum over the rows before the call.  Built once per (design, dt)
-    for _SOLVE_ROWS rows (`_row_solver` keeps it on the design, so that
-    `simulate` and `invert_artstein` share it): one block-Toeplitz table of
-    the weights times B from the u rows the windows reach to the rows' Z,
+    for `rows` = `_solve_rows(D, dt)` rows, one delay window held between
+    32 and 64 (`_row_solver` keeps it on the design, so that `simulate`
+    and `invert_artstein` share it): one block-Toeplitz table of the
+    weights times B from the u rows the windows reach to the rows' Z,
     which gives older and L, and the inverse of I - L; since the system is
     lower triangular, the leading principal sub-blocks serve fewer rows.
     A call with phi = 1 throughout is then two matrix-vector products and
-    u = Z K^T phi.  A block whose phi is the design's own ramp inverts its
-    _SOLVE_ROWS-row I - L Phi on first use and keeps the inverse, keyed by
-    a: at most one per ramp row, ceil(t0 / dt) in all.  Any other phi
+    u = Z K^T.  A block whose phi is the design's own ramp inverts its
+    `rows`-row I - L Phi on first use and keeps the inverse, keyed by a:
+    at most one per ramp row, ceil(t0 / dt) in all.  Any other phi
     solves its I - L Phi directly and keeps nothing.  Every table, the
     gain included, is in self.dtype: float when the design's eigenvalues,
     B and K are real (`spectral._run_dtype`), and complex otherwise.  The
@@ -418,7 +441,8 @@ class _RowSolver:
         self.dt, self.n0, self.gain = dt, design.n0, gain
         self.transition = design.transition
         self.pad = _history_pad(design.delay, dt)
-        n0, m, rows = design.n0, design.input_dim, _SOLVE_ROWS
+        n0, m = design.n0, design.input_dim
+        self.rows = rows = _solve_rows(design.delay, dt)
         w = _window_weights(lam, design.delay, dt)
         self.n_past = n_past = len(w) - 1
         # rows 1 .. n_past - 1; row 0 is Z_0 = Y_0, which the callers set
@@ -440,7 +464,7 @@ class _RowSolver:
         self.lower = (wb @ gain).transpose(1, 0, 2)[
             entry, lag[..., n_past:]].reshape(rows * n0, -1)
         self.inv = np.linalg.inv(np.eye(rows * n0) - self.lower)
-        # a -> (the design's ramp at rows a + 1 .. a + _SOLVE_ROWS, the
+        # a -> (the design's ramp at rows a + 1 .. a + rows, the
         # inverse of I - L Phi under it)
         self.ramp = {}
 
@@ -450,7 +474,7 @@ class _RowSolver:
         entry = self.ramp.get(a)
         if entry is None:
             own = self.transition.phi(
-                (a + 1 + np.arange(_SOLVE_ROWS)) * self.dt)
+                (a + 1 + np.arange(self.rows)) * self.dt)
             if not np.array_equal(own[:len(phi)], phi):
                 return None
             entry = self.ramp[a] = own, np.linalg.inv(
@@ -470,7 +494,8 @@ class _RowSolver:
         if a + 1 < self.n_past:
             cut = self.cut[a:a + b]
             rhs[:len(cut)] += cut @ hist[self.pad]
-        inv = self.inv if (phi == 1.0).all() else self._ramp_inverse(a, phi)
+        ones = (phi == 1.0).all()
+        inv = self.inv if ones else self._ramp_inverse(a, phi)
         if inv is None:
             z = np.linalg.solve(np.eye(k) - self.lower[:k, :k]
                                 * np.repeat(phi, self.n0), rhs.ravel())
@@ -478,7 +503,8 @@ class _RowSolver:
             z = inv[:k, :k] @ rhs.ravel()
         z = z.reshape(b, self.n0)
         u = z @ self.gain.T
-        u *= phi[:, None]
+        if not ones:
+            u *= phi[:, None]
         return z, u
 
 
@@ -545,7 +571,7 @@ def invert_artstein(design: PredictorDesign, times: np.ndarray, y_path,
     v = hist[solve.pad:]
     # row 0's window is empty, so Z_0 = Y_0
     v[0] = phi_vals[0] * (solve.gain @ y[0])
-    for a in range(0, times.size - 1, _SOLVE_ROWS):
-        block = slice(a + 1, a + 1 + _SOLVE_ROWS)
+    for a in range(0, times.size - 1, solve.rows):
+        block = slice(a + 1, a + 1 + solve.rows)
         v[block] = solve(hist, a, y[block], phi_vals[block])[1]
     return v

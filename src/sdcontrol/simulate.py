@@ -23,9 +23,10 @@ at the stage times) and in the four stage arctans.  Those maps are built
 once per run (`_RK4Step`).  The input that drives the plant, u(t - D), is
 fixed one delay ahead, so up to floor(D / dt) consecutive steps read no
 input row they reach themselves.  The loop therefore advances the state by
-blocks of at most that many rows (and at most 32), one stepper call per
-block, which first forms the forcing of all of the block's steps, one
-product per delayed-input row.  A coupled block then takes its steps one
+blocks of at most that many rows (and at most 64, the row solver's block),
+one stepper call per block, which first forms the forcing of all of the
+block's steps as one product of their delayed-input windows.  A coupled
+block then takes its steps one
 by one, each two small matrix-vector products and four scalar arctans,
 while a plant-only block, whose step is diagonal, is one linear recurrence
 per state entry, summed by a doubling scan; either way the block's states
@@ -64,7 +65,7 @@ from .errors import (
     SimulationDivergedError,
 )
 from .predictor import (PredictorDesign, _history_pad, _lagged, _row_solver,
-                        _SOLVE_ROWS, _taps)
+                        _solve_rows, _taps)
 from .spectral import (SpectralSystem, _count, _finite_float, _frozen_array,
                        _run_dtype, project_profile)
 
@@ -233,10 +234,10 @@ class _RK4Step:
     delayed inputs at the stage times t - D, t - D + dt/2 and t - D + dt
     are fixed 2-point interpolations (`_taps`) of the input history u, in
     the padded layout of `_history_pad`: row k of the history sits at index
-    pad + k.  The interpolation weights and B are folded into one table W_l
-    per history row the stage lags read, so that the forcing of the step
-    from row r is sum_l u[r + lo + l] W_l, plus v at its stage times times
-    their columns.  A plant-only run has no arctans and no v: s_new =
+    pad + k.  The interpolation weights and B are folded into one table W
+    whose row (l, j) weights entry j of the history row r + lo + l, so that
+    the forcing of the step from row r is the rows r + lo .. r + hi - 1,
+    flattened, times W, plus v at its stage times times their columns.  A plant-only run has no arctans and no v: s_new =
     R s + F, and R is diagonal.  The tables take the run's dtype, float or
     complex (`spectral._run_dtype`), and so does the arctan: math.atan on
     a real run, cmath.atan on a complex one.
@@ -293,13 +294,12 @@ class _RK4Step:
         # the rows of the new state and, on a coupled run, of the four
         # arctan arguments
         op = np.vstack([s1 + dt / 6 * acc] + (args if self.coupled else []))
-        # W_l as (lag, u entry, row)
-        self.lag_w = op[:, dim:dim + n_hist].reshape(
-            len(op), -1, m).transpose(1, 2, 0).copy()
+        # W as ((lag, u entry), row)
+        self.lag_w = op[:, dim:dim + n_hist].T.copy()
 
         # the most steps one `advance` takes: the steps read no row they
-        # reach, and the row solver takes at most _SOLVE_ROWS rows
-        self.block = min(self.ahead, _SOLVE_ROWS)
+        # reach, and the row solver takes at most its block of rows
+        self.block = min(self.ahead, _solve_rows(design.delay, dt))
         if self.coupled:
             self.s_w = op[:, :dim].T.copy()
             self.v_w = op[:, dim + n_hist:width - 4].T.copy()
@@ -316,12 +316,14 @@ class _RK4Step:
 
     def advance(self, u: np.ndarray, a: int, v_half, s: np.ndarray) -> None:
         """Step s[0], the state at row a, into s[1:] (at most `block` rows)
-        from the padded input history u; s[p] gets the state at row a + p.
+        from the padded input history u, a C-contiguous array; s[p] gets
+        the state at row a + p.
 
         The steps read no input row the block reaches, so the forcing of
-        every step is formed first: one product per history lag and, on a
-        coupled run, v_half[2 r:2 r + 3], the v values of the step from row
-        r, times their columns.  A coupled block then takes its steps one
+        every step is formed first: one product of W with a strided view of
+        u whose row p is the history window of the step from row a + p,
+        and, on a coupled run, v_half[2 r:2 r + 3], the v values of the
+        step from row r, times their columns.  A coupled block then takes its steps one
         by one: h = s_p [R E]^T + f_p holds the new state before G a and
         the four arctan arguments before their T terms; the arctans a
         overwrite those, and s_{p+1} = [I G] h = h[:dim] + G a.  On a
@@ -331,10 +333,9 @@ class _RK4Step:
         1990).
         """
         b = len(s) - 1
-        lo = a + self.lo
-        f = u[lo:lo + b] @ self.lag_w[0]
-        for lag, w in enumerate(self.lag_w[1:], 1):
-            f += u[lo + lag:lo + lag + b] @ w
+        # overlapping windows of u's rows, with no copy
+        f = np.ndarray((b, len(self.lag_w)), u.dtype, u,
+                       (a + self.lo) * u.strides[0], u.strides) @ self.lag_w
         if self.coupled:
             dim = s.shape[1]
             f += v_half[np.arange(2 * a, 2 * (a + b), 2)[:, None]
@@ -427,7 +428,7 @@ def simulate(config: SimConfig, sys: SpectralSystem, design: PredictorDesign,
     rises from 0 to 1 there, and the plant first feels it at t = D: until
     then the delayed input reads the zero history before t = 0.
 
-    The steps run in blocks of min(floor(D / dt), 32) rows, none of which
+    The steps run in blocks of min(floor(D / dt), 64) rows, none of which
     reads an input row of its own block, with one stepper call per block
     (on a plant-only run, a per-mode scan), which writes the block's
     states into the state history.  After a block its states are checked

@@ -200,8 +200,9 @@ class TestDesign:
 
     def test_inputs_frozen_once(self, heat_sys, monkeypatch):
         # place_poles checks lam and b and hands them to the unchecked PBH
-        # core: lam, poles and b there, eigenvalues and b_n0 in the design,
-        # a_cl in solve_lyapunov and P
+        # core, and the design hands its checked A_cl to the unchecked
+        # Lyapunov core: lam, poles and b there, eigenvalues, b_n0 and P in
+        # the design
         calls = []
         real = spectral._frozen_array
 
@@ -213,7 +214,7 @@ class TestDesign:
             monkeypatch.setattr(module, "_frozen_array", counted)
         sd.design_predictor(heat_sys, 2, 0.1, [-3.0, -3.5], 0.2)
         assert sorted(calls) == sorted(
-            ["lam", "poles", "b", "eigenvalues", "b_n0", "a_cl", "P"])
+            ["lam", "poles", "b", "eigenvalues", "b_n0", "P"])
 
     @pytest.mark.parametrize("build", [
         lambda sys_, d: sd.design_predictor(sys_, 2, d, [-3.0, -3.0], 0.2),
@@ -591,8 +592,9 @@ class TestBlockSolve:
         "complex-pair", "mismatched-plant"])
     def test_simulate_matches_per_row_solve(self, heat_sys, fields,
                                             x0_coeffs, case):
-        # t_end = 1 is 1000 steps: the last block of 32 rows has 8; the
-        # ramp ends inside a block; D = 1.5 dt gives blocks of one row.  The
+        # t_end = 1 is 1000 steps: at D = 0.1 the last block of 64 rows has
+        # 40, and at D = 0.0625 the last of 62 has 8; the ramp ends inside a
+        # block; D = 1.5 dt gives blocks of one row.  The
         # predictor is built from the design's model, so with the plant's
         # diffusivity off (5.2 against 5.0) every window row must still
         # take the design's B
@@ -626,13 +628,16 @@ class TestBlockSolve:
         pytest.param(0.00205, 10, 2.5, 2, id="0.00205"),
         pytest.param(0.0125, 10, 2.5, 2, id="0.0125"),
         pytest.param(0.0625, 40, 2.5, 2, id="40-modes-0.0625"),
-        pytest.param(0.1, 10, 6.0, 1, id="n0-1-two-unstable")])
+        pytest.param(0.1, 10, 6.0, 1, id="n0-1-two-unstable"),
+        pytest.param(0.05, 10, 2.5, 2, id="0.05"),
+        pytest.param(0.1237, 10, 2.5, 2, id="0.1237")])
     def test_simulate_matches_stepwise_loop(self, heat_sys, x0_coeffs,
                                             delay, n_modes, reaction, n0):
         # a one-row block and then that row's solve, row after row: the
-        # blocks of min(floor(D / dt), 32) steps, each one scan per mode,
+        # blocks of min(floor(D / dt), 64) steps, each one scan per mode,
         # must give the same run.  300 steps end in a short block; at 40
-        # modes the window ends in a partial panel; with c = 6 and n0 = 1
+        # modes, and at D = 0.1237 (64-row blocks), the window ends in a
+        # partial panel; D = 0.05 gives 50-row blocks; with c = 6 and n0 = 1
         # the second mode grows uncontrolled, so its scan runs with
         # |rho| > 1
         sys_ = heat_sys if (n_modes, reaction) == (10, 2.5) else \
@@ -770,8 +775,8 @@ class TestSharedSolver:
         des = shared_design(heat_sys)
         traj = plant_run(heat_sys, des)
         kept = dict(des._solver.ramp)
-        # the ramp rows 1 .. 199 lie in the blocks after rows 0, 32 .. 192
-        assert sorted(kept) == list(range(0, 200, 32))
+        # the ramp rows 1 .. 199 lie in the blocks after rows 0, 64 .. 192
+        assert sorted(kept) == [0, 64, 128, 192]
         assert len(kept) <= math.ceil(des.transition.t0 / traj.dt)
         # an override ramp never fills the cache
         sd.invert_artstein(des, traj.t, traj.coeffs[:, :2],
@@ -801,9 +806,9 @@ class TestSharedSolver:
         lambda t: np.full(t.shape, 0.5),
         lambda t: np.zeros(t.shape)], ids=["step-at-0.05", "half", "zero"])
     def test_override_ignores_kept_inverses(self, heat_sys, phi):
-        # the step override is 1 at the first row of the block after row
-        # 32 and 0.5 after it, so the block's first phi alone cannot tell
-        # it from phi = 1
+        # the step override is 1 at the first 49 rows of the block after
+        # row 0 and 0.5 after them, so the block's first phi alone cannot
+        # tell it from phi = 1
         des = shared_design(heat_sys)
         traj = plant_run(heat_sys, des)
         y = traj.coeffs[:, :2]
@@ -813,13 +818,42 @@ class TestSharedSolver:
         _, ref = per_row_inputs(des, traj.dt, y, phi(traj.t))
         assert_rel_close(warm, ref)
 
+    def test_inversion_reuses_simulate_ramps(self, heat_sys):
+        # D / dt = 100: both callers step by the solver's 64 rows, so the
+        # inversion reads every ramp inverse the run kept and adds none
+        des = shared_design(heat_sys)
+        traj = plant_run(heat_sys, des)
+        kept = dict(des._solver.ramp)
+        sd.invert_artstein(des, traj.t, traj.coeffs[:, :2])
+        assert sorted(des._solver.ramp) == sorted(kept) == [0, 64, 128, 192]
+        assert all(des._solver.ramp[a] is kept[a] for a in kept)
+
+    def test_short_delay_blocks(self, heat_sys, monkeypatch):
+        # D / dt = 20: simulate's blocks are one delay window of 20 rows,
+        # and the inversion still solves the solver's least 32 rows a call
+        des = sd.design_predictor(heat_sys, 2, 0.02, [-3.0, -3.0], 0.2)
+        calls, solve = [], _RowSolver.__call__
+
+        def counted(self, hist, a, y, phi):
+            calls.append((a, len(y)))
+            return solve(self, hist, a, y, phi)
+
+        monkeypatch.setattr(_RowSolver, "__call__", counted)
+        traj = plant_run(heat_sys, des)
+        assert des._solver.rows == 32
+        assert calls == [(a, 20) for a in range(0, 500, 20)]
+        calls.clear()
+        u = sd.invert_artstein(des, traj.t, traj.coeffs[:, :2])
+        assert calls == [(a, 32) for a in range(0, 480, 32)] + [(480, 20)]
+        assert_rel_close(u, traj.u)
+
     def test_ramps_not_shared_across_t0(self, heat_sys):
         slow, fast = shared_design(heat_sys, 0.2), shared_design(heat_sys, 0.1)
         traj = plant_run(heat_sys, slow)
         y = traj.coeffs[:, :2]
         sd.invert_artstein(slow, traj.t, y)
         got = sd.invert_artstein(fast, traj.t, y)
-        assert sorted(fast._solver.ramp) == [0, 32, 64, 96]
+        assert sorted(fast._solver.ramp) == [0, 64]
         assert not np.array_equal(fast._solver.ramp[0][1],
                                   slow._solver.ramp[0][1])
         ref = sd.invert_artstein(shared_design(heat_sys, 0.1), traj.t, y)

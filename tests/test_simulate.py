@@ -653,7 +653,7 @@ class TestSimulate:
              "coupled-complex"])
     def test_one_step_calls(self, monkeypatch, heat_sys, design, fields,
                             x0_coeffs, coupled, real):
-        # one stepper call per block of min(floor(D / dt), 32) = 32 rows on
+        # one stepper call per block of min(floor(D / dt), 64) = 64 rows on
         # both step kinds; a coupled step takes four scalar arctans, and a
         # plant-only block, one scan per mode, takes none.  The arctan is
         # the one the stepper picks for its dtype: math.atan on the real
@@ -695,7 +695,7 @@ class TestSimulate:
         traj = sd.simulate(cfg, heat_sys, design, fields if coupled else None,
                            x0=-2.0, x0_coeffs=x0_coeffs)
         assert traj.coeffs.dtype == (float if real else complex)
-        assert blocks == list(range(0, n_steps, 32))
+        assert blocks == list(range(0, n_steps, 64))
         assert len(atans) == (4 * n_steps if coupled else 0)
         assert all(isinstance(z, float if real else complex) for z in atans)
 
