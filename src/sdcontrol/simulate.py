@@ -26,8 +26,8 @@ input row they reach themselves.  The loop therefore advances the state by
 blocks of at most that many rows (and at most 64, the row solver's block),
 one stepper call per block, which first forms the forcing of all of the
 block's steps as one product of their delayed-input windows.  A coupled
-block then takes its steps one
-by one, each two small matrix-vector products and four scalar arctans,
+block then takes its steps one by one, each two small matrix-vector
+products and four scalar arctans,
 while a plant-only block, whose step is diagonal, is one linear recurrence
 per state entry, summed by a doubling scan; either way the block's states
 go straight into the state history.  After each block the loop checks its
@@ -237,8 +237,9 @@ class _RK4Step:
     pad + k.  The interpolation weights and B are folded into one table W
     whose row (l, j) weights entry j of the history row r + lo + l, so that
     the forcing of the step from row r is the rows r + lo .. r + hi - 1,
-    flattened, times W, plus v at its stage times times their columns.  A plant-only run has no arctans and no v: s_new =
-    R s + F, and R is diagonal.  The tables take the run's dtype, float or
+    flattened, times W, plus v at its stage times times their columns.  A
+    plant-only run has no arctans and no v: s_new = R s + F, and R is
+    diagonal.  The tables take the run's dtype, float or
     complex (`spectral._run_dtype`), and so does the arctan: math.atan on
     a real run, cmath.atan on a complex one.
     """
@@ -323,13 +324,13 @@ class _RK4Step:
         every step is formed first: one product of W with a strided view of
         u whose row p is the history window of the step from row a + p,
         and, on a coupled run, v_half[2 r:2 r + 3], the v values of the
-        step from row r, times their columns.  A coupled block then takes its steps one
-        by one: h = s_p [R E]^T + f_p holds the new state before G a and
-        the four arctan arguments before their T terms; the arctans a
-        overwrite those, and s_{p+1} = [I G] h = h[:dim] + G a.  On a
-        plant-only run the block is one linear recurrence per entry of s,
-        s_{p+1} = rho s_p + f_p with rho = diag R (x's entry is 1 and its
-        forcing 0); a doubling scan sums it (Blelloch, CMU-CS-90-190,
+        step from row r, times their columns.  A coupled block then takes
+        its steps one by one: h = s_p [R E]^T + f_p holds the new state
+        before G a and the four arctan arguments before their T terms; the
+        arctans a overwrite those, and s_{p+1} = [I G] h = h[:dim] + G a.
+        On a plant-only run the block is one linear recurrence per entry of
+        s, s_{p+1} = rho s_p + f_p with rho = diag R (x's entry is 1 and
+        its forcing 0); a doubling scan sums it (Blelloch, CMU-CS-90-190,
         1990).
         """
         b = len(s) - 1
@@ -428,16 +429,18 @@ def simulate(config: SimConfig, sys: SpectralSystem, design: PredictorDesign,
     rises from 0 to 1 there, and the plant first feels it at t = D: until
     then the delayed input reads the zero history before t = 0.
 
-    The steps run in blocks of min(floor(D / dt), 64) rows, none of which
-    reads an input row of its own block, with one stepper call per block
-    (on a plant-only run, a per-mode scan), which writes the block's
-    states into the state history.  After a block its states are checked
-    for finiteness and its predictor rows are solved together as one
-    block lower-triangular system, ramp rows and rows whose window reaches
-    past t = 0 included, by the row solver the design keeps for dt (built
-    on the first run, shared with `invert_artstein`).  The recorded rows
-    are read out of the histories at the end.  v is evaluated once per
-    grid time and once per half step.
+    The steps run in blocks of min(floor(D / dt), rows) rows, none of which
+    reads an input row of its own block; rows is the row solver's block,
+    one delay window held between 32 and 64 rows, so from D / dt >= 32 on
+    `invert_artstein` starts its blocks at the same rows.  There is one
+    stepper call per block (on a plant-only run, a per-mode scan), which
+    writes the block's states into the state history.  After a block its
+    states are checked for finiteness and its predictor rows are solved
+    together as one block lower-triangular system, ramp rows and rows
+    whose window reaches past t = 0 included, by the row solver the design
+    keeps for dt (built on the first run, shared with `invert_artstein`).
+    The recorded rows are read out of the histories at the end.  v is
+    evaluated once per grid time and once per half step.
 
     Args:
         fields: interconnection, or None for a plant-only run.
