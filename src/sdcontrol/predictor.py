@@ -422,7 +422,8 @@ class _RowSolver:
     weights times B from the u rows the windows reach to the rows' Z,
     which gives older and L, and the inverse of I - L; since the system is
     lower triangular, the leading principal sub-blocks serve fewer rows.
-    A call with phi = 1 throughout is then two matrix-vector products and
+    A call whose rows all lie where phi stays 1, as its caller finds once
+    per run (`_ones_from`), is then two matrix-vector products and
     u = Z K^T.  A block whose phi is the design's own ramp inverts its
     `rows`-row I - L Phi on first use and keeps the inverse, keyed by a:
     at most one per ramp row, ceil(t0 / dt) in all.  Any other phi
@@ -484,8 +485,11 @@ class _RowSolver:
         return inv if np.array_equal(own[:len(phi)], phi) else None
 
     def __call__(self, hist: np.ndarray, a: int, y: np.ndarray,
-                 phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(Z, u) of the rows a + 1 .. a + len(y) from the padded history."""
+                 phi: np.ndarray, ones: int | None = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
+        """(Z, u) of the rows a + 1 .. a + len(y) from the padded history.
+        ones is the row from which the caller's phi is 1 to its end
+        (`_ones_from`); None reads every block as a ramp block."""
         b, c = len(y), self.pad + a + 1
         k = b * self.n0
         rhs = (self.older[:k] @ hist[c - self.n_past:c].ravel()).reshape(
@@ -494,8 +498,8 @@ class _RowSolver:
         if a + 1 < self.n_past:
             cut = self.cut[a:a + b]
             rhs[:len(cut)] += cut @ hist[self.pad]
-        ones = (phi == 1.0).all()
-        inv = self.inv if ones else self._ramp_inverse(a, phi)
+        flat = ones is not None and a + 1 >= ones
+        inv = self.inv if flat else self._ramp_inverse(a, phi)
         if inv is None:
             z = np.linalg.solve(np.eye(k) - self.lower[:k, :k]
                                 * np.repeat(phi, self.n0), rhs.ravel())
@@ -503,9 +507,15 @@ class _RowSolver:
             z = inv[:k, :k] @ rhs.ravel()
         z = z.reshape(b, self.n0)
         u = z @ self.gain.T
-        if not ones:
+        if not flat:
             u *= phi[:, None]
         return z, u
+
+
+def _ones_from(phi: np.ndarray) -> int:
+    """The row from which phi is 1 to its end (len(phi) if its last is not)."""
+    off = np.flatnonzero(phi != 1.0)
+    return int(off[-1]) + 1 if off.size else 0
 
 
 def _row_solver(design: PredictorDesign, dt: float) -> _RowSolver:
@@ -571,7 +581,8 @@ def invert_artstein(design: PredictorDesign, times: np.ndarray, y_path,
     v = hist[solve.pad:]
     # row 0's window is empty, so Z_0 = Y_0
     v[0] = phi_vals[0] * (solve.gain @ y[0])
+    ones = _ones_from(phi_vals)
     for a in range(0, times.size - 1, solve.rows):
         block = slice(a + 1, a + 1 + solve.rows)
-        v[block] = solve(hist, a, y[block], phi_vals[block])[1]
+        v[block] = solve(hist, a, y[block], phi_vals[block], ones)[1]
     return v

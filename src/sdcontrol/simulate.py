@@ -26,19 +26,21 @@ input row they reach themselves.  The loop therefore advances the state by
 blocks of at most that many rows (and at most 64, the row solver's block),
 one stepper call per block, which first forms the forcing of all of the
 block's steps as one product of their delayed-input windows.  A coupled
-block then takes its steps one by one, each two small matrix-vector
-products and four scalar arctans,
-while a plant-only block, whose step is diagonal, is one linear recurrence
-per state entry, summed by a doubling scan; either way the block's states
-go straight into the state history.  After each block the loop checks its
-states for finiteness once and solves all of its predictor rows as one
-block lower-triangular system (`predictor._RowSolver`): the ramp scales the
-system's columns and a window cut at t = 0 only corrects the weight on row
-0.  The solver is the design's own, built on the first run at a step and
-shared with `invert_artstein`; it keeps the inverse of each ramp block's
-system, so a later run at the same step inverts nothing.  The recorded
-rows are indexed out of the histories after the loop, and their
-norms and V are computed vectorized over blocks of them.
+block then takes its steps one by one, each one small matrix-vector
+product, which carries a step's result into the next step's arctan
+arguments and new state, and four scalar arctans.  A plant-only block,
+whose step is diagonal, is one linear recurrence per state entry, summed
+in closed form: one cumulative sum between two multiplications by power
+tables.  Either way the block's states go straight into the state
+history.  After each block the loop solves all of its predictor rows as
+one block lower-triangular system (`predictor._RowSolver`): the ramp
+scales the system's columns and a window cut at t = 0 only corrects the
+weight on row 0.  The solver is the design's own, built on the first run
+at a step and shared with `invert_artstein`; it keeps the inverse of each
+ramp block's system, so a later run at the same step inverts nothing.
+After the loop the state history is checked for finiteness once; the
+recorded rows are then indexed out of the histories, and their norms and
+V are computed vectorized over blocks of them.
 
 A run is real arithmetic when its data are real.  Its dtype is chosen once
 (`spectral._run_dtype`): float64 when the simulated eigenvalues and input
@@ -64,8 +66,8 @@ from .errors import (
     InvalidParameterError,
     SimulationDivergedError,
 )
-from .predictor import (PredictorDesign, _history_pad, _lagged, _row_solver,
-                        _solve_rows, _taps)
+from .predictor import (PredictorDesign, _history_pad, _lagged, _ones_from,
+                        _row_solver, _solve_rows, _taps)
 from .spectral import (SpectralSystem, _count, _finite_float, _frozen_array,
                        _run_dtype, project_profile)
 
@@ -86,6 +88,10 @@ __all__ = [
 # their (rows, modes) temporaries and row tuples stay small whatever the
 # run length
 _BLOCK_ROWS = 1024
+
+# decades within which a plant-only block keeps its power tables rho^-q and
+# rho^(p - 1) (`_RK4Step`), far from float64's overflow at 1e308
+_POWER_DECADES = 150
 
 
 def case_study_disturbance(t: float) -> float:
@@ -239,9 +245,13 @@ class _RK4Step:
     the forcing of the step from row r is the rows r + lo .. r + hi - 1,
     flattened, times W, plus v at its stage times times their columns.  A
     plant-only run has no arctans and no v: s_new = R s + F, and R is
-    diagonal.  The tables take the run's dtype, float or
-    complex (`spectral._run_dtype`), and so does the arctan: math.atan on
-    a real run, cmath.atan on a complex one.
+    diagonal.  Its block is at most 1 + 150 / max |log10 |rho|| steps long
+    (rho = diag R, `_POWER_DECADES`), which binds only near the complex
+    roots of the RK4 polynomial (a decaying real mode has |rho| >= 0.27)
+    or for a mode that grows by more than 240 per step; rho = 0 gives
+    one-step blocks.  The tables take the run's dtype, float or complex
+    (`spectral._run_dtype`), and so does the arctan: math.atan on a real
+    run, cmath.atan on a complex one.
     """
 
     def __init__(self, sys: SpectralSystem, design: PredictorDesign,
@@ -304,16 +314,26 @@ class _RK4Step:
         if self.coupled:
             self.s_w = op[:, :dim].T.copy()
             self.v_w = op[:, dim + n_hist:width - 4].T.copy()
-            # [I G], for (h[:dim], a)
-            self.a_w = np.hstack([np.eye(dim), op[:dim, width - 4:]])
+            # [I G]^T, for s_new = (h[:dim], a) [I G]^T, and the map of
+            # (h[:dim], a) to the next step's h before its forcing
+            self.a_w = np.vstack([np.eye(dim), op[:dim, width - 4:].T])
+            self.carry = self.a_w @ self.s_w
             self.tri = tuple(
                 op[dim:, width - 4:][np.tril_indices(4, -1)].tolist())
             self.atan = math.atan if dtype is float else cmath.atan
         else:
-            # rho^k for the doubling rounds k = 1, 2, 4, .. < block
-            self.squares = [np.diag(op)]
-            while 1 << len(self.squares) < self.block:
-                self.squares.append(self.squares[-1] ** 2)
+            self.rho = np.diag(op).copy()
+            # rho^-q and rho^(p - 1) stay within 1e+-_POWER_DECADES when
+            # (block - 1) max |log10 |rho|| does not exceed it, so the block
+            # is bounded before any power is taken; rho = 0 (or a
+            # non-finite rho) leaves one-row blocks
+            with np.errstate(divide="ignore", invalid="ignore"):
+                decades = float(np.abs(np.log10(np.abs(self.rho))).max())
+            if not (self.block - 1) * decades <= _POWER_DECADES:
+                self.block = 1 + int(_POWER_DECADES / decades) \
+                    if decades < math.inf else 1
+            q = np.arange(self.block)[:, None]
+            self.rise, self.fall = self.rho ** -q, self.rho ** q
 
     def advance(self, u: np.ndarray, a: int, v_half, s: np.ndarray) -> None:
         """Step s[0], the state at row a, into s[1:] (at most `block` rows)
@@ -325,13 +345,17 @@ class _RK4Step:
         u whose row p is the history window of the step from row a + p,
         and, on a coupled run, v_half[2 r:2 r + 3], the v values of the
         step from row r, times their columns.  A coupled block then takes
-        its steps one by one: h = s_p [R E]^T + f_p holds the new state
+        its steps one by one: h_p = s_p [R E]^T + f_p holds the new state
         before G a and the four arctan arguments before their T terms; the
-        arctans a overwrite those, and s_{p+1} = [I G] h = h[:dim] + G a.
-        On a plant-only run the block is one linear recurrence per entry of
-        s, s_{p+1} = rho s_p + f_p with rho = diag R (x's entry is 1 and
-        its forcing 0); a doubling scan sums it (Blelloch, CMU-CS-90-190,
-        1990).
+        arctans a overwrite those, and s_{p+1} = (h_p[:dim], a) [I G]^T.
+        So h_{p+1} = h_p C + f_{p+1} with C = [I G]^T [R E]^T: each step
+        is one product and one add, and the block's states are one product
+        of its h rows with [I G]^T after its steps.  On a plant-only run
+        the block is one linear recurrence per entry of s,
+        s_{p+1} = rho s_p + f_p with rho = diag R (x's entry is 1 and its
+        forcing 0), whose sum has the closed form
+        s_{a+p} = rho^(p-1) (rho s_a + sum_{q<p} rho^-q f_q): one cumulative
+        sum between two multiplications by power tables.
         """
         b = len(s) - 1
         # overlapping windows of u's rows, with no copy
@@ -342,28 +366,25 @@ class _RK4Step:
             f += v_half[np.arange(2 * a, 2 * (a + b), 2)[:, None]
                         + (0, 1, 2)] @ self.v_w
             t10, t20, t21, t30, t31, t32 = self.tri
-            atan = self.atan
-            for p, f_p in enumerate(f):
-                h = s[p] @ self.s_w
-                h += f_p
+            atan, carry = self.atan, self.carry
+            nxt = s[0] @ self.s_w
+            for h in f:
+                h += nxt
                 g0, g1, g2, g3 = h[dim:].tolist()
                 a0 = atan(g0)
                 a1 = atan(g1 + t10 * a0)
                 a2 = atan(g2 + t20 * a0 + t21 * a1)
                 h[dim:] = a0, a1, a2, atan(
                     g3 + t30 * a0 + t31 * a1 + t32 * a2)
-                np.dot(self.a_w, h, out=s[p + 1])
+                nxt = h @ carry
+            np.matmul(f, self.a_w, out=s[1:])
             return
-        # after the round with step k, f[p] sums rho^(p - q) f_q over the
-        # 2k latest q <= p; rho s_a rides in f_0
-        f[0] += self.squares[0] * s[0]
-        k = 1
-        for rho_k in self.squares:
-            if k >= b:
-                break
-            f[k:] += rho_k * f[:-k]
-            k *= 2
-        s[1:] = f
+        f *= self.rise[:b]
+        f[0] += self.rho * s[0]
+        # the cumulative sum down the rows; ufunc.accumulate skips
+        # np.cumsum's Python wrapper
+        np.add.accumulate(f, out=f)
+        np.multiply(f, self.fall[:b], out=s[1:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -392,6 +413,27 @@ class Trajectory:
 
     def __len__(self) -> int:
         return int(self.t.size)
+
+
+def _half_step_v(config: SimConfig, n_steps: int) -> np.ndarray:
+    """v at the half-step times k dt / 2, k = 0 .. 2 n_steps: the step from
+    row r reads v_half[2 r:2 r + 3], and row i's own value is v_half[2 i].
+    A named disturbance is one array expression over the times; a callable
+    is called once per time."""
+    k = np.arange(2 * n_steps + 1)
+    t = k // 2 * config.dt + k % 2 * (config.dt / 2)
+    if config.disturbance == "none":
+        return np.zeros(t.size)
+    if config.disturbance == "case-study":
+        return np.sin(2.0 * t) * np.sin(5.0 * t)
+    v_fn = config.v_function()
+    return _frozen_array([v_fn(x) for x in t.tolist()],
+                         "v at the half-step times k dt / 2", float)
+
+
+def _row_norms(c: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of c, with no |c|^2 temporary."""
+    return np.sqrt(np.einsum("ij,ij->i", c.conj(), c).real)
 
 
 def _check_rk4_stability(sys: SpectralSystem, n_modes: int, dt: float,
@@ -433,14 +475,17 @@ def simulate(config: SimConfig, sys: SpectralSystem, design: PredictorDesign,
     reads an input row of its own block; rows is the row solver's block,
     one delay window held between 32 and 64 rows, so from D / dt >= 32 on
     `invert_artstein` starts its blocks at the same rows.  There is one
-    stepper call per block (on a plant-only run, a per-mode scan), which
-    writes the block's states into the state history.  After a block its
-    states are checked for finiteness and its predictor rows are solved
-    together as one block lower-triangular system, ramp rows and rows
-    whose window reaches past t = 0 included, by the row solver the design
-    keeps for dt (built on the first run, shared with `invert_artstein`).
-    The recorded rows are read out of the histories at the end.  v is
-    evaluated once per grid time and once per half step.
+    stepper call per block (on a plant-only run, one closed-form sum per
+    mode), which writes the block's states into the state history.  After
+    a block its predictor rows are solved together as one block
+    lower-triangular system, ramp rows and rows whose window reaches past
+    t = 0 included, by the row solver the design keeps for dt (built on
+    the first run, shared with `invert_artstein`).  After the loop the
+    state history is checked for finiteness once, which names its first
+    non-finite row, and the recorded rows are read out of the histories.
+    v is evaluated once per grid time and once per half step: one array
+    expression for a named disturbance, one call per time for a
+    callable.
 
     Args:
         fields: interconnection, or None for a plant-only run.
@@ -474,7 +519,6 @@ def simulate(config: SimConfig, sys: SpectralSystem, design: PredictorDesign,
 
     delay = design.delay
     n0 = design.n0
-    v_fn = config.v_function()
     coeffs = _frozen_array(x0_coeffs, "x0_coeffs")
     if coeffs.shape != (n,):
         raise InvalidParameterError(f"x0_coeffs must have shape ({n},)")
@@ -502,28 +546,24 @@ def simulate(config: SimConfig, sys: SpectralSystem, design: PredictorDesign,
     s_hist[pad] = s0.real if dtype is float else s0
     z_hist[pad] = s_hist[pad, 1:n0 + 1]
     phi = design.transition.phi(np.arange(n_steps + 1) * dt)
-    # v once at each half-step time k dt / 2: the step from row r reads
-    # v_half[2 r:2 r + 3], and row i's own value is v_half[2 i]
-    v_half = None
-    if fields is not None:
-        v_half = _frozen_array([v_fn(k // 2 * dt + k % 2 * (dt / 2))
-                                for k in range(2 * n_steps + 1)],
-                               "v at the half-step times k dt / 2", float)
+    ones = _ones_from(phi)
+    v_half = None if fields is None else _half_step_v(config, n_steps)
 
-    # a diverging state overflows on its way to inf; the finiteness check,
-    # not numpy's warning, reports it
+    # a diverging state overflows on its way to inf and runs on as inf or
+    # NaN; the finiteness check after the loop, not numpy's warning,
+    # reports its first non-finite row
     with np.errstate(over="ignore", invalid="ignore"):
         for a in range(0, n_steps, rk4.block):
             end = min(a + rk4.block, n_steps)
             s = s_hist[pad + a:pad + end + 1]
             rk4.advance(u_hist, a, v_half, s)
-            if not np.isfinite(s).all():
-                bad = np.argmin(np.isfinite(s).all(axis=1))
-                raise SimulationDivergedError(
-                    f"state became non-finite at t = {(a + bad) * dt:.6g}")
             new = slice(pad + a + 1, pad + end + 1)
             z_hist[new], u_hist[new] = solve(
-                u_hist, a, s[1:, 1:n0 + 1], phi[a + 1:end + 1])
+                u_hist, a, s[1:, 1:n0 + 1], phi[a + 1:end + 1], ones)
+    if not np.isfinite(s_hist[pad:]).all():
+        bad = np.argmin(np.isfinite(s_hist[pad:]).all(axis=1))
+        raise SimulationDivergedError(
+            f"state became non-finite at t = {bad * dt:.6g}")
 
     t = rows * dt
     # at stride 1 the recorded rows are views of the histories, not copies
@@ -538,12 +578,12 @@ def simulate(config: SimConfig, sys: SpectralSystem, design: PredictorDesign,
     with np.errstate(over="ignore", invalid="ignore"):
         for a in range(0, rows.size, _BLOCK_ROWS):
             blk = slice(a, a + _BLOCK_ROWS)
-            nx_rec[blk] = np.linalg.norm(c_rec[blk], axis=1)
+            nx_rec[blk] = _row_norms(c_rec[blk])
             if fields is not None:
                 d = np.column_stack([x_rec[blk], np.arctan(s_rec[blk] @ e_row),
                                      v_half[2 * rows[blk]]]) @ d_map
-                nd_rec[blk] = np.linalg.norm(
-                    _assert_real(d, "coupling term", axis=1), axis=1)
+                nd_rec[blk] = _row_norms(
+                    _assert_real(d, "coupling term", axis=1))
             if bundle is not None:
                 v_rec[blk] = evaluate_V(
                     sys, design, bundle, z_hist, dt, rows[blk], c_rec[blk],

@@ -584,6 +584,24 @@ def assert_rel_close(actual, reference):
     assert np.abs(actual - reference).max() <= 1e-13 * scale
 
 
+def stepwise_run(sys_, des, y0, dt, n_steps):
+    """(coeffs, u) of a plant-only run from x = 0 and coefficients y0 as
+    one-row blocks, each followed by that row's per_row_solve."""
+    n_modes, n0 = y0.size, des.n0
+    phi = des.transition.phi(np.arange(n_steps + 1) * dt)
+    g = np.zeros((n_steps + 1, n0), dtype=complex)
+    rk4 = _RK4Step(sys_, des, None, n_modes, dt, complex)
+    u_pad = np.zeros((rk4.pad + n_steps + 1, sys_.input_dim),
+                     dtype=complex)
+    u = u_pad[rk4.pad:]
+    s = np.zeros((n_steps + 1, n_modes + 1), dtype=complex)
+    s[0, 1:] = y0
+    for i in range(1, n_steps + 1):
+        rk4.advance(u_pad, i - 1, None, s[i - 1:i + 1])
+        u[i] = per_row_solve(des, dt, g, i, s[i, 1:n0 + 1], phi[i])[1]
+    return s[:, 1:], u
+
+
 class TestBlockSolve:
     """Runs of predictor rows solved at once against the row-by-row solve."""
 
@@ -634,12 +652,12 @@ class TestBlockSolve:
     def test_simulate_matches_stepwise_loop(self, heat_sys, x0_coeffs,
                                             delay, n_modes, reaction, n0):
         # a one-row block and then that row's solve, row after row: the
-        # blocks of min(floor(D / dt), 64) steps, each one scan per mode,
-        # must give the same run.  300 steps end in a short block; at 40
-        # modes, and at D = 0.1237 (64-row blocks), the window ends in a
-        # partial panel; D = 0.05 gives 50-row blocks; with c = 6 and n0 = 1
-        # the second mode grows uncontrolled, so its scan runs with
-        # |rho| > 1
+        # blocks of min(floor(D / dt), 64) steps, each one cumulative sum
+        # per mode, must give the same run.  300 steps end in a short
+        # block; at 40 modes, and at D = 0.1237 (64-row blocks), the window
+        # ends in a partial panel; D = 0.05 gives 50-row blocks; with c = 6
+        # and n0 = 1 the second mode grows uncontrolled, so its sum runs
+        # with |rho| > 1
         sys_ = heat_sys if (n_modes, reaction) == (10, 2.5) else \
             sd.build_heat_system(5.0, reaction, 2 * np.pi, n_modes)
         y0 = x0_coeffs if n_modes == 10 else \
@@ -650,18 +668,26 @@ class TestBlockSolve:
         cfg = sd.SimConfig(dt=dt, t_end=n_steps * dt, n_modes=n_modes,
                            disturbance="none")
         traj = sd.simulate(cfg, sys_, des, None, x0=0.0, x0_coeffs=y0)
-        phi = des.transition.phi(traj.t)
-        g = np.zeros((n_steps + 1, n0), dtype=complex)
-        rk4 = _RK4Step(sys_, des, None, n_modes, dt, complex)
-        u_pad = np.zeros((rk4.pad + n_steps + 1, sys_.input_dim),
-                         dtype=complex)
-        u = u_pad[rk4.pad:]
-        s = np.zeros((n_steps + 1, n_modes + 1), dtype=complex)
-        s[0, 1:] = y0
-        for i in range(1, n_steps + 1):
-            rk4.advance(u_pad, i - 1, None, s[i - 1:i + 1])
-            u[i] = per_row_solve(des, dt, g, i, s[i, 1:n0 + 1], phi[i])[1]
-        assert_rel_close(traj.coeffs, s[:, 1:])
+        coeffs, u = stepwise_run(sys_, des, y0, dt, n_steps)
+        assert_rel_close(traj.coeffs, coeffs)
+        assert_rel_close(traj.u, u)
+
+    def test_closed_form_near_rk4_root(self):
+        # dt lam = -1.72944423 + 0.88897438i lies near a complex root of the
+        # RK4 polynomial, so that pair's |rho| is about 1e-8 and rho^-q
+        # would overflow within a 64-row block: the block is bounded before
+        # any power is taken, and the run is still the one-row-block run
+        dt, n_steps = 1e-3, 300
+        r = (-1.72944423 + 0.88897438j) / dt
+        sys_ = synthetic_system([0.5 + 2j, 0.5 - 2j, -3.0, r, np.conj(r)])
+        des = sd.design_predictor(sys_, 2, 0.1, [-2 + 1j, -2 - 1j], 0.2)
+        y0 = np.array([0.3 - 0.4j, 0.3 + 0.4j, 0.1, 0.2 + 0.1j, 0.2 - 0.1j])
+        assert _RK4Step(sys_, des, None, 5, dt, complex).block < 64
+        cfg = sd.SimConfig(dt=dt, t_end=n_steps * dt, n_modes=5,
+                           disturbance="none")
+        traj = sd.simulate(cfg, sys_, des, None, x0=0.0, x0_coeffs=y0)
+        coeffs, u = stepwise_run(sys_, des, y0, dt, n_steps)
+        assert_rel_close(traj.coeffs, coeffs)
         assert_rel_close(traj.u, u)
 
     @pytest.mark.parametrize("delay,phi", [
@@ -834,9 +860,9 @@ class TestSharedSolver:
         des = sd.design_predictor(heat_sys, 2, 0.02, [-3.0, -3.0], 0.2)
         calls, solve = [], _RowSolver.__call__
 
-        def counted(self, hist, a, y, phi):
+        def counted(self, hist, a, y, phi, ones):
             calls.append((a, len(y)))
-            return solve(self, hist, a, y, phi)
+            return solve(self, hist, a, y, phi, ones)
 
         monkeypatch.setattr(_RowSolver, "__call__", counted)
         traj = plant_run(heat_sys, des)

@@ -12,7 +12,8 @@ import sdcontrol as sd
 from sdcontrol.errors import (InsufficientDataError, InvalidParameterError,
                               SimulationDivergedError)
 from sdcontrol.predictor import _RowSolver, _split_steps
-from sdcontrol.simulate import _assert_real, _coupling_terms, _RK4Step
+from sdcontrol.simulate import (_assert_real, _coupling_terms,
+                                _half_step_v, _RK4Step)
 from sdcontrol.spectral import _run_dtype
 
 from conftest import (COUPLINGS, closed_loop_ode, synthetic_system,
@@ -598,6 +599,25 @@ class TestSimulate:
         np.testing.assert_allclose(sorted(times), np.arange(101) * 5e-4,
                                    rtol=0.0, atol=1e-15)
 
+    def test_named_disturbance_is_bitwise_its_callable(self, heat_sys, design,
+                                                       fields, x0_coeffs):
+        # "case-study" evaluates v at the half-step times as one numpy
+        # expression, a callable once per time through math.sin: over the
+        # case study's 20 001 times the values are bitwise equal, and so
+        # are two runs that differ only in the selector
+        dt, n_steps = 1e-3, 10000
+        ref = [sd.case_study_disturbance(k // 2 * dt + k % 2 * (dt / 2))
+               for k in range(2 * n_steps + 1)]
+        np.testing.assert_array_equal(
+            _half_step_v(sd.SimConfig(dt=dt), n_steps), ref)
+        runs = [sd.simulate(sd.SimConfig(dt=dt, t_end=0.3, n_modes=10,
+                                         disturbance=v), heat_sys, design,
+                            fields, x0=-2.0, x0_coeffs=x0_coeffs)
+                for v in ("case-study", sd.case_study_disturbance)]
+        for name in ("x", "coeffs", "u", "z", "norm_x", "norm_d"):
+            np.testing.assert_array_equal(getattr(runs[0], name),
+                                          getattr(runs[1], name), name)
+
     def test_empty_horizon(self, heat_sys, design, fields, tmp_path):
         cfg = sd.SimConfig(dt=1e-3, t_end=0.0, n_modes=10)
         traj = sd.simulate(cfg, heat_sys, design, fields, x0=1.0,
@@ -812,6 +832,36 @@ class TestSimulate:
         with pytest.raises(SimulationDivergedError,
                            match=r"state became non-finite at t = 0\.713$"):
             sd.simulate(cfg, sys_, des, f, x0=0.0, x0_coeffs=np.ones(2))
+
+    def test_divergence_names_its_first_row(self):
+        # the tail mode (n0 = 1) grows like exp(1000 t) from 1e-100 while
+        # the retained mode stays 0, so the first non-finite row lies in
+        # the middle of a 64-row block and only in a tail column.  The one
+        # check after the loop names it whether it is inside the run or
+        # its last row.  A run that stops one row before passes that
+        # check: it fails only later, on its recorded norm, which
+        # overflows once |c| passes 1.3e154, hundreds of rows before c does
+        sys_ = synthetic_system([1000.0, 1000.0])
+        des = sd.zero_gain_design(sys_, n0=1, delay=0.1, t0=0.2)
+
+        def run(n_steps):
+            cfg = sd.SimConfig(dt=1e-3, t_end=n_steps * 1e-3, n_modes=2,
+                               disturbance="none")
+            return sd.simulate(cfg, sys_, des, None, x0=0.0,
+                               x0_coeffs=np.array([0.0, 1e-100]))
+
+        with pytest.raises(SimulationDivergedError) as err:
+            run(2000)
+        t_bad = float(str(err.value).rsplit("t = ", 1)[1])
+        row = round(t_bad / 1e-3)
+        assert row % 64 not in (0, 1)
+        with pytest.raises(SimulationDivergedError,
+                           match="recorded norms became non-finite") as err:
+            run(row - 1)
+        assert float(str(err.value).rsplit("t = ", 1)[1]) < t_bad
+        with pytest.raises(SimulationDivergedError,
+                           match=rf"state became non-finite at t = {t_bad}$"):
+            run(row)
 
     def test_recorded_norm_divergence(self, heat_sys, design, fields, bundle,
                                       x0_coeffs):
