@@ -325,13 +325,12 @@ class _RK4Step:
             self.rho = np.diag(op).copy()
             # rho^-q and rho^(p - 1) stay within 1e+-_POWER_DECADES when
             # (block - 1) max |log10 |rho|| does not exceed it, so the block
-            # is bounded before any power is taken; rho = 0 (or a
-            # non-finite rho) leaves one-row blocks
-            with np.errstate(divide="ignore", invalid="ignore"):
+            # is bounded before any power is taken; rho = 0 or an infinite
+            # rho leaves one-row blocks
+            with np.errstate(divide="ignore"):
                 decades = float(np.abs(np.log10(np.abs(self.rho))).max())
-            if not (self.block - 1) * decades <= _POWER_DECADES:
-                self.block = 1 + int(_POWER_DECADES / decades) \
-                    if decades < math.inf else 1
+            if (self.block - 1) * decades > _POWER_DECADES:
+                self.block = int(1 + _POWER_DECADES / decades)
             q = np.arange(self.block)[:, None]
             self.rise, self.fall = self.rho ** -q, self.rho ** q
 
@@ -560,10 +559,10 @@ def simulate(config: SimConfig, sys: SpectralSystem, design: PredictorDesign,
             new = slice(pad + a + 1, pad + end + 1)
             z_hist[new], u_hist[new] = solve(
                 u_hist, a, s[1:, 1:n0 + 1], phi[a + 1:end + 1], ones)
-    if not np.isfinite(s_hist[pad:]).all():
-        bad = np.argmin(np.isfinite(s_hist[pad:]).all(axis=1))
+    finite = np.isfinite(s_hist[pad:]).all(axis=1)
+    if not finite.all():
         raise SimulationDivergedError(
-            f"state became non-finite at t = {bad * dt:.6g}")
+            f"state became non-finite at t = {np.argmin(finite) * dt:.6g}")
 
     t = rows * dt
     # at stride 1 the recorded rows are views of the histories, not copies
