@@ -485,11 +485,10 @@ class _RowSolver:
         return inv if np.array_equal(own[:len(phi)], phi) else None
 
     def __call__(self, hist: np.ndarray, a: int, y: np.ndarray,
-                 phi: np.ndarray, ones: int | None = None
-                 ) -> tuple[np.ndarray, np.ndarray]:
+                 phi: np.ndarray, ones: int) -> tuple[np.ndarray, np.ndarray]:
         """(Z, u) of the rows a + 1 .. a + len(y) from the padded history.
         ones is the row from which the caller's phi is 1 to its end
-        (`_ones_from`); None reads every block as a ramp block."""
+        (`_ones_from`)."""
         b, c = len(y), self.pad + a + 1
         k = b * self.n0
         rhs = (self.older[:k] @ hist[c - self.n_past:c].ravel()).reshape(
@@ -498,7 +497,7 @@ class _RowSolver:
         if a + 1 < self.n_past:
             cut = self.cut[a:a + b]
             rhs[:len(cut)] += cut @ hist[self.pad]
-        flat = ones is not None and a + 1 >= ones
+        flat = a + 1 >= ones
         inv = self.inv if flat else self._ramp_inverse(a, phi)
         if inv is None:
             z = np.linalg.solve(np.eye(k) - self.lower[:k, :k]

@@ -94,9 +94,10 @@ _BLOCK_ROWS = 1024
 _POWER_DECADES = 150
 
 
-def case_study_disturbance(t: float) -> float:
-    """Exogenous input of the built-in case study."""
-    return math.sin(2.0 * t) * math.sin(5.0 * t)
+def case_study_disturbance(t):
+    """Exogenous input of the built-in case study, at a time or elementwise
+    over an array of times."""
+    return np.sin(2.0 * t) * np.sin(5.0 * t)
 
 
 def case_study_initial_profile(L: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -136,7 +137,7 @@ class SimConfig:
             return self.disturbance
         if self.disturbance == "case-study":
             return case_study_disturbance
-        return lambda t: 0.0
+        return lambda t: np.zeros(np.shape(t))
 
 
 @dataclass(frozen=True, eq=False)
@@ -417,15 +418,13 @@ class Trajectory:
 def _half_step_v(config: SimConfig, n_steps: int) -> np.ndarray:
     """v at the half-step times k dt / 2, k = 0 .. 2 n_steps: the step from
     row r reads v_half[2 r:2 r + 3], and row i's own value is v_half[2 i].
-    A named disturbance is one array expression over the times; a callable
-    is called once per time."""
+    A named disturbance's function takes all the times as one array; a
+    callable is called once per time."""
     k = np.arange(2 * n_steps + 1)
     t = k // 2 * config.dt + k % 2 * (config.dt / 2)
-    if config.disturbance == "none":
-        return np.zeros(t.size)
-    if config.disturbance == "case-study":
-        return np.sin(2.0 * t) * np.sin(5.0 * t)
     v_fn = config.v_function()
+    if not callable(config.disturbance):
+        return v_fn(t)
     return _frozen_array([v_fn(x) for x in t.tolist()],
                          "v at the half-step times k dt / 2", float)
 

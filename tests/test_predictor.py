@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 import sdcontrol as sd
 from sdcontrol import predictor, spectral
 from sdcontrol.errors import InvalidParameterError, SynthesisFailureError
-from sdcontrol.predictor import (_history_pad, _lagged, _RowSolver,
-                                 _window_weights)
+from sdcontrol.predictor import (_history_pad, _lagged, _ones_from,
+                                 _RowSolver, _window_weights)
 from sdcontrol.simulate import _RK4Step
 from conftest import closed_loop_ode, random_design, synthetic_system
 
@@ -440,8 +440,9 @@ def solve_row_200(design, y, phi):
     """(Z, u) of row 200 after 200 zero rows, from the row solver."""
     pad = _history_pad(design.delay, 1e-3)
     hist = np.zeros((pad + 300, design.input_dim), dtype=complex)
+    phi = np.array([phi])
     z, u = _RowSolver(design, 1e-3)(
-        hist, 199, np.atleast_2d(y), np.array([phi]))
+        hist, 199, np.atleast_2d(y), phi, 200 + _ones_from(phi))
     return z[0], u[0]
 
 
@@ -823,7 +824,7 @@ class TestSharedSolver:
                               * np.repeat(phi, des.n0), y.ravel())
         # the first call fills the cache and the second reads it
         for _ in range(2):
-            z, _ = solve(hist, a, y, phi)
+            z, _ = solve(hist, a, y, phi, a + 1 + _ones_from(phi))
             assert_rel_close(z.ravel(), ref)
         assert list(solve.ramp) == [a]
 
