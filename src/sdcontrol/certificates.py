@@ -31,8 +31,8 @@ from .errors import (
     InfeasibleCertificateError,
     InvalidParameterError,
 )
-from .predictor import (PredictorDesign, _history_pad, _lagged,
-                        _window_weights)
+from ._loop import _history_pad, _lagged, _window_weights
+from .predictor import PredictorDesign
 from .spectral import (SpectralSystem, _finite_float, _run_dtype,
                        check_truncation)
 
@@ -267,7 +267,7 @@ def evaluate_V(sys: SpectralSystem, design: PredictorDesign,
     quad = np.einsum("ij,jk,ik->i", z.conj(), p, z).real
     s = phi(np.arange(lo, lo + len(z)) * dt) * quad
     # a window cut at t = 0 differs from the constant one only on node 0
-    # (see predictor._RowSolver), where phi(0) = 0, so the constant weights
+    # (see _loop._RowSolver), where phi(0) = 0, so the constant weights
     # serve every row; phi is 0 on the pad
     integral = np.convolve(s, w)[local]
     z_del = _lagged(z_history, pad + rows, delay / dt)

@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._loop import _check_rk4_stability
 from .certificates import (
     compute_constants,
     coupling_constants,
@@ -48,7 +49,6 @@ from .errors import (
 from .predictor import design_predictor, zero_gain_design
 from .simulate import (
     SimConfig,
-    _check_rk4_stability,
     case_study_fields,
     case_study_initial_profile,
     decay_fit,

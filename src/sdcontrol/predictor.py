@@ -19,9 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
+from ._loop import _ones_from, _row_solver, _RowSolver
 from .errors import InvalidParameterError, SynthesisFailureError
 from .spectral import (SpectralSystem, _count, _finite_float, _frozen_array,
-                       _group_close, _pbh_controllable, _run_dtype)
+                       _group_close, _pbh_controllable)
 
 __all__ = [
     "TransitionSignal",
@@ -313,220 +314,6 @@ def design_predictor(sys: SpectralSystem, n0: int, delay: float,
     return PredictorDesign(lam, b, delay, gain, TransitionSignal(t0))
 
 
-def _split_steps(x: float) -> tuple[int, float]:
-    """Whole and fractional part of a step count, snapping roundoff to 0."""
-    j = math.floor(x + 1e-9)
-    f = x - j
-    return j, (f if f > 1e-9 else 0.0)
-
-
-def _window_weights(lam, delay: float, dt: float) -> np.ndarray:
-    """Fixed quadrature weights of the predictor window on a uniform grid.
-
-    Histories are plain arrays indexed by step: row i holds the signal at
-    time i dt, and the signal is zero before t = 0.  The weights w give the
-    trapezoid rule
-
-        int_{t_i - D}^{t_i} exp((t_i - s - D) lam) g(s) ds
-            ~ sum_j w[j] * g[i - j].
-
-    When D / dt is not whole, the partial panel at the old end of the
-    window takes g there by linear interpolation of the two oldest slots.
-    The weights depend on neither i nor g, so one table serves every row
-    whose window lies in t >= 0 (for a window cut at t = 0, see _RowSolver).
-    lam = 0 gives the plain trapezoid weights.
-
-    Returns:
-        (len(w), lam.size) array; w[j] multiplies the sample j steps back.
-    """
-    lam = np.atleast_1d(lam)
-    q, r = _split_steps(delay / dt)
-    trap = np.full(q + 1, float(dt))
-    trap[[0, -1]] = dt / 2.0 if q else 0.0
-    w = np.exp(np.outer(np.arange(q + 1) * dt - delay, lam)) * trap[:, None]
-    if r:
-        # panel [t - D, t - q dt] of width r dt; the kernel is 1 at t - D,
-        # where g is (1 - r) g[i - q] + r g[i - q - 1]
-        half = r * dt / 2.0
-        w[q] += half * (np.exp((q * dt - delay) * lam) + (1.0 - r))
-        w = np.vstack([w, np.full((1, lam.size), half * r)])
-    return w
-
-
-def _history_pad(delay: float, dt: float) -> int:
-    """Zero rows ahead of t = 0 in every history: row k sits at pad + k.
-
-    No reader looks back more than one delay, which the 2-point
-    interpolation of a partial step makes floor(D / dt) + 1 rows.
-    """
-    return _split_steps(delay / dt)[0] + 1
-
-
-def _taps(steps: float) -> list[tuple[int, float]]:
-    """(rows back, weight) of the linear interpolation `steps` rows back."""
-    q, f = _split_steps(steps)
-    return [(q, 1.0 - f), (q + 1, f)] if f else [(q, 1.0)]
-
-
-def _lagged(hist: np.ndarray, idx, steps: float) -> np.ndarray:
-    """A padded history's values `steps` rows before the indices idx (an
-    index array or not), whose zero pad holds the values before t = 0."""
-    return sum(w * hist[idx - back] for back, w in _taps(steps))
-
-
-# the fewest and the most rows of a block solve.  A block is one delay
-# window, floor(D / dt) rows, held to this range (`_solve_rows`); its
-# tables, the inverses included, grow with the square of the count.
-# Against a fixed 32 rows, in-process pooled medians of the ensemble
-# workload's simulate and invert_artstein (two-core Xeon, Python 3.11,
-# numpy 2.4, one BLAS thread), with the peak memory of one D = 0.1237 run:
-# a cap of 48 rows -23 % (+0.4 MB), 64 -26 % (+1.3 MB), 80 -28 % (+1.9 MB)
-# and the whole window (up to 123 rows) -29 % (+4.5 MB); 32 rows with only
-# the one-product forcing -13 %, and a fixed 64 rows for the inversion,
-# out of step with simulate's shorter blocks, -19 %
-_SOLVE_ROWS = 32, 64
-
-
-def _solve_rows(delay: float, dt: float) -> int:
-    """Rows per block solve: one delay window within _SOLVE_ROWS.  A simulate
-    block advances at most floor(D / dt) steps, so from D / dt >= 32 on
-    simulate and invert_artstein start their blocks at the same rows."""
-    least, most = _SOLVE_ROWS
-    return min(most, max(least, _split_steps(delay / dt)[0]))
-
-
-class _RowSolver:
-    """Predictor states and inputs of consecutive rows, solved in blocks.
-
-    With w the constant window weights, row i's predictor state is
-    Z_i = Y_i + sum_j w[j] B u[i - j] and u_i = phi_i K Z_i, with the
-    design's B and K.  A window cut at t = 0, that of a row i < len(w) - 1,
-    differs from that table only in its weight on row 0: dt/2
-    exp((i dt - D) lam) in place of w[i], and 0 for row 0 itself, so
-    Z_0 = Y_0, which the callers set.  `cut` holds that difference, times
-    B, for each such row from row 1 on.
-
-    A call solves the rows a + 1 .. a + b (a >= 0, b <= rows) from
-    their Y and phi and the input history rows up to a, in the padded
-    layout of `_history_pad`; it writes nothing.
-    Their Z satisfy one block lower-triangular system
-
-        (I - L Phi) Z = Y + older + cut u[0],
-
-    where L holds diag(w[j]) B K at distance j below the diagonal,
-    Phi = diag(phi) scales its block columns (the ramp), and older is the
-    window sum over the rows before the call.  Built once per (design, dt)
-    for `rows` = `_solve_rows(D, dt)` rows, one delay window held between
-    32 and 64 (`_row_solver` keeps it on the design, so that `simulate`
-    and `invert_artstein` share it): one block-Toeplitz table of the
-    weights times B from the u rows the windows reach to the rows' Z,
-    which gives older and L, and the inverse of I - L; since the system is
-    lower triangular, the leading principal sub-blocks serve fewer rows.
-    A call whose rows all lie where phi stays 1, as its caller finds once
-    per run (`_ones_from`), is then two matrix-vector products and
-    u = Z K^T.  A block whose phi is the design's own ramp inverts its
-    `rows`-row I - L Phi on first use and keeps the inverse, keyed by a:
-    at most one per ramp row, ceil(t0 / dt) in all.  Any other phi
-    solves its I - L Phi directly and keeps nothing.  Every table, the
-    gain included, is in self.dtype: float when the design's eigenvalues,
-    B and K are real (`spectral._run_dtype`), and complex otherwise.  The
-    solver holds no reference to the design, so the design's slot makes no
-    cycle.
-    """
-
-    def __init__(self, design: PredictorDesign, dt: float):
-        lam, b_n0, gain = design.eigenvalues, design.b_n0, design.gain
-        self.dtype = _run_dtype(lam, b_n0, gain)
-        if self.dtype is float:
-            lam, b_n0, gain = lam.real, b_n0.real, gain.real
-        self.dt, self.n0, self.gain = dt, design.n0, gain
-        self.transition = design.transition
-        self.pad = _history_pad(design.delay, dt)
-        n0, m = design.n0, design.input_dim
-        self.rows = rows = _solve_rows(design.delay, dt)
-        w = _window_weights(lam, design.delay, dt)
-        self.n_past = n_past = len(w) - 1
-        # rows 1 .. n_past - 1; row 0 is Z_0 = Y_0, which the callers set
-        cut = dt / 2.0 * np.exp(np.outer(np.arange(1, n_past) * dt
-                                         - design.delay, lam))
-        self.cut = (cut - w[1:n_past])[:, :, None] * b_n0
-        # the window table from the u rows c - n_past .. c + rows - 1 to the
-        # block's Z, c its first row, gathered as (row, Z entry, column,
-        # u entry): row p weights column k by w[n_past + p - k] B, or by the
-        # appended zero outside the window.  older is its first n_past
-        # columns, and L the rest times K
-        p, k = np.ogrid[:rows, :n_past + rows]
-        lag = (n_past + p - k)[:, None]
-        lag[(lag < 0) | (lag > n_past)] = -1
-        wb = np.concatenate([w[:, :, None] * b_n0, np.zeros((1, n0, m))])
-        entry = np.arange(n0)[:, None]
-        self.older = wb.transpose(1, 0, 2)[entry, lag[..., :n_past]].reshape(
-            rows * n0, -1)
-        self.lower = (wb @ gain).transpose(1, 0, 2)[
-            entry, lag[..., n_past:]].reshape(rows * n0, -1)
-        self.inv = np.linalg.inv(np.eye(rows * n0) - self.lower)
-        # a -> (the design's ramp at rows a + 1 .. a + rows, the
-        # inverse of I - L Phi under it)
-        self.ramp = {}
-
-    def _ramp_inverse(self, a: int, phi: np.ndarray) -> np.ndarray | None:
-        """The kept inverse of I - L Phi for the block after row a when phi
-        is the design's own ramp there, else None."""
-        entry = self.ramp.get(a)
-        if entry is None:
-            own = self.transition.phi(
-                (a + 1 + np.arange(self.rows)) * self.dt)
-            if not np.array_equal(own[:len(phi)], phi):
-                return None
-            entry = self.ramp[a] = own, np.linalg.inv(
-                np.eye(len(self.lower))
-                - self.lower * np.repeat(own, self.n0))
-        own, inv = entry
-        return inv if np.array_equal(own[:len(phi)], phi) else None
-
-    def __call__(self, hist: np.ndarray, a: int, y: np.ndarray,
-                 phi: np.ndarray, ones: int) -> tuple[np.ndarray, np.ndarray]:
-        """(Z, u) of the rows a + 1 .. a + len(y) from the padded history.
-        ones is the row from which the caller's phi is 1 to its end
-        (`_ones_from`)."""
-        b, c = len(y), self.pad + a + 1
-        k = b * self.n0
-        rhs = (self.older[:k] @ hist[c - self.n_past:c].ravel()).reshape(
-            b, self.n0)
-        rhs += y
-        if a + 1 < self.n_past:
-            cut = self.cut[a:a + b]
-            rhs[:len(cut)] += cut @ hist[self.pad]
-        flat = a + 1 >= ones
-        inv = self.inv if flat else self._ramp_inverse(a, phi)
-        if inv is None:
-            z = np.linalg.solve(np.eye(k) - self.lower[:k, :k]
-                                * np.repeat(phi, self.n0), rhs.ravel())
-        else:
-            z = inv[:k, :k] @ rhs.ravel()
-        z = z.reshape(b, self.n0)
-        u = z @ self.gain.T
-        if not flat:
-            u *= phi[:, None]
-        return z, u
-
-
-def _ones_from(phi: np.ndarray) -> int:
-    """The row from which phi is 1 to its end (len(phi) if its last is not)."""
-    off = np.flatnonzero(phi != 1.0)
-    return int(off[-1]) + 1 if off.size else 0
-
-
-def _row_solver(design: PredictorDesign, dt: float) -> _RowSolver:
-    """The design's row solver for the step dt, built on first use.  The
-    design keeps one, so a call with another dt replaces it."""
-    solve = design._solver
-    if solve is None or solve.dt != dt:
-        solve = _RowSolver(design, dt)
-        object.__setattr__(design, "_solver", solve)
-    return solve
-
-
 def invert_artstein(design: PredictorDesign, times: np.ndarray, y_path,
                     phi=None) -> np.ndarray:
     """Recover the input consistent with a modal trajectory.
@@ -534,10 +321,10 @@ def invert_artstein(design: PredictorDesign, times: np.ndarray, y_path,
     Solves v(t) = phi(t) K [Y(t) + int exp((t-s-D)A) B v(s) ds] on the
     sample grid.  With the window's fixed trapezoid weights the discrete
     Volterra system is lower triangular, so one forward-substitution pass
-    solves it, in blocks of rows, with the design's row solver, which a
-    `simulate` at the same step shares.  A window that starts before t = 0
-    is integrated from 0.  The arithmetic is real when the design's row
-    solver is (see _RowSolver) and y_path is real, and complex otherwise.
+    solves it, by the blocks and with the row solver that a `simulate` at
+    the same step uses (see `_loop`).  A window that starts before t = 0
+    is integrated from 0.  The arithmetic is real when the design and
+    y_path are, and complex otherwise.
 
     Args:
         design: the predictor design (supplies A, B, K, D).
@@ -562,6 +349,9 @@ def invert_artstein(design: PredictorDesign, times: np.ndarray, y_path,
         raise InvalidParameterError(
             f"y_path must have shape ({times.size}, {design.n0})")
 
+    if phi is not None and not callable(phi):
+        raise InvalidParameterError(
+            f"phi must be a callable t -> phi(t), got {phi!r}")
     phi_vals = _frozen_array(
         (design.transition.phi if phi is None else phi)(times), "phi values",
         float)
@@ -572,8 +362,7 @@ def invert_artstein(design: PredictorDesign, times: np.ndarray, y_path,
     phi_vals = np.broadcast_to(phi_vals, times.shape)
 
     solve = _row_solver(design, dt)
-    # complex tables give complex rows, whatever y_path holds
-    dtype = solve.dtype if solve.dtype is complex else _run_dtype(y)
+    dtype = solve.run_dtype(y)
     if dtype is float:
         y = y.real
     hist = np.zeros((solve.pad + times.size, design.input_dim), dtype)

@@ -99,6 +99,12 @@ def heat_with(sys_, name, bad):
                                                       bad)})
 
 
+def short_run(fx, x0):
+    """A 0.1 s case-study run from the scalar state x0."""
+    return sd.simulate(sd.SimConfig(dt=1e-3, t_end=0.1, n_modes=10), fx.sys,
+                       fx.design, fx.fields, x0, np.zeros(10))
+
+
 # (id, call(fixtures, bad value), expected error) for every argument the
 # input rule checks for finiteness
 NON_FINITE = [
@@ -148,6 +154,7 @@ NON_FINITE = [
         sd.SimConfig(dt=1e-3, t_end=0.1, n_modes=10,
                      disturbance=lambda t: v if t > 0.05 else 0.0),
         f.sys, f.design, f.fields, 0.0, np.zeros(10))),
+    ("simulate.x0", lambda f, v: short_run(f, v)),
     ("iss_envelope_check.d_sup",
      lambda f, v: sd.iss_envelope_check(f.traj, f.bundle, v)),
     ("compute_constants.gamma1", lambda f, v: sd.compute_constants(
@@ -167,6 +174,27 @@ def test_constructors_reject_non_finite(heat_sys, design, fields, bundle,
                          bundle=bundle, traj=disturbed_traj)
     with pytest.raises(error, match="finite"):
         call(fx, bad)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda f: short_run(f, "a"), id="simulate.x0-str"),
+    pytest.param(lambda f: short_run(f, None), id="simulate.x0-None"),
+    pytest.param(lambda f: short_run(f, [1.0, 2.0]), id="simulate.x0-list"),
+    pytest.param(lambda f: sd.SimConfig(disturbance=3),
+                 id="SimConfig.disturbance-3"),
+    pytest.param(lambda f: sd.SimConfig(disturbance=None),
+                 id="SimConfig.disturbance-None"),
+    pytest.param(lambda f: sd.invert_artstein(
+        f.design, np.arange(11) * 1e-3, np.zeros((11, 2)), phi=3),
+                 id="invert_artstein.phi-3"),
+])
+def test_inputs_of_the_wrong_kind(heat_sys, design, fields, call):
+    # numpy's and Python's own TypeError and ValueError must not escape,
+    # and no input falls through to a default
+    fx = SimpleNamespace(sys=heat_sys, design=design, fields=fields)
+    with pytest.raises(sd.InvalidParameterError,
+                       match="x0|disturbance|phi"):
+        call(fx)
 
 
 @pytest.mark.parametrize("call", [

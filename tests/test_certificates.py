@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import sdcontrol as sd
 from sdcontrol import certificates
-from sdcontrol.predictor import _history_pad
+from sdcontrol._loop import _history_pad
 from sdcontrol.errors import (CertificateParameterError,
                               InfeasibleCertificateError,
                               InvalidParameterError)

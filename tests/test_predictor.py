@@ -15,9 +15,8 @@ from hypothesis import strategies as st
 import sdcontrol as sd
 from sdcontrol import predictor, spectral
 from sdcontrol.errors import InvalidParameterError, SynthesisFailureError
-from sdcontrol.predictor import (_history_pad, _lagged, _ones_from,
-                                 _RowSolver, _window_weights)
-from sdcontrol.simulate import _RK4Step
+from sdcontrol._loop import (_history_pad, _lagged, _ones_from, _RK4Step,
+                             _RowSolver, _split_steps, _window_weights)
 from conftest import closed_loop_ode, random_design, synthetic_system
 
 
@@ -710,15 +709,25 @@ class TestBlockSolve:
         else:
             assert_rel_close(u, u_ref)
 
+    @pytest.mark.parametrize("steps", [
+        2 - 1e-9, 2 - 5e-10, 2 + 1e-9, 63 - 1e-9, 100.00000000000001, 123.7])
+    def test_lags_split_like_the_window(self, steps):
+        # the stepper's lag D / dt - 1 snaps to a whole step exactly when
+        # D / dt does, so that a block of floor(D / dt) rows reads no row of
+        # its own even on the snap's edge
+        q, f = _split_steps(steps)
+        assert _split_steps(steps - 1) == (q - 1, f)
+
     @pytest.mark.parametrize("delay,ahead", [
         (1.05e-3, 1), (2.05e-3, 2), (0.1, 100)])
     def test_block_steps_read_no_row_of_their_block(self, heat_sys, delay,
                                                     ahead):
         # rows after a are NaN: the ahead steps from rows a .. a + ahead - 1
-        # stay finite and the next step, from row a + ahead, reads row a + 1
+        # stay finite and the next step, from row a + ahead, reads row a + 1;
+        # the stepper's block, the solver's rows, is never longer
         des = sd.zero_gain_design(heat_sys, 2, delay, 0.2)
         rk4 = _RK4Step(heat_sys, des, None, 10, 1e-3, complex)
-        assert rk4.ahead == ahead
+        assert rk4.block == min(ahead, 64)
         a, m = 150, heat_sys.input_dim
         rng = np.random.default_rng(3)
         u = np.full((rk4.pad + a + ahead + 2, m), np.nan, dtype=complex)
@@ -855,10 +864,9 @@ class TestSharedSolver:
         assert sorted(des._solver.ramp) == sorted(kept) == [0, 64, 128, 192]
         assert all(des._solver.ramp[a] is kept[a] for a in kept)
 
-    def test_short_delay_blocks(self, heat_sys, monkeypatch):
-        # D / dt = 20: simulate's blocks are one delay window of 20 rows,
-        # and the inversion still solves the solver's least 32 rows a call
-        des = sd.design_predictor(heat_sys, 2, 0.02, [-3.0, -3.0], 0.2)
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """(a, rows) of every _RowSolver call while the test runs."""
         calls, solve = [], _RowSolver.__call__
 
         def counted(self, hist, a, y, phi, ones):
@@ -866,13 +874,59 @@ class TestSharedSolver:
             return solve(self, hist, a, y, phi, ones)
 
         monkeypatch.setattr(_RowSolver, "__call__", counted)
+        return calls
+
+    def test_short_delay_blocks(self, heat_sys, solves):
+        # D / dt = 20: both callers solve one delay window of 20 rows a
+        # call, from the same rows, so the design keeps one set of ramp
+        # inverses, each for 20 rows of n0 = 2 entries
+        des = sd.design_predictor(heat_sys, 2, 0.02, [-3.0, -3.0], 0.2)
         traj = plant_run(heat_sys, des)
-        assert des._solver.rows == 32
-        assert calls == [(a, 20) for a in range(0, 500, 20)]
-        calls.clear()
+        assert des._solver.rows == 20
+        blocks = [(a, 20) for a in range(0, 500, 20)]
+        assert solves == blocks
+        solves.clear()
         u = sd.invert_artstein(des, traj.t, traj.coeffs[:, :2])
-        assert calls == [(a, 32) for a in range(0, 480, 32)] + [(480, 20)]
+        assert solves == blocks
+        assert sorted(des._solver.ramp) == list(range(0, 200, 20))
+        assert {inv.shape for _, inv in des._solver.ramp.values()} == {
+            (40, 40)}
         assert_rel_close(u, traj.u)
+
+    @pytest.mark.parametrize("steps, rows", [
+        (1.5, 1), (20, 20), (31, 31), (32, 32), (100, 64), (123.7, 64)])
+    def test_one_block_rule(self, heat_sys, solves, steps, rows):
+        # rows = min(floor(D / dt), 64): simulate and the inversion after it
+        # solve the same blocks, and the inversion reads every ramp inverse
+        # the run kept (the ramp rows 1 .. 199) and adds none.  simulate
+        # needs dt < D, so the least ratio is 1.5, one row a block
+        des = sd.design_predictor(heat_sys, 2, steps * 1e-3, [-3.0, -3.0],
+                                  0.2)
+        traj = plant_run(heat_sys, des)
+        assert des._solver.rows == rows
+        blocks = [(a, min(rows, 500 - a)) for a in range(0, 500, rows)]
+        assert solves == blocks
+        kept = dict(des._solver.ramp)
+        assert sorted(kept) == list(range(0, 199, rows))
+        solves.clear()
+        u = sd.invert_artstein(des, traj.t, traj.coeffs[:, :2])
+        assert solves == blocks
+        assert des._solver.ramp.keys() == kept.keys()
+        assert all(des._solver.ramp[a] is kept[a] for a in kept)
+        assert_rel_close(u, traj.u)
+
+    @pytest.mark.parametrize("steps", [0.0, 0.5, 1.0])
+    def test_one_row_blocks_within_one_step(self, heat_sys, solves, steps):
+        # at D / dt <= 1 the rule leaves one row a block; simulate needs
+        # dt < D, so only the inversion runs there
+        des = sd.design_predictor(heat_sys, 2, steps * 1e-3, [-3.0, -3.0],
+                                  0.2)
+        t = np.arange(50) * 1e-3
+        y = np.random.default_rng(4).normal(size=(50, 2))
+        u = sd.invert_artstein(des, t, y)
+        assert solves == [(a, 1) for a in range(49)]
+        _, ref = per_row_inputs(des, 1e-3, y, des.transition.phi(t))
+        assert_rel_close(u, ref)
 
     def test_ramps_not_shared_across_t0(self, heat_sys):
         slow, fast = shared_design(heat_sys, 0.2), shared_design(heat_sys, 0.1)

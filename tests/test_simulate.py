@@ -11,9 +11,9 @@ import pytest
 import sdcontrol as sd
 from sdcontrol.errors import (InsufficientDataError, InvalidParameterError,
                               SimulationDivergedError)
-from sdcontrol.predictor import _RowSolver, _split_steps
-from sdcontrol.simulate import (_assert_real, _coupling_terms,
-                                _half_step_v, _RK4Step)
+from sdcontrol._loop import (_coupling_terms, _RK4Step, _RowSolver,
+                             _split_steps)
+from sdcontrol.simulate import _assert_real, _half_step_v
 from sdcontrol.spectral import _run_dtype
 
 from conftest import (COUPLINGS, closed_loop_ode, synthetic_system,
