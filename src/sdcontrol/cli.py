@@ -8,7 +8,8 @@ to its own stage, on one plant.  Only the command's own stage writes
 artifacts and sets the exit code; case-study writes those of every stage.
 Exit codes (each error's ``exit_code``): 0 success, 1 configuration
 error (a run file that `load_config` rejects: a missing, unknown,
-malformed, non-finite or inconsistent key or section), 2 violated plant
+malformed, non-finite or inconsistent key or section; or an --out that
+is a file or lies under one), 2 violated plant
 assumption, 3 gain synthesis failure (an uncontrollable retained block,
 non-Hurwitz poles or an ill-conditioned P), 4 infeasible certificate (or
 nonpositive interconnection margin), 5 diverged simulation.  Verbosity is
@@ -42,6 +43,7 @@ from .config import (
 )
 from .errors import (
     AssumptionViolatedError,
+    ConfigError,
     InsufficientDataError,
     SynthesisFailureError,
     ToolkitError,
@@ -322,6 +324,10 @@ def main(argv=None) -> int:
     flags = dict(no_disturbance=getattr(args, "no_disturbance", False),
                  open_loop=getattr(args, "open_loop", False))
     try:
+        # before any stage runs, which a file in the way would waste
+        existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"--out {out_dir}: {existing} is not a directory")
         if args.command == "case-study":
             return cmd_case_study(out_dir, **flags)
         return _run(load_config(args.config), out_dir, args.command, **flags)

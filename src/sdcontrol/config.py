@@ -14,6 +14,7 @@ whitespace starts an inline comment.
 
 import cmath
 import configparser
+import os
 import typing
 from dataclasses import MISSING, dataclass, field, fields
 
@@ -32,6 +33,19 @@ _POSITIVE = (lambda v: v > 0, "must be positive")
 _NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
 _AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1")
 _OPEN_UNIT = (lambda v: 0 < v < 1, "must lie in (0, 1)")
+
+
+# the artifacts the CLI writes next to the trajectory CSV
+_OTHER_ARTIFACTS = ("case_study.ini", "validate.txt", "design.txt",
+                    "gain.csv", "certificate.txt", "summary.txt")
+# the trajectory CSV is written to --out / output, so output must be a
+# file name in that directory: a path needs directories that may not
+# exist, "" and "." name the directory itself, and another artifact's
+# file would be overwritten by the trajectory or overwrite it
+_FILE_NAME = (lambda v: v not in ("", ".", "..") and os.path.basename(v) == v
+              and v not in _OTHER_ARTIFACTS,
+              "must be a file name with no directory, other than "
+              + ", ".join(_OTHER_ARTIFACTS))
 
 
 def _one_of(*choices):
@@ -95,7 +109,7 @@ class SimulationConfig:
     t_end: float = _key(10.0, ini="T_end", rule=_NONNEGATIVE)
     n_modes: int = _key(10, ini="N_modes")
     record_stride: int = _key(1, rule=_AT_LEAST_1)
-    output: str = "trajectory.csv"
+    output: str = _key("trajectory.csv", rule=_FILE_NAME)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import _csv
 from ._loop import (_check_rk4_stability, _lagged, _ones_from, _RK4Step,
                     _row_solver)
 from .certificates import CertificateBundle, evaluate_V
@@ -52,9 +53,8 @@ __all__ = [
     "case_study_initial_profile",
 ]
 
-# rows per block of the recorded quantities and of the CSV writer, so that
-# their (rows, modes) temporaries and row tuples stay small whatever the
-# run length
+# rows per block of the recorded quantities, so that their (rows, modes)
+# temporaries stay small whatever the run length
 _BLOCK_ROWS = 1024
 
 
@@ -396,13 +396,14 @@ def iss_envelope_check(traj: Trajectory, bundle: CertificateBundle,
     return worst <= 1.05, worst
 
 
-_CSV_PRECISION = ".12g"
-
-
 def write_csv(traj: Trajectory, path) -> None:
     """Write the trajectory as CSV: t,x,normX,V,u1..um,normd,c1..cN.
 
-    Values carry 12 significant digits; rows end with a bare newline.
+    Every value is written byte for byte as `'%.12g' % v` gives it, 12
+    significant digits; rows end with a bare newline.  Values in fixed
+    notation are formatted by a vectorized kernel in blocks of rows, the
+    others (exponent notation, nan, inf, near rounding ties) by `'%.12g'`
+    itself; see `_csv`.
     """
     header = (["t", "x", "normX", "V"]
               + [f"u{j + 1}" for j in range(traj.u.shape[1])]
@@ -411,9 +412,6 @@ def write_csv(traj: Trajectory, path) -> None:
     columns = [traj.t, traj.x, traj.norm_x, traj.V,
                _assert_real(traj.u, "recorded input"), traj.norm_d,
                _assert_real(traj.coeffs, "recorded coefficients")]
-    row_format = ",".join(["%" + _CSV_PRECISION] * len(header)) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for a in range(0, len(traj), _BLOCK_ROWS):
-            block = np.column_stack([col[a:a + _BLOCK_ROWS] for col in columns])
-            fh.writelines(row_format % tuple(row) for row in block.tolist())
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        _csv.write_rows(fh, columns)
