@@ -324,6 +324,11 @@ EXIT_MATRIX = {
     "beta=-1": ({"certificate": {"optimize": "false", "beta": -1.0,
                                  "gamma1": 1.0, "gamma2": 1.0}},
                 [(1, [])] * 4),
+    "output ''": ({"simulation": {"output": ""}}, [(1, [])] * 4),
+    "output nosuchdir/t.csv": ({"simulation": {"output": "nosuchdir/t.csv"}},
+                               [(1, [])] * 4),
+    "output summary.txt": ({"simulation": {"output": "summary.txt"}},
+                           [(1, [])] * 4),
 }
 
 
@@ -388,6 +393,23 @@ def test_extreme_plant_data(tmp_path, name):
     assert "Traceback" not in proc.stderr
     assert "Warning" not in proc.stderr
     assert proc.stderr.strip().endswith(f"(exit {code})"), proc.stderr
+
+
+# --out as a file, or a directory under one: every command exits 1 before
+# any stage runs, and the file is left as it was
+@pytest.mark.parametrize("command, out", [
+    ("case-study", "taken"), ("simulate", "taken"), ("validate", "taken"),
+    ("design", "taken/sub"), ("certify", "taken"),
+])
+def test_out_must_be_a_directory(tmp_path, caplog, command, out):
+    (tmp_path / "taken").write_text("kept\n")
+    argv = [command, "--out", str(tmp_path / out)]
+    if command != "case-study":
+        argv += ["--config", write_cfg(tmp_path)]
+    with caplog.at_level(logging.ERROR):
+        assert main(argv) == 1
+    assert "taken is not a directory (exit 1)" in caplog.text
+    assert (tmp_path / "taken").read_text() == "kept\n"
 
 
 class TestCaseStudyCommand:

@@ -233,6 +233,18 @@ class TestSimulationSection:
         with pytest.raises(ConfigError, match="record_stride"):
             sd.loads_config(ini_with(simulation={"record_stride": 0}))
 
+    # the trajectory is written to --out / output: a path, the directory
+    # itself or another artifact's name would fail or clobber only after
+    # the whole run
+    @pytest.mark.parametrize("output", [
+        "", ".", "..", "nosuchdir/t.csv", "/tmp/t.csv", "summary.txt",
+        "certificate.txt", "case_study.ini",
+    ])
+    def test_output_must_be_a_file_name(self, output):
+        with pytest.raises(ConfigError, match="simulation output must be a "
+                                              "file name with no directory"):
+            sd.loads_config(ini_with(simulation={"output": output}))
+
 
 class TestInitialSection:
     def test_zero_default(self):

@@ -2,13 +2,18 @@
 
 import cmath
 import dataclasses
+import io
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import sdcontrol as sd
+from sdcontrol import _csv
 from sdcontrol.errors import (InsufficientDataError, InvalidParameterError,
                               SimulationDivergedError)
 from sdcontrol._loop import (_coupling_terms, _RK4Step, _RowSolver,
@@ -983,6 +988,15 @@ class TestIssEnvelope:
         assert worst > 1.05
 
 
+def assert_rows_match_format(table):
+    """The CSV kernel writes each row of the 2-D table as one format(v,
+    ".12g") per value would."""
+    fh = io.BytesIO()
+    _csv.write_rows(fh, [table])
+    assert fh.getvalue().decode().splitlines() == [
+        ",".join(format(v, ".12g") for v in row) for row in table.tolist()]
+
+
 class TestWriteCsv:
     def test_header_and_digits(self, tmp_path):
         t = np.array([0.0, 1e-3])
@@ -1004,13 +1018,28 @@ class TestWriteCsv:
         assert first[7] == "0.666666666667"
 
     def test_bytes_match_per_value_format(self, tmp_path):
-        # the row-at-once writer against one format() per value, over more
-        # rows than one block, with signed zero, extreme exponents and
-        # values at the 12-digit and %g-exponent boundaries
+        # the block writer against one format() per value, over more rows
+        # than one block, with signed zero, extreme exponents, values at
+        # the 12-digit and %g-exponent boundaries, non-finite values, an
+        # exact 12th-digit tie at every fixed-notation exponent (rounded
+        # half to even, both ways) and integral floats
+        # (an odd q times 2^(e - 12) in [10^e, 10^(e + 1)) has 13
+        # significant digits, the last a 5)
+        ties = [math.ldexp(q, e - 12) for e in range(-4, 12)
+                for odd in [int(1.2345 * 10 ** e * 2 ** (12 - e)) | 1]
+                for q in (odd, odd + 2)]
         edge = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324,
                 999999999999.0, 999999999999.5, 1e12, 123456789012.4,
                 0.000123456789012345, 1e-4, 9.99999999999949e-5,
-                -2.5e-5, 1.0 / 3.0, 0.1, 7.0, -123.456]
+                -2.5e-5, 1.0 / 3.0, 0.1, 7.0, -123.456,
+                math.nan, math.inf, -math.inf,
+                # rounding across 1e-4 and across 1e12
+                math.nextafter(1e-4, 0.0), 9.999999999999951e-05,
+                -9.99999999999995e-05, math.nextafter(1e12, 0.0),
+                math.nextafter(999999999999.5, 0.0),
+                math.nextafter(999999999999.5, math.inf),
+                1.0, -1.0, 10.0, 100.0, 1e11, -42.0, 123456789012.0,
+                *ties]
         rng = np.random.default_rng(5)
         rows = 2500
         table = rng.normal(size=(rows, 10)) * 10.0 ** rng.integers(
@@ -1019,6 +1048,12 @@ class TestWriteCsv:
             table[j * 40:j * 40 + len(edge), j] = edge
         table[-len(edge):, 3] = edge
         t = np.arange(rows) * 1e-3
+        # values formatted apart also close and open the writer's blocks,
+        # so that they are spliced in at a block's last and first offset
+        block = _csv._BLOCK_VALUES // 11
+        apart = [math.nan, -1e300, math.inf, 2.5e-5, 1e12]
+        for k, a in enumerate(range(block, rows, block)):
+            t[a] = table[a - 1, 9] = apart[k % len(apart)]
         traj = make_traj(t, table[:, 1], V=table[:, 2], x=table[:, 0],
                          u=table[:, 3:5].astype(complex),
                          norm_d=table[:, 5],
@@ -1032,6 +1067,35 @@ class TestWriteCsv:
                     + list(table[i, 6:10]))
             lines.append(",".join(format(v, ".12g") for v in vals) + "\n")
         assert path.read_bytes() == "".join(lines).encode()
+
+    # every binary exponent, subnormals, +-0, nan and inf; decimals with
+    # few digits; and the doubles nearest to a 12th-digit rounding tie
+    FLOATS = st.one_of(
+        st.floats(width=64),
+        st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1100, 1023)),
+        st.builds(lambda m, e: m * 10.0 ** e, st.integers(-9999, 9999),
+                  st.integers(-9, 13)),
+        st.builds(lambda m, e: float(f"{m}5e{e}"),
+                  st.integers(10 ** 11, 10 ** 12 - 1), st.integers(-17, 0)))
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(table=hnp.arrays(np.float64, st.tuples(st.integers(1, 30),
+                                                  st.integers(1, 6)),
+                            elements=FLOATS))
+    def test_rows_match_per_value_format(self, table):
+        assert_rows_match_format(table)
+
+    def test_exact_when_log10_is_a_decade_off(self, monkeypatch):
+        # the kernel takes its decade from log10 but checks the mantissa,
+        # so a log10 that is off near a power of ten (by far more than
+        # numpy's on any SIMD level) changes no byte
+        log10 = np.log10
+        for shift in (2e-12, -2e-12):
+            monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+            assert_rows_match_format(np.array(
+                [[10.0 ** k * (1.0 + d) for d in
+                  (-6e-12, -3e-12, -1e-16, 0.0, 3e-12, 6e-12)]
+                 for k in range(-5, 13)]))
 
     def test_case_study_header(self, tmp_path, disturbed_traj):
         path = tmp_path / "traj.csv"
