@@ -43,8 +43,9 @@ __all__ = ["write_rows"]
 # were mapped fresh and page-faulted, about 9 800 faults per CSV
 _BLOCK_VALUES = 2048
 
+# byte slots of one value: 0 the sign, 1-2 "0.", 3-5 the zeros after it,
+# 6-29 the 12 digits each followed by a point, 30 the separator
 _SLOTS = 31
-_SIGN, _DIGITS, _SEP = 0, slice(6, 30), 30
 # mask rows: 0 for a zero, 1..16 for e = -4..11, and one for a value
 # formatted apart, of which only the separator is kept
 _APART = 17
@@ -78,14 +79,14 @@ def _tables():
     last = 11 - np.arange(13)[:, None]  # the last nonzero digit
     j = np.arange(12)
     masks = np.zeros((_APART + 1, 13, 2, _SLOTS), bool)
-    fixed = masks[1:17]
+    fixed = masks[1:_APART]
     fixed[..., 1:3] = (e < 0)[..., None]
     fixed[..., 3:6] = (np.arange(3) < -1 - e)[:, :, None]
     fixed[..., 6:30:2] = (j <= np.maximum(e, last))[:, :, None]
     fixed[..., 7:30:2] = ((j == e) & (last > e))[:, :, None]
     masks[0, ..., 6] = True
-    masks[:_APART, :, 1, _SIGN] = True
-    masks[..., _SEP] = True
+    masks[:_APART, :, 1, 0] = True
+    masks[..., 30] = True
     masks = masks.reshape(-1, _SLOTS)
     return (pow10, quads.view(np.uint64).ravel(), zeros, masks,
             np.count_nonzero(masks, axis=1))
@@ -107,7 +108,7 @@ def _block_text(vals: np.ndarray, slots: np.ndarray) -> bytes:
     chunks = np.floor(np.where(ok, r, 0.0) / _CHUNK)
     chunks[1:] -= 1e4 * chunks[:-1]
     chunks = chunks.astype(np.intp)
-    slots[:, _DIGITS] = np.take(quads, chunks.T).view(np.uint8)
+    slots[:, 6:30] = np.take(quads, chunks.T).view(np.uint8)
     tail = zeros[chunks]
     tail += _CHUNK_TAIL
     row = np.where(ok, e + 5.0, np.where(zero, 0.0, float(_APART)))
@@ -135,7 +136,7 @@ def write_rows(fh, columns: list[np.ndarray]) -> None:
     rows = max(1, _BLOCK_VALUES // n_cols)
     slots = np.empty((rows, n_cols, _SLOTS), np.uint8)
     slots[:] = np.frombuffer(b"-0.000" + b"0." * 12 + b",", np.uint8)
-    slots[:, -1, _SEP] = ord("\n")
+    slots[:, -1, 30] = ord("\n")
     for a in range(0, len(columns[0]), rows):
         block = np.column_stack([col[a:a + rows] for col in columns])
         fh.write(_block_text(block.ravel(),
